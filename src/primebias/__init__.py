@@ -4,6 +4,7 @@ and predictions."""
 __version__ = "0.1.0"
 
 from .arith import (
+    InternalConsistencyError,
     Modulus,
     ResiduePattern,
     canonical_residue,
@@ -18,7 +19,6 @@ from .arith import (
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .constants import (
     ConjectureConstants,
-    InternalConsistencyError,
     c1,
     c2_general,
     c2_pair,

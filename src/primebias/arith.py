@@ -18,10 +18,12 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "InternalConsistencyError",
     "Modulus",
     "ResiduePattern",
     "totient",
     "prime_factors",
+    "moebius",
     "primes_upto",
     "von_mangoldt",
     "sawtooth_B",
@@ -29,6 +31,14 @@ __all__ = [
     "pattern_epsilon",
     "canonical_residue",
 ]
+
+
+class InternalConsistencyError(AssertionError):
+    """Raised when two independent routes to the same quantity disagree.
+
+    Always raised explicitly, never through `assert`, so `python -O`
+    cannot strip the check; the command line maps it to exit code 3.
+    """
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -58,6 +68,15 @@ def totient(n: int) -> int:
         num //= p
         num *= p - 1
     return num * den // 1
+
+
+def moebius(n: int) -> int:
+    """mu(n): 0 unless n is squarefree, else (-1)^(number of prime factors)."""
+    ps = prime_factors(n)
+    for p in ps:
+        if n % (p * p) == 0:
+            return 0
+    return -1 if len(ps) % 2 else 1
 
 
 @lru_cache(maxsize=32)
@@ -169,7 +188,7 @@ def epsilon_q(q: int, a: int, b: int) -> float:
     num0 = q * _coprime_shift_count(q, a, h0) - phi * h0
     num1 = q * _coprime_shift_count(q, a, h0 + q) - phi * (h0 + q)
     if num0 != num1:
-        raise AssertionError(f"epsilon_q not period-stable for q={q}, a={a}, b={b}")
+        raise InternalConsistencyError(f"epsilon_q not period-stable for q={q}, a={a}, b={b}")
     return float(Fraction(num0, q))
 
 

@@ -6,7 +6,9 @@ for powers of two.  A character is labelled by its exponent tuple on
 those generators, and character values are carried around as integer
 numerators over the group exponent; they only become complex numbers
 when a caller asks for them.  That keeps orthogonality sums and
-conductor computations free of rounding questions.
+conductor computations free of rounding questions.  The complex values
+of a character are built once, from the group's discrete-log table, into
+a cached read-only table that every evaluation indexes.
 
 Moduli m = 1 and m = 2 are allowed (their groups are trivial) because
 the constant machinery walks divisors q/d of a pattern modulus.
@@ -21,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .arith import prime_factors, totient
+from .arith import InternalConsistencyError, prime_factors, totient
 
 __all__ = ["CharacterGroup", "DirichletCharacter", "character_group"]
 
@@ -35,7 +37,8 @@ def _primitive_root_mod_prime_power(p: int, e: int) -> int:
         if all(pow(cand, (p - 1) // r, p) != 1 for r in fac):
             g = cand
             break
-    assert g is not None, f"no primitive root mod {p}"
+    if g is None:
+        raise InternalConsistencyError(f"no primitive root mod {p}")
     if e == 1:
         return g
     # g stays primitive mod p^e exactly when g^(p-1) != 1 mod p^2
@@ -95,6 +98,11 @@ class CharacterGroup:
         self.orders = tuple(orders)
         self.exponent = math.lcm(*orders) if orders else 1
         self._dlog = self._build_dlog_table()
+        # the same table as arrays: unit residues and their exponent rows
+        self._units = np.fromiter(self._dlog, dtype=np.intp, count=self.phi)
+        self._dlog_matrix = np.array(
+            list(self._dlog.values()), dtype=np.int64
+        ).reshape(self.phi, len(self.orders))
 
     def _build_dlog_table(self) -> dict[int, tuple[int, ...]]:
         """residue -> exponent tuple on the generators (full enumeration)."""
@@ -104,7 +112,8 @@ class CharacterGroup:
             for g, e in zip(self.generators, exps):
                 x = x * pow(g, e, self.m) % self.m
             table[x % self.m] = exps
-        assert len(table) == self.phi, f"unit group mod {self.m} not covered"
+        if len(table) != self.phi:
+            raise InternalConsistencyError(f"unit group mod {self.m} not covered")
         return table
 
     def discrete_log(self, n: int) -> tuple[int, ...] | None:
@@ -133,6 +142,20 @@ def character_group(m: int) -> CharacterGroup:
     return CharacterGroup(m)
 
 
+@lru_cache(maxsize=4096)
+def _value_table(group: CharacterGroup, label: tuple[int, ...]) -> np.ndarray:
+    """chi(n) for n = 0..m-1 (0 on non-units), read-only."""
+    E = group.exponent
+    weights = np.array(
+        [k * (E // s) for k, s in zip(label, group.orders)], dtype=np.int64
+    )
+    t = group._dlog_matrix @ weights % E
+    out = np.zeros(max(group.m, 1), dtype=np.complex128)
+    out[group._units] = np.exp(2j * np.pi * t / E)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
     group: CharacterGroup
@@ -152,24 +175,15 @@ class DirichletCharacter:
         return t % E
 
     def __call__(self, n: int) -> complex:
-        t = self.value_exponent(n)
-        if t is None:
-            return 0j
-        E = self.group.exponent
-        return complex(np.exp(2j * np.pi * t / E))
+        return complex(self.values_table()[n % self.group.m])
 
     def values_table(self) -> np.ndarray:
-        """chi(n) for n = 0..m-1 as complex128 (0 on non-units)."""
-        m = self.group.m
-        out = np.zeros(max(m, 1), dtype=np.complex128)
-        E = self.group.exponent
-        for n, exps in self.group._dlog.items():
-            t = sum(
-                e_i * k_i * (E // s_i)
-                for e_i, k_i, s_i in zip(exps, self.label, self.group.orders)
-            )
-            out[n % max(m, 1)] = np.exp(2j * np.pi * (t % E) / E)
-        return out
+        """chi(n) for n = 0..m-1 as complex128 (0 on non-units).
+
+        The array is cached per character and read-only; copy it before
+        writing.
+        """
+        return _value_table(self.group, self.label)
 
     # --- structure ----------------------------------------------------
 
@@ -186,7 +200,10 @@ class DirichletCharacter:
             return 1
         t = self.value_exponent(self.group.m - 1)
         E = self.group.exponent
-        assert t is not None and (2 * t) % E == 0
+        if t is None or (2 * t) % E != 0:
+            raise InternalConsistencyError(
+                f"chi(-1) is not +-1 for {self.name()}: exponent {t} of {E}"
+            )
         return 1 if t == 0 else -1
 
     def is_odd(self) -> bool:
@@ -236,12 +253,13 @@ class DirichletCharacter:
         for g, s in zip(sub.generators, sub.orders):
             n = _coprime_lift(g, f, m)
             t = self.value_exponent(n)
-            assert t is not None
             E = self.group.exponent
             # chi*(g) = exp(2 pi i t / E) must be an s-th root of unity
-            num = t * s
-            assert num % E == 0, "induced value is not compatible with conductor"
-            label.append((num // E) % s)
+            if t is None or (t * s) % E != 0:
+                raise InternalConsistencyError(
+                    f"{self.name()} is not induced from conductor {f}"
+                )
+            label.append((t * s // E) % s)
         chi_star = sub.character(tuple(label))
         return chi_star
 
@@ -257,6 +275,8 @@ def _coprime_lift(a: int, f: int, m: int) -> int:
     inv = pow(extra, -1, f) if f > 1 else 0
     # n = 1 mod extra, n = a mod f
     n = (1 + extra * ((a - 1) * inv % f)) % (f * extra) if f > 1 else 1
-    assert n % f == (a % f) if f > 1 else True
-    assert math.gcd(n, m) == 1
+    if (f > 1 and n % f != a % f) or math.gcd(n, m) != 1:
+        raise InternalConsistencyError(
+            f"lift {n} of {a} mod {f} is not a unit mod {m} in the class"
+        )
     return n

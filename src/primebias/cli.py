@@ -20,6 +20,7 @@ import itertools
 import json
 import sys
 import time
+from decimal import Decimal, InvalidOperation
 
 from . import __version__
 from .arith import Modulus, ResiduePattern
@@ -59,11 +60,26 @@ def _classes_arg(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _exact_int(text: str) -> int:
+    """An integer, plain or in scientific notation such as 1e9.
+
+    Parsed exactly: a value with a fractional part is refused, never
+    truncated.
+    """
     try:
-        return tuple(int(float(t)) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+        value = Decimal(text.strip())
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value.adjusted() > 100:
+        raise argparse.ArgumentTypeError(f"{text!r} is out of range")
+    return int(value)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each read by _exact_int."""
+    return tuple(_exact_int(t) for t in text.split(","))
 
 
 def _pattern_key(classes) -> str:
@@ -284,10 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--skip", type=int, default=1)
-    sp.add_argument("--x", type=int, default=None,
+    sp.add_argument("--x", type=_exact_int, default=None,
                     help="count windows whose first prime is <= X")
-    sp.add_argument("--nth-prime", dest="count", type=int, default=None,
-                    help="count the first N windows instead")
+    sp.add_argument("--nth-prime", dest="count", type=_exact_int,
+                    default=None, help="count the first N windows instead")
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--checkpoints", type=_int_list, default=None)
     common(sp)
@@ -332,8 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="sieve counts next to predictions")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, default=2)
-    sp.add_argument("--x", type=int, default=None)
-    sp.add_argument("--nth-prime", dest="count", type=int, default=None)
+    sp.add_argument("--x", type=_exact_int, default=None)
+    sp.add_argument("--nth-prime", dest="count", type=_exact_int,
+                    default=None)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     sp.add_argument("--rel-tol", type=float, default=1e-7)

@@ -20,11 +20,14 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import (
+    InternalConsistencyError,
     Modulus,
     canonical_residue,
     epsilon_q,
-    pattern_epsilon,
+    moebius,
     prime_factors,
     sawtooth_B,
     totient,
@@ -52,10 +55,6 @@ __all__ = [
 FORM_AGREEMENT_TOL = 1e-8
 
 _IMAG_TOL = 1e-9
-
-
-class InternalConsistencyError(AssertionError):
-    """Raised when independent closed forms of the same constant disagree."""
 
 
 def _real(z: complex, what: str) -> float:
@@ -157,29 +156,38 @@ def _c2_direct(q: int, a: int, b: int, truncation: int) -> float:
     return q * t
 
 
+@lru_cache(maxsize=128)
+def _odd_character_kernels(q: int, truncation: int) -> tuple:
+    """(d, K_d) for each divisor d > 1 of q that has odd characters.
+
+    K_d(u) = sum over odd chi mod d of C(q, chi) conj(chi)(u), u = 0..d-1,
+    so the character form's inner double sum is one dot product per d.
+    """
+    out = []
+    for d in range(2, q + 1):
+        if q % d:
+            continue
+        odd = [chi for chi in character_group(d).characters() if chi.is_odd()]
+        if not odd:
+            continue
+        c_vals = np.array([c_q_chi(q, chi, truncation) for chi in odd])
+        conj = np.array([chi.conjugate().values_table() for chi in odd])
+        kernel = c_vals @ conj
+        kernel.flags.writeable = False
+        out.append((d, kernel))
+    return tuple(out)
+
+
 def _c2_character(q: int, a: int, b: int, truncation: int) -> float:
     """Character double sum over divisors d > 1 of q and odd chi mod d."""
     phi = totient(q)
     out: complex = math.log(2 * math.pi) / (2 * q)
     out += s0c(q, b - a, truncation) + sawtooth_B(q, b - a)
-    for d in range(2, q + 1):
-        if q % d:
-            continue
-        qd = q // d
-        group = character_group(d)
-        inner = 0j
-        for chi in group.characters():
-            if not chi.is_odd():
-                continue
-            usum = 0j
-            conj = chi.conjugate()
-            for u in range(d):
-                if math.gcd(u * qd + a, q) == 1:
-                    usum += conj(u)
-                if math.gcd(u * qd - b, q) == 1:
-                    usum += conj(u)
-            inner += c_q_chi(q, chi, truncation) * usum
-        out -= inner / (phi * totient(d))
+    for d, kernel in _odd_character_kernels(q, truncation):
+        u = np.arange(d) * (q // d)
+        # how many of u q/d + a and u q/d - b are coprime to q, per u mod d
+        hits = (np.gcd(u + a, q) == 1).astype(float) + (np.gcd(u - b, q) == 1)
+        out -= (kernel @ hits) / (phi * totient(d))
     return q * _real(out, f"c2 character form ({q};{a},{b})")
 
 
@@ -194,7 +202,7 @@ def _c2_reduced(q: int, a: int, b: int, truncation: int) -> float:
     for d in range(1, q0 + 1):
         if q0 % d:
             continue
-        mu = _moebius(d)
+        mu = moebius(d)
         if mu == 0:
             continue
         group = character_group(d)
@@ -234,14 +242,6 @@ def _c2_prime(q: int, a: int, b: int, truncation: int) -> float:
         acc += c_val * (conj(v) + (conj(b) - conj(a)) / phi)
     out = math.log(2 * math.pi / q) / 2 + q / phi * acc
     return _real(out, f"c2 prime form ({q};{a},{b})")
-
-
-def _moebius(n: int) -> int:
-    ps = prime_factors(n)
-    for p in ps:
-        if n % (p * p) == 0:
-            return 0
-    return -1 if len(ps) % 2 else 1
 
 
 def c2_pair_forms(

@@ -22,13 +22,15 @@ always evaluated with chi's own modulus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import digamma
 
-from .arith import prime_factors, primes_upto
+from .arith import InternalConsistencyError, prime_factors, primes_upto
 from .characters import DirichletCharacter, character_group
 
 __all__ = [
@@ -45,6 +47,13 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 20_000_000
 
+# Primes below EXACT_BOUND are multiplied exactly; above it the series for
+# log(1 - u w_p), |u| <= 4, w_p = 1/(p-1)^2, stops after SERIES_TERMS
+# powers.  The dropped part is at most sum_{p >= EXACT_BOUND}
+# (4 w_p)^4 / (4 (1 - 4 w_p)) ~ 1e-21, far below double rounding.
+EXACT_BOUND = 1000
+SERIES_TERMS = 3
+
 
 def tail_bound(truncation: int) -> float:
     """Upper bound for sum_{p > P} 4/(p-1)^2, the dropped log-product mass."""
@@ -60,9 +69,8 @@ def l_at_zero(chi: DirichletCharacter) -> complex:
     if not chi.is_odd():
         return 0j
     m = chi.modulus
-    vals = chi.values_table()
-    total = sum(vals[a % m] * a for a in range(1, m + 1))
-    return complex(-total / m)
+    a = np.arange(1, m + 1)
+    return complex(-(chi.values_table()[a % m] @ a) / m)
 
 
 def l_at_one(chi: DirichletCharacter) -> complex:
@@ -70,25 +78,29 @@ def l_at_one(chi: DirichletCharacter) -> complex:
     if chi.is_principal():
         raise ValueError("L(1, chi) requires a non-principal character")
     m = chi.modulus
-    vals = chi.values_table()
     a = np.arange(1, m)
-    return complex(-(vals[a % m] * digamma(a / m)).sum() / m)
+    return complex(-(chi.values_table()[a] @ digamma(a / m)) / m)
 
 
-# per-(m, truncation) residue tables and per-truncation 1/(p-1)^2 tables
-_residue_cache: dict[tuple[int, int], np.ndarray] = {}
-_invsq_cache: dict[int, np.ndarray] = {}
-_a_cache: dict[tuple, tuple[complex, float]] = {}
+@lru_cache(maxsize=64)
+def _residue_power_sums(m: int, truncation: int) -> np.ndarray:
+    """S[k-1, a] = sum of w_p^k over EXACT_BOUND <= p <= P, p = a mod m.
 
-
-def _prime_data(m: int, truncation: int):
+    w_p = 1/(p-1)^2 and k = 1..SERIES_TERMS; shape (SERIES_TERMS, m),
+    read-only.  One pass over the primes per (modulus, truncation), after
+    which every A(q, chi) with chi mod m costs O(SERIES_TERMS m).
+    """
     primes = primes_upto(truncation)
-    if truncation not in _invsq_cache:
-        _invsq_cache[truncation] = 1.0 / (primes - 1.0) ** 2
-    key = (m, truncation)
-    if key not in _residue_cache:
-        _residue_cache[key] = (primes % m).astype(np.intp)
-    return primes, _residue_cache[key], _invsq_cache[truncation]
+    primes = primes[primes >= EXACT_BOUND]
+    residues = primes % m
+    w = 1.0 / (primes - 1.0) ** 2
+    out = np.empty((SERIES_TERMS, m))
+    wk = w
+    for k in range(SERIES_TERMS):
+        out[k] = np.bincount(residues, weights=wk, minlength=m)
+        wk = wk * w
+    out.flags.writeable = False
+    return out
 
 
 def a_q_chi(
@@ -99,29 +111,46 @@ def a_q_chi(
     The ambient modulus q decides which primes sit in the "p | q" factor;
     chi keeps its own modulus.  Requires q <= truncation so every prime
     dividing q is inside the sieve range.
+
+    Primes below EXACT_BOUND and primes dividing q are multiplied factor
+    by factor.  For every other p <= P the logarithm of the factor,
+    log(1 - u w_p) with u = (1 - chi(p))^2, is expanded to SERIES_TERMS
+    powers of w_p; u depends on p mod m only, so the sum over those
+    primes is a contraction of the per-residue sums of w_p^k.
     """
     q = int(q)
     if q < 1 or q > truncation:
         raise ValueError(f"need 1 <= q <= truncation, got q={q}")
-    rad = prime_factors(q)
-    key = (rad, chi.modulus, chi.label, truncation)
-    if key in _a_cache:
-        return _a_cache[key]
-
-    primes, residues, invsq = _prime_data(chi.modulus, truncation)
+    m = chi.modulus
     vals = chi.values_table()
-    z = vals[residues]
-    factor = 1.0 - (1.0 - z) ** 2 * invsq
-    # primes dividing q get the (1 - chi(p)/p) factor instead
-    for p in rad:
-        idx = int(np.searchsorted(primes, p))
-        factor[idx] = 1.0 - vals[p % chi.modulus] / p
+    u = (1.0 - vals) ** 2
+
+    small = primes_upto(min(truncation, EXACT_BOUND - 1))
+    z = vals[small % m]
+    factor = np.where(q % small == 0, 1.0 - z / small,
+                      1.0 - (1.0 - z) ** 2 / (small - 1.0) ** 2)
     value = complex(np.prod(factor))
-    result = (value, tail_bound(truncation))
-    _a_cache[key] = result
-    return result
+
+    # one pass over the primes serves every modulus dividing q
+    base = math.lcm(q, m)
+    sums = _residue_power_sums(base, truncation)
+    sums = sums.reshape(SERIES_TERMS, base // m, m).sum(axis=1)
+    uk = np.ones(m, dtype=np.complex128)
+    log_rest = 0j
+    for k in range(1, SERIES_TERMS + 1):
+        uk = uk * u
+        log_rest -= (uk @ sums[k - 1]) / k
+    # primes dividing q beyond the exact bound leave the series for their
+    # own (1 - chi(p)/p) factor
+    for p in prime_factors(q):
+        if p >= EXACT_BOUND:
+            up, wp = u[p % m], 1.0 / (p - 1.0) ** 2
+            log_rest += sum((up * wp) ** k / k for k in range(1, SERIES_TERMS + 1))
+            value *= 1.0 - vals[p % m] / p
+    return value * cmath.exp(log_rest), tail_bound(truncation)
 
 
+@lru_cache(maxsize=8192)
 def c_q_chi(
     q: int, chi: DirichletCharacter, truncation: int = DEFAULT_TRUNCATION
 ) -> complex:
@@ -153,7 +182,7 @@ def reduce_c(
     via_primitive = c_q_chi(q, chi_star, truncation) * extra
     scale = max(abs(direct), 1.0)
     if abs(via_primitive - direct) > 1e-9 * scale:
-        raise AssertionError(
+        raise InternalConsistencyError(
             f"primitive reduction mismatch for q={q}, chi={chi.name()}: "
             f"{via_primitive} vs {direct}"
         )
@@ -164,7 +193,7 @@ def reduce_c(
             q0 //= 2
         via_dyadic = np.conj(chi(2)) / 2.0 * c_q_chi(q0, chi, truncation)
         if abs(via_dyadic - direct) > 1e-9 * scale:
-            raise AssertionError(
+            raise InternalConsistencyError(
                 f"dyadic reduction mismatch for q={q}, chi={chi.name()}: "
                 f"{via_dyadic} vs {direct}"
             )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import Modulus, prime_factors
+from .arith import InternalConsistencyError, Modulus, prime_factors
 
 __all__ = [
     "SieveConfig",
@@ -263,7 +263,7 @@ def _pattern_counter(config: SieveConfig, checkpoints: list[int] | None):
             if not xs_pending:
                 done = True
     if not done:
-        raise AssertionError("prime stream ended before the window closed")
+        raise InternalConsistencyError("prime stream ended before the window closed")
     return snapshots
 
 

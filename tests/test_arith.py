@@ -17,6 +17,7 @@ from primebias import (
     totient,
     von_mangoldt,
 )
+from primebias.arith import moebius
 
 
 def test_prime_factors_small():
@@ -41,6 +42,15 @@ def test_primes_upto_trial_division():
         if all(n % p for p in range(2, int(math.isqrt(n)) + 1)):
             want.append(n)
     assert got == want
+
+
+def test_moebius_values_and_inversion():
+    assert [moebius(n) for n in range(1, 13)] == [
+        1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    # sum over d | n of mu(d) is 1 for n = 1 and 0 otherwise
+    for n in range(1, 200):
+        total = sum(moebius(d) for d in range(1, n + 1) if n % d == 0)
+        assert total == (1 if n == 1 else 0)
 
 
 def test_von_mangoldt_values():

@@ -63,6 +63,9 @@ def test_values_table_matches_call():
         for chi in character_group(m).characters():
             table = chi.values_table()
             assert len(table) == m
+            assert chi.values_table() is table  # built once, shared
+            with pytest.raises(ValueError):
+                table[1] = 0  # read-only
             for n in range(1, m + 1):
                 assert table[n % m] == pytest.approx(chi(n), abs=1e-12)
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from primebias import cli
+from primebias import cli, constants
 from primebias.constants import InternalConsistencyError
 
 
@@ -46,6 +46,33 @@ def test_count_checkpoints(capsys):
     assert sorted({r["limit"] for r in rows}) == [1000, 10000]
     at_1000 = sum(r["count"] for r in rows if r["limit"] == 1000)
     assert at_1000 == 168 - 2
+
+
+def test_integer_flags_accept_scientific_notation(capsys):
+    code, out = run_cli(["count", "--q", "3", "--x", "1e3",
+                         "--checkpoints", "5e2", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    totals = {}
+    for r in rows:
+        totals[r["limit"]] = totals.get(r["limit"], 0) + r["count"]
+    assert totals == {500: 95 - 2, 1000: 168 - 2}  # pi(x) - pi(3)
+    code, out = run_cli(["count", "--q", "3", "--nth-prime", "1e2",
+                         "--format", "json"], capsys)
+    assert code == 0
+    assert sum(r["count"] for r in json.loads(out)) == 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "3", "--x", "20000", "--checkpoints", "15000.5"],
+    ["count", "--q", "3", "--x", "1000.5"],
+    ["count", "--q", "3", "--nth-prime", "2.5"],
+    ["compare", "--q", "3", "--x", "1e-3"],
+    ["predict", "--q", "3", "--x", "1e9,1.5", "--method", "asymptotic"],
+])
+def test_integer_flags_refuse_fractions(argv, capsys):
+    code, _ = run_cli(argv, capsys)
+    assert code == 2
 
 
 def test_count_requires_exactly_one_bound(capsys):
@@ -204,6 +231,18 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_ctable", boom)
     code, _ = run_cli(["dump-lvalues", "--q", "4"], capsys)
+    assert code == 3
+
+
+def test_form_mismatch_exit_code(monkeypatch, capsys):
+    exact = constants._c2_character
+
+    def skewed(q, a, b, truncation):
+        return exact(q, a, b, truncation) + 1e-6
+
+    monkeypatch.setattr(constants, "_c2_character", skewed)
+    code, _ = run_cli(["constants", "--q", "5", "--classes", "1,2",
+                       "--truncation", "200000"], capsys)
     assert code == 3
 
 

@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 from primebias import (
+    InternalConsistencyError,
     a_q_chi,
     build_ctable,
     c_q_chi,
     character_group,
     l_at_one,
     l_at_zero,
+    primes_upto,
     reduce_c,
     tail_bound,
 )
+from primebias import lfun
 
 
 def quadratic_character(m):
@@ -124,6 +127,59 @@ def test_a_factor_direct_product_oracle():
                     want *= 1 - (1 - chi(p)) ** 2 / (p - 1) ** 2
             got, _ = a_q_chi(q, chi, truncation=P)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [12, 60, 97, 2018])
+def test_a_factor_per_prime_product_oracle(q):
+    """The residue-class series kernel against a plain per-prime product.
+
+    2018 = 2 * 1009 puts a prime divisor of q above the exact bound, so
+    that prime leaves the series for its own (1 - chi(p)/p) factor.  That
+    path is the same for every character, so for 2018 a stride of the
+    1008 characters mod 1009 and mod 2018 keeps the test short.
+    """
+    P = 10**6
+    stride = 12 if q == 2018 else 1
+    primes = primes_upto(P)
+    divides = q % primes == 0
+    w = 1.0 / (primes - 1.0) ** 2
+    for m in range(2, q + 1):
+        if q % m:
+            continue
+        residues = primes % m
+        # index 0 is the principal character
+        for chi in character_group(m).characters()[1::stride]:
+            z = chi.values_table()[residues]
+            factor = np.where(divides, 1.0 - z / primes, 1.0 - (1.0 - z) ** 2 * w)
+            want = complex(np.prod(factor))
+            got, _ = a_q_chi(q, chi, truncation=P)
+            assert abs(got - want) <= 1e-12 * abs(want), (chi.name(), got, want)
+
+
+def test_a_factor_series_remainder_below_rounding():
+    # the first dropped term of log(1 - u w_p), |u| <= 4, summed over the
+    # primes the series covers, bounds the whole dropped part
+    primes = primes_upto(10**6)
+    primes = primes[primes >= lfun.EXACT_BOUND]
+    x = 4.0 / (primes - 1.0) ** 2
+    k = lfun.SERIES_TERMS + 1
+    dropped = np.sum(x**k / k / (1.0 - x))
+    dropped += 4.0**k / (k * (2 * k - 1)) * (10**6 - 1.0) ** (1 - 2 * k)
+    assert dropped < 1e-17
+
+
+def test_reduce_c_route_mismatch_raises(monkeypatch):
+    chi = next(c for c in character_group(12).characters()
+               if c.is_odd() and c.conductor() == 3)
+    exact = lfun.c_q_chi
+
+    def skewed(q, c, truncation=lfun.DEFAULT_TRUNCATION):
+        value = exact(q, c, truncation)
+        return value * (1 + 1e-6) if c.modulus == 3 else value
+
+    monkeypatch.setattr(lfun, "c_q_chi", skewed)
+    with pytest.raises(InternalConsistencyError, match="primitive reduction"):
+        reduce_c(12, chi, truncation=10**4)
 
 
 def test_c_vanishes_for_even_characters():
