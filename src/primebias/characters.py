@@ -161,6 +161,10 @@ class DirichletCharacter:
     group: CharacterGroup
     label: tuple[int, ...]
 
+    def __post_init__(self):
+        # not a field: equality, hashing and repr see group and label only
+        object.__setattr__(self, "_values", _value_table(self.group, self.label))
+
     # --- exact values -------------------------------------------------
 
     def value_exponent(self, n: int) -> int | None:
@@ -175,7 +179,7 @@ class DirichletCharacter:
         return t % E
 
     def __call__(self, n: int) -> complex:
-        return complex(self.values_table()[n % self.group.m])
+        return self._values.item(n % self.group.m)
 
     def values_table(self) -> np.ndarray:
         """chi(n) for n = 0..m-1 as complex128 (0 on non-units).
@@ -183,7 +187,7 @@ class DirichletCharacter:
         The array is cached per character and read-only; copy it before
         writing.
         """
-        return _value_table(self.group, self.label)
+        return self._values
 
     # --- structure ----------------------------------------------------
 
