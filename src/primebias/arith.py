@@ -1,11 +1,13 @@
 """Elementary arithmetic helpers shared across the package.
 
 Everything here is exact integer / rational arithmetic: totients, prime
-factorisations, the von Mangoldt function, the centered sawtooth B_q, and
-the coprime-count discrepancy epsilon_q that measures how many integers in
-a gap land on residues coprime to q relative to the expected density
-phi(q)/q.  These are the raw ingredients for the bias constants; nothing
-in this module knows about primes beyond trial division.
+factorisations, the Moebius and von Mangoldt functions, the centered
+sawtooth B_q, and the coprime-count discrepancy epsilon_q that measures how
+many integers in a gap land on residues coprime to q relative to the
+expected density phi(q)/q.  These are the raw ingredients for the bias
+constants; nothing in this module knows about primes beyond trial division
+and a plain sieve.  InternalConsistencyError, raised wherever two
+independent routes disagree, lives here so every module can raise it.
 """
 
 from __future__ import annotations
@@ -188,7 +190,9 @@ def epsilon_q(q: int, a: int, b: int) -> float:
     num0 = q * _coprime_shift_count(q, a, h0) - phi * h0
     num1 = q * _coprime_shift_count(q, a, h0 + q) - phi * (h0 + q)
     if num0 != num1:
-        raise InternalConsistencyError(f"epsilon_q not period-stable for q={q}, a={a}, b={b}")
+        raise InternalConsistencyError(
+            f"epsilon_q not period-stable for q={q}, a={a}, b={b}"
+        )
     return float(Fraction(num0, q))
 
 

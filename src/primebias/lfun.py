@@ -91,9 +91,11 @@ def _residue_power_sums(m: int, truncation: int) -> np.ndarray:
     which every A(q, chi) with chi mod m costs O(SERIES_TERMS m).
     """
     primes = primes_upto(truncation)
-    primes = primes[primes >= EXACT_BOUND]
+    primes = primes[np.searchsorted(primes, EXACT_BOUND):]
     residues = primes % m
-    w = 1.0 / (primes - 1.0) ** 2
+    w = primes - 1.0
+    w *= w
+    np.reciprocal(w, out=w)
     out = np.empty((SERIES_TERMS, m))
     wk = w
     for k in range(SERIES_TERMS):

@@ -157,8 +157,9 @@ def test_a_factor_per_prime_product_oracle(q):
 
 
 def test_a_factor_series_remainder_below_rounding():
-    # the first dropped term of log(1 - u w_p), |u| <= 4, summed over the
-    # primes the series covers, bounds the whole dropped part
+    # the first dropped term of log(1 - u w_p), |u| <= 4, times the
+    # geometric factor 1/(1 - 4 w_p) bounds the whole dropped part; primes
+    # up to 10^6 are summed, the rest bounded by an integral over all t
     primes = primes_upto(10**6)
     primes = primes[primes >= lfun.EXACT_BOUND]
     x = 4.0 / (primes - 1.0) ** 2
