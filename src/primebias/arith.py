@@ -83,15 +83,23 @@ def moebius(n: int) -> int:
 
 @lru_cache(maxsize=32)
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (plain sieve, cached)."""
+    """All primes <= limit as an int64 array (odd-only plain sieve, cached).
+
+    Entry i of the mask stands for the odd number 2i + 1, except entry 0,
+    which stands for 2.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    is_p = np.ones(limit + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return np.flatnonzero(is_p).astype(np.int64)
+    is_p = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if is_p[i]:
+            p = 2 * i + 1
+            is_p[p * p // 2 :: p] = False
+    out = np.flatnonzero(is_p)
+    out *= 2
+    out += 1
+    out[0] = 2
+    return out
 
 
 def von_mangoldt(n: int) -> float:

@@ -39,7 +39,12 @@ from .predict import (
     skip_prediction,
 )
 from .singular import SingularContext, s0_brute, s0_moment_main
-from .sieve import SieveConfig, count_patterns_series, count_patterns
+from .sieve import (
+    SieveConfig,
+    count_patterns,
+    count_patterns_series,
+    effective_workers,
+)
 
 __all__ = ["main"]
 
@@ -94,8 +99,9 @@ def _cmd_count(args):
         q=args.q, r=args.r, skip=args.skip, x=args.x, count=args.count,
         threads=args.threads,
     )
+    workers = effective_workers(cfg.threads)
     print(f"# sieving q={cfg.q} r={cfg.r} mode={'by_x' if cfg.x else 'by_count'}"
-          f" limit={cfg.x or cfg.count} threads={cfg.threads}",
+          f" limit={cfg.x or cfg.count} threads={workers}",
           file=sys.stderr)
     if args.checkpoints and args.x is not None:
         tables = count_patterns_series(cfg, list(args.checkpoints))
@@ -109,7 +115,7 @@ def _cmd_count(args):
                 "limit": t.limit, "classes": _pattern_key(classes),
                 "count": t.counts[classes],
             })
-    meta = {"modulus": args.q, "threads": args.threads}
+    meta = {"modulus": args.q, "threads": workers}
     return rows, meta
 
 
@@ -239,7 +245,7 @@ def _cmd_compare(args):
         rows.append(row)
     meta = {
         "modulus": args.q, "x": x, "truncation": args.truncation,
-        "rel_tol": args.rel_tol, "threads": args.threads,
+        "rel_tol": args.rel_tol, "threads": effective_workers(args.threads),
     }
     return rows, meta
 
@@ -304,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="count windows whose first prime is <= X")
     sp.add_argument("--nth-prime", dest="count", type=_exact_int,
                     default=None, help="count the first N windows instead")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes, at most one per core")
     sp.add_argument("--checkpoints", type=_int_list, default=None)
     common(sp)
     sp.set_defaults(func=_cmd_count)
@@ -351,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=_exact_int, default=None)
     sp.add_argument("--nth-prime", dest="count", type=_exact_int,
                     default=None)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes, at most one per core")
     sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     sp.add_argument("--rel-tol", type=float, default=1e-7)
     common(sp)

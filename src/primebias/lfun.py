@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma
 
 from .arith import InternalConsistencyError, prime_factors, primes_upto
 from .characters import DirichletCharacter, character_group
@@ -75,6 +74,10 @@ def l_at_zero(chi: DirichletCharacter) -> complex:
 
 def l_at_one(chi: DirichletCharacter) -> complex:
     """L(1, chi) for non-principal chi via the digamma formula."""
+    # imported here: scipy costs most of a cold `import primebias`, and
+    # counting needs none of it
+    from scipy.special import digamma
+
     if chi.is_principal():
         raise ValueError("L(1, chi) requires a non-principal character")
     m = chi.modulus

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from primebias import (
@@ -42,6 +43,27 @@ def test_primes_upto_trial_division():
         if all(n % p for p in range(2, int(math.isqrt(n)) + 1)):
             want.append(n)
     assert got == want
+
+
+def _byte_sieve(limit):
+    """Reference: one mask entry per integer, the plain loop over p."""
+    is_p = np.ones(limit + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = False
+    return np.flatnonzero(is_p)
+
+
+@pytest.mark.parametrize("limit", list(range(21)) + [10**6])
+def test_primes_upto_odd_sieve_matches_byte_sieve(limit):
+    got = primes_upto(limit)
+    assert got.dtype == np.int64
+    assert got.tolist() == _byte_sieve(limit).tolist()
+
+
+def test_primes_upto_pi_of_default_truncation():
+    assert len(primes_upto(2 * 10**7)) == 1270607
 
 
 def test_moebius_values_and_inversion():

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from primebias import cli, constants
+import primebias
+from primebias import cli, constants, sieve
 from primebias.constants import InternalConsistencyError
 
 
@@ -232,6 +236,41 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_ctable", boom)
     code, _ = run_cli(["dump-lvalues", "--q", "4"], capsys)
     assert code == 3
+
+
+def _inconsistent_chunk(*args, **kwargs):
+    # module level, so a spawned worker process can import it
+    raise InternalConsistencyError("induced in a worker")
+
+
+def test_worker_internal_error_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(sieve, "_count_chunk", _inconsistent_chunk)
+    code, _ = run_cli(["count", "--q", "3", "--x", "1e5", "--threads", "2"],
+                      capsys)
+    assert code == 3
+
+
+def test_pattern_budget_exit_code(capsys):
+    code, _ = run_cli(["count", "--q", "100", "--r", "6", "--x", "1e6"], capsys)
+    assert code == 2
+
+
+def test_counting_imports_no_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import primebias\n"
+        "assert 'scipy' not in sys.modules, 'import primebias'\n"
+        "from primebias import cli\n"
+        "code = cli.main(['count', '--q', '3', '--x', '1000', '--output', sys.argv[1]])\n"
+        "assert code == 0\n"
+        "assert 'scipy' not in sys.modules, 'count'\n"
+    )
+    src = os.path.dirname(os.path.dirname(primebias.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(tmp_path / "t.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_form_mismatch_exit_code(monkeypatch, capsys):

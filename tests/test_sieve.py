@@ -1,12 +1,16 @@
 """Segmented counting engine against small hand counts and a slow oracle."""
 
+import itertools
 import math
+import os
+import random
 
 import numpy as np
 import pytest
 
 from primebias import (
     CountTable,
+    Modulus,
     SieveConfig,
     character_sum,
     count_patterns,
@@ -14,15 +18,25 @@ from primebias import (
     primes_upto,
     stream_primes,
 )
-from primebias.sieve import MAX_SIEVE_LIMIT, nth_prime_upper_bound
+from primebias import sieve
+from primebias.sieve import (
+    CHUNK_SIZE,
+    MAX_SIEVE_LIMIT,
+    effective_workers,
+    nth_prime_upper_bound,
+)
 
 
-def window_table(q, r=2, skip=1, x=None, count=None, prime_limit=3_000_000):
-    """Slow reference count: plain python loop over a precomputed list."""
+def windows(q, r=2, skip=1, x=None, count=None, prime_limit=3_000_000):
+    """Slow reference count: plain python loop over a precomputed list.
+
+    Returns the table and the last member of the last window counted.
+    """
     ps = [int(p) for p in primes_upto(prime_limit) if p > q]
     span = (r - 1) * skip
     table = {}
     done = 0
+    last = 0
     for i in range(len(ps) - span):
         p = ps[i]
         if x is not None and p > x:
@@ -32,7 +46,19 @@ def window_table(q, r=2, skip=1, x=None, count=None, prime_limit=3_000_000):
         w = tuple(ps[i + j * skip] % q for j in range(r))
         table[w] = table.get(w, 0) + 1
         done += 1
-    return table
+        last = ps[i + span]
+    return table, last
+
+
+def window_table(q, r=2, skip=1, x=None, count=None, prime_limit=3_000_000):
+    return windows(q, r, skip, x, count, prime_limit)[0]
+
+
+def full_table(q, r, table):
+    """The oracle's table with every pattern present, as tables for r <= 3
+    are."""
+    classes = Modulus(q).classes
+    return {k: table.get(k, 0) for k in itertools.product(classes, repeat=r)}
 
 
 def test_hand_count_q3_to_100():
@@ -43,10 +69,41 @@ def test_hand_count_q3_to_100():
     assert t.mode == "by_x"
 
 
-def test_stream_primes_matches_simple_sieve():
-    got = np.concatenate(list(stream_primes(200_000, segment_size=4096)))
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stream_primes_matches_simple_sieve(threads):
+    got = np.concatenate(list(stream_primes(200_000, segment_size=4096,
+                                            threads=threads)))
     want = primes_upto(200_000)
     assert np.array_equal(got, want)
+
+
+def _plain_primes(lo, hi):
+    """Primes in [lo, hi): a mask entry per integer, every base prime."""
+    mask = np.ones(hi - lo, dtype=bool)
+    for p in primes_upto(math.isqrt(hi - 1)).tolist():
+        start = max(p * p, -(-lo // p) * p)
+        mask[start - lo :: p] = False
+    mask[: max(0, 2 - lo)] = False
+    return lo + np.flatnonzero(mask)
+
+
+def test_segment_kernel_fuzz():
+    # odd lows from 1 up, so segments start at and just past the tile
+    # primes 3..17; lows near 1e10 have primes sparser than 1/10 of the
+    # odd numbers, the kernel's padded path
+    rng = random.Random(20161)
+    cases = ([(lo, rng.choice([1024, 2048, 3000])) for lo in range(1, 41, 2)]
+             + [(rng.randrange(1, 10**6) | 1, rng.choice([1024, 4096, 1 << 14]))
+                for _ in range(60)]
+             + [(rng.randrange(10**10, 2 * 10**10) | 1, rng.choice([1024, 1 << 13]))
+                for _ in range(8)])
+    for lo, seg in cases:
+        hi = lo + rng.randrange(1, 6 * seg)
+        got = [low + 2 * pos for low, pos in
+               sieve._segments(lo, hi, seg, math.isqrt(hi - 1))]
+        got = np.concatenate(got) if got else np.empty(0, dtype=np.int64)
+        want = _plain_primes(lo, hi)
+        assert got.tolist() == want[want != 2].tolist(), (lo, hi, seg)
 
 
 def test_stream_primes_budget_refusal():
@@ -104,6 +161,79 @@ def test_checkpoint_series_matches_individual_runs():
         assert t.counts == single.counts, x
 
 
+ENGINE_CASES = [(3, 2, 1), (10, 2, 1), (5, 3, 1), (8, 2, 2), (7, 3, 2)]
+
+
+@pytest.mark.parametrize("chunk_size", [2, 7, 64, 1000, CHUNK_SIZE])
+@pytest.mark.parametrize("q,r,skip", ENGINE_CASES)
+def test_chunked_checkpoints_match_oracle(q, r, skip, chunk_size):
+    # chunks of 2 or 7 integers hold fewer primes than a window spans;
+    # checkpoints at or below 17, odd and even, fall where the tile primes do
+    xs = [10, 11, 13, 17, 100, 5000]
+    cfg = SieveConfig(q=q, r=r, skip=skip, x=xs[-1], segment_size=1024)
+    tables = sieve._tables(cfg, xs, chunk_size=chunk_size)
+    assert [t.limit for t in tables] == xs
+    for t, x in zip(tables, xs):
+        want, last = windows(q, r, skip, x=x, prime_limit=100_000)
+        assert t.counts == full_table(q, r, want), x
+        assert t.largest_prime == last, x
+        assert t.mode == "by_x"
+
+
+def _starts_below(q, x):
+    """Window starts (primes > q) below x."""
+    ps = primes_upto(x - 1)
+    return int(np.count_nonzero(ps > q))
+
+
+@pytest.mark.parametrize("q,r,skip", ENGINE_CASES)
+def test_chunked_by_count_cuts_match_oracle(q, r, skip):
+    span = (r - 1) * skip
+    chunk = 1000
+    at_edge = _starts_below(q, 3 * chunk)  # the N-th start ends a chunk
+    # the last window ends one prime before the chunk's last prime, on it,
+    # or crosses into the next chunk
+    cuts = [1, at_edge - span - 1, at_edge - span, at_edge - span + 1,
+            at_edge - 1, at_edge, at_edge + 1]
+    for n in cuts:
+        want, last = windows(q, r, skip, count=n, prime_limit=100_000)
+        for size in (chunk, 7):
+            cfg = SieveConfig(q=q, r=r, skip=skip, count=n, segment_size=1024)
+            (t,) = sieve._tables(cfg, None, chunk_size=size)
+            assert t.counts == full_table(q, r, want), (n, size)
+            assert t.largest_prime == last and t.total() == n, (n, size)
+            assert t.primes_seen == n + span
+
+
+def test_chunked_counts_independent_of_workers():
+    cases = [(SieveConfig(q=7, r=3, skip=2, x=300_000, threads=th,
+                          segment_size=1024), [17, 100_000, 300_000])
+             for th in (1, 2)]
+    cases += [(SieveConfig(q=10, count=20_000, threads=th,
+                           segment_size=1024), None) for th in (1, 2)]
+    got = [[(t.counts, t.largest_prime, t.primes_seen)
+            for t in sieve._tables(cfg, xs, chunk_size=4099)]
+           for cfg, xs in cases]
+    assert got[0] == got[1]
+    assert got[2] == got[3]
+    want, last = windows(7, 3, 2, x=300_000, prime_limit=400_000)
+    assert got[0][-1][:2] == (full_table(7, 3, want), last)
+
+
+def test_four_prime_windows_list_only_counted_patterns():
+    t = count_patterns(SieveConfig(q=5, r=4, x=50_000, segment_size=1024))
+    want, last = windows(5, r=4, x=50_000, prime_limit=100_000)
+    assert t.counts == want
+    assert t.largest_prime == last
+
+
+def test_worker_count_is_capped_at_cores():
+    assert effective_workers(1, cpus=8) == 1
+    assert effective_workers(64, cpus=2) == 2
+    assert effective_workers(3, cpus=3) == 3
+    assert effective_workers(5) == min(5, os.cpu_count() or 1)
+
+
 def test_thread_determinism_small():
     tables = [count_patterns(SieveConfig(q=12, x=2_000_000, threads=th,
                                          segment_size=4096))
@@ -134,6 +264,9 @@ def test_config_validation():
         SieveConfig(q=3, x=100, r=1)
     with pytest.raises(ValueError):
         SieveConfig(q=3, x=100, skip=0)
+    with pytest.raises(ValueError, match="patterns exceed"):
+        SieveConfig(q=100, r=6, x=10**6)  # 40**6 counts, 33 GB
+    SieveConfig(q=210, r=3, x=10**6)  # 48**3 counts
 
 
 def test_character_sum_legendre_oracle():
