@@ -201,10 +201,22 @@ def _segments(lo: int, hi: int, segment_size: int, root: int):
         low = high
 
 
-def _chunk_primes(lo: int, hi: int, segment_size: int, root: int) -> np.ndarray:
-    """The primes in [lo, hi), lo >= 3, as an ordered int64 array."""
-    parts = [low + 2 * pos for low, pos in _segments(lo, hi, segment_size, root)]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+def stream_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE,
+                  threads: int = 1):
+    """Yield ordered int64 arrays that together hold every prime <= limit.
+
+    The primes are sieved in this process whatever `threads` says: moving
+    every prime from a worker process costs more than sieving it here.
+    """
+    _check_limit(limit)
+    if limit < 2:
+        return
+    yield np.array([2], dtype=np.int64)
+    for low, pos in _segments(3, limit + 1, segment_size, math.isqrt(limit)):
+        yield low + 2 * pos
+
+
+# -------------------------------------------------------------- chunk engine
 
 
 def _ordered(fn, jobs, workers: int):
@@ -237,24 +249,6 @@ def _ordered(fn, jobs, workers: int):
 def _edges(end: int, chunk_size: int, cuts=()) -> list[int]:
     """Chunk boundaries from 0 to end: multiples of chunk_size, plus cuts."""
     return sorted(set(range(0, end, chunk_size)).union(cuts)) + [end]
-
-
-def stream_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE,
-                  threads: int = 1):
-    """Yield ordered int64 arrays that together hold every prime <= limit."""
-    _check_limit(limit)
-    if limit < 2:
-        return
-    yield np.array([2], dtype=np.int64)
-    edges = _edges(limit + 1, CHUNK_SIZE, [3])[1:]
-    root = math.isqrt(limit)
-    jobs = [(lo, hi, segment_size, root) for lo, hi in zip(edges, edges[1:])]
-    with closing(_ordered(_chunk_primes, jobs,
-                          effective_workers(threads))) as parts:
-        yield from parts
-
-
-# -------------------------------------------------------------- chunk engine
 
 
 class _Chunk(NamedTuple):

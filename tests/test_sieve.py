@@ -69,10 +69,8 @@ def test_hand_count_q3_to_100():
     assert t.mode == "by_x"
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_stream_primes_matches_simple_sieve(threads):
-    got = np.concatenate(list(stream_primes(200_000, segment_size=4096,
-                                            threads=threads)))
+def test_stream_primes_matches_simple_sieve():
+    got = np.concatenate(list(stream_primes(200_000, segment_size=4096)))
     want = primes_upto(200_000)
     assert np.array_equal(got, want)
 
