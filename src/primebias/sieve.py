@@ -381,11 +381,11 @@ def _tables(config: SieveConfig, xs: list[int] | None,
             if m > 0:
                 codes = _codes(class_index[both % q], radix, skip, m)
                 owners = table_of(both[:m], seen - len(carry))
-                for code, b in zip(codes.tolist(), owners.tolist()):
-                    if b < n_tables:
-                        if b not in deltas:
-                            deltas[b] = np.zeros(phi**r, dtype=np.int64)
-                        deltas[b][code] += 1
+                for code, owner in zip(codes.tolist(), owners.tolist()):
+                    if owner < n_tables:
+                        if owner not in deltas:
+                            deltas[owner] = np.zeros(phi**r, dtype=np.int64)
+                        deltas[owner][code] += 1
             carry = res.tail if res.n >= span else both[-span:]
             before, seen = seen, seen + res.n
             if hi in cuts:
