@@ -65,11 +65,11 @@ def totient(n: int) -> int:
     """Euler's phi via the distinct prime divisors."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    num, den = n, 1
+    num = n
     for p in prime_factors(n):
         num //= p
         num *= p - 1
-    return num * den // 1
+    return num
 
 
 def moebius(n: int) -> int:

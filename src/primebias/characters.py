@@ -3,12 +3,12 @@
 The unit group mod m is decomposed into cyclic components via CRT:
 a primitive root for each odd prime power, and the {-1, 5} generators
 for powers of two.  A character is labelled by its exponent tuple on
-those generators, and character values are carried around as integer
-numerators over the group exponent; they only become complex numbers
-when a caller asks for them.  That keeps orthogonality sums and
-conductor computations free of rounding questions.  The complex values
-of a character are built once, from the group's discrete-log table, into
-a cached read-only table that every evaluation indexes.
+those generators.  Its values live in one exact integer table t over
+n = 0..m-1, with chi(n) = exp(2 pi i t[n] / E) for E the group exponent
+and t[n] = -1 on non-units; parity, conductor and primitive part are read
+from slices of that table, so they involve no rounding.  The complex
+values are built once from the same table; both tables are cached and
+read-only, and every evaluation indexes them.
 
 Moduli m = 1 and m = 2 are allowed (their groups are trivial) because
 the constant machinery walks divisors q/d of a pattern modulus.
@@ -97,28 +97,19 @@ class CharacterGroup:
         self.generators = tuple(gens)
         self.orders = tuple(orders)
         self.exponent = math.lcm(*orders) if orders else 1
-        self._dlog = self._build_dlog_table()
-        # the same table as arrays: unit residues and their exponent rows
-        self._units = np.fromiter(self._dlog, dtype=np.intp, count=self.phi)
-        self._dlog_matrix = np.array(
-            list(self._dlog.values()), dtype=np.int64
-        ).reshape(self.phi, len(self.orders))
-
-    def _build_dlog_table(self) -> dict[int, tuple[int, ...]]:
-        """residue -> exponent tuple on the generators (full enumeration)."""
-        table: dict[int, tuple[int, ...]] = {}
-        for exps in product(*(range(s) for s in self.orders)):
-            x = 1
-            for g, e in zip(self.generators, exps):
-                x = x * pow(g, e, self.m) % self.m
-            table[x % self.m] = exps
-        if len(table) != self.phi:
-            raise InternalConsistencyError(f"unit group mod {self.m} not covered")
-        return table
-
-    def discrete_log(self, n: int) -> tuple[int, ...] | None:
-        n %= self.m
-        return self._dlog.get(n)
+        # every unit with its exponent row on the generators, in label
+        # order: units[i] = prod_j g_j^dlog[i, j] mod m
+        dlog = np.indices(self.orders, dtype=np.int64)
+        dlog = dlog.reshape(len(orders), self.phi).T
+        units = np.ones(self.phi, dtype=np.intp)
+        for j, (g, s) in enumerate(zip(gens, orders)):
+            powers = np.array([pow(g, e, m) for e in range(s)], dtype=np.intp)
+            units = units * powers[dlog[:, j]] % m
+        units %= m
+        if np.unique(units).size != self.phi:
+            raise InternalConsistencyError(f"unit group mod {m} not covered")
+        self._units = units
+        self._dlog_matrix = dlog
 
     def character(self, label: tuple[int, ...]) -> "DirichletCharacter":
         if len(label) != len(self.orders):
@@ -143,17 +134,26 @@ def character_group(m: int) -> CharacterGroup:
 
 
 @lru_cache(maxsize=4096)
-def _value_table(group: CharacterGroup, label: tuple[int, ...]) -> np.ndarray:
-    """chi(n) for n = 0..m-1 (0 on non-units), read-only."""
+def _tables(
+    group: CharacterGroup, label: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(t, chi(n)) for n = 0..m-1, both read-only.
+
+    chi(n) = exp(2 pi i t[n] / exponent) on units; t[n] = -1 and
+    chi(n) = 0 on non-units.
+    """
     E = group.exponent
     weights = np.array(
         [k * (E // s) for k, s in zip(label, group.orders)], dtype=np.int64
     )
-    t = group._dlog_matrix @ weights % E
-    out = np.zeros(max(group.m, 1), dtype=np.complex128)
-    out[group._units] = np.exp(2j * np.pi * t / E)
-    out.flags.writeable = False
-    return out
+    t_units = group._dlog_matrix @ weights % E
+    t = np.full(group.m, -1, dtype=np.int64)
+    t[group._units] = t_units
+    values = np.zeros(group.m, dtype=np.complex128)
+    values[group._units] = np.exp(2j * np.pi * t_units / E)
+    t.flags.writeable = False
+    values.flags.writeable = False
+    return t, values
 
 
 @dataclass(frozen=True)
@@ -162,21 +162,10 @@ class DirichletCharacter:
     label: tuple[int, ...]
 
     def __post_init__(self):
-        # not a field: equality, hashing and repr see group and label only
-        object.__setattr__(self, "_values", _value_table(self.group, self.label))
-
-    # --- exact values -------------------------------------------------
-
-    def value_exponent(self, n: int) -> int | None:
-        """t with chi(n) = exp(2 pi i t / exponent), or None if gcd(n,m)>1."""
-        exps = self.group.discrete_log(n)
-        if exps is None:
-            return None
-        E = self.group.exponent
-        t = 0
-        for e_i, k_i, s_i in zip(exps, self.label, self.group.orders):
-            t += e_i * k_i * (E // s_i)
-        return t % E
+        # not fields: equality, hashing and repr see group and label only
+        t, values = _tables(self.group, self.label)
+        object.__setattr__(self, "_exponents", t)
+        object.__setattr__(self, "_values", values)
 
     def __call__(self, n: int) -> complex:
         return self._values.item(n % self.group.m)
@@ -202,9 +191,9 @@ class DirichletCharacter:
         """chi(-1) as +1 or -1; characters with chi(-1) = -1 are odd."""
         if self.group.m <= 2:
             return 1
-        t = self.value_exponent(self.group.m - 1)
+        t = int(self._exponents[-1])
         E = self.group.exponent
-        if t is None or (2 * t) % E != 0:
+        if t < 0 or (2 * t) % E != 0:
             raise InternalConsistencyError(
                 f"chi(-1) is not +-1 for {self.name()}: exponent {t} of {E}"
             )
@@ -237,50 +226,25 @@ class DirichletCharacter:
         m = self.group.m
         if self.is_principal():
             return 1
-        divs = sorted(d for d in range(1, m + 1) if m % d == 0)
-        for f in divs:
-            ok = True
-            for n in range(1, m + 1, f):  # exactly the n = 1 mod f
-                if math.gcd(n, m) == 1 and self.value_exponent(n) != 0:
-                    ok = False
-                    break
-            if ok:
-                return f
-        return m
+        t = self._exponents
+        # t[1::f] runs over the n = 1 mod f; non-units read -1
+        return next(
+            f for f in range(1, m + 1) if m % f == 0 and (t[1::f] <= 0).all()
+        )
 
     def primitive(self) -> "DirichletCharacter":
         """The primitive character mod conductor(chi) inducing chi."""
         f = self.conductor()
         sub = character_group(f)
-        m = self.group.m
+        E = self.group.exponent
         label = []
         for g, s in zip(sub.generators, sub.orders):
-            n = _coprime_lift(g, f, m)
-            t = self.value_exponent(n)
-            E = self.group.exponent
+            lifts = self._exponents[g::f]  # the n = g mod f
+            t = int(lifts[lifts >= 0][0])
             # chi*(g) = exp(2 pi i t / E) must be an s-th root of unity
-            if t is None or (t * s) % E != 0:
+            if (t * s) % E != 0:
                 raise InternalConsistencyError(
                     f"{self.name()} is not induced from conductor {f}"
                 )
-            label.append((t * s // E) % s)
-        chi_star = sub.character(tuple(label))
-        return chi_star
-
-
-def _coprime_lift(a: int, f: int, m: int) -> int:
-    """n = a mod f with gcd(n, m) = 1 (exists since gcd(a, f) = 1)."""
-    extra = 1
-    for p in prime_factors(m):
-        if f % p != 0:
-            extra *= p
-    if extra == 1:
-        return a % m if m > 1 else 1
-    inv = pow(extra, -1, f) if f > 1 else 0
-    # n = 1 mod extra, n = a mod f
-    n = (1 + extra * ((a - 1) * inv % f)) % (f * extra) if f > 1 else 1
-    if (f > 1 and n % f != a % f) or math.gcd(n, m) != 1:
-        raise InternalConsistencyError(
-            f"lift {n} of {a} mod {f} is not a unit mod {m} in the class"
-        )
-    return n
+            label.append(t * s // E)
+        return sub.character(tuple(label))

@@ -17,7 +17,7 @@ disagree on.  Longer patterns and skip patterns reduce to the pair constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -267,20 +267,13 @@ def c2_pair_forms(
 
 
 def c2_pair(
-    q: int,
-    a: int,
-    b: int,
-    truncation: int = DEFAULT_TRUNCATION,
-    validate: bool = True,
+    q: int, a: int, b: int, truncation: int = DEFAULT_TRUNCATION
 ) -> float:
     """c2 for a pair, from the divisor-reduced form.
 
-    With validate on (the default), every other applicable form is computed
-    as well and any disagreement beyond FORM_AGREEMENT_TOL aborts the call.
+    Every other applicable form is computed as well, and any disagreement
+    beyond FORM_AGREEMENT_TOL aborts the call.
     """
-    if not validate:
-        mod = Modulus(q)
-        return _c2_reduced(q, mod.canonical(a), mod.canonical(b), truncation)
     forms = c2_pair_forms(q, a, b, truncation)
     ref = forms["reduced"]
     for tag, val in forms.items():
@@ -295,7 +288,6 @@ def c2_general(
     q: int,
     classes: tuple[int, ...] | list[int],
     truncation: int = DEFAULT_TRUNCATION,
-    validate: bool = True,
 ) -> float:
     """c2 for an r-tuple: adjacent pair constants plus the lag corrections.
 
@@ -308,8 +300,7 @@ def c2_general(
     if r < 2:
         raise ValueError("patterns need r >= 2")
     total = sum(
-        c2_pair(q, canon[i], canon[i + 1], truncation, validate=validate)
-        for i in range(r - 1)
+        c2_pair(q, canon[i], canon[i + 1], truncation) for i in range(r - 1)
     )
     phi = mod.phi
     for j in range(1, r - 1):
@@ -350,14 +341,13 @@ def skip_coefficient(q: int, k: int, equal: bool) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ConjectureConstants:
-    """c1/c2 bundle for a pattern, with the S_0^c values that built c2."""
+    """c1/c2 bundle for a pattern."""
 
     q: int
     classes: tuple[int, ...]
     c1: float
     c2: float
     c2_method: str
-    s0c_values: dict[int, float] = field(repr=False)
 
 
 def conjecture_constants(
@@ -377,5 +367,4 @@ def conjecture_constants(
         c1=c1(q, canon),
         c2=c2_val,
         c2_method="reduced",
-        s0c_values={v: s0c(q, v, truncation) for v in range(q)},
     )

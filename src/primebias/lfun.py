@@ -5,7 +5,14 @@ For a non-principal character chi mod m the finite formulas
     L(0, chi) = -(1/m) sum_{a=1}^{m} chi(a) a
     L(1, chi) = -(1/m) sum_{a=1}^{m-1} chi(a) psi(a/m)
 
-are exact, with psi the digamma function.  The Euler-type product
+are exact, with psi the digamma function.  psi at the points a/m comes
+from Gauss's digamma theorem,
+
+    psi(a/m) = -gamma - log(2m) - (pi/2) cot(pi a/m)
+               + sum_{n=1}^{m-1} cos(2 pi n a/m) log sin(pi n/m),
+
+whose cosine sum is the real part of one FFT, so L(1, chi) needs numpy
+only.  The Euler-type product
 
     A(q, chi) = prod_{p | q} (1 - chi(p)/p)
               * prod_{p !| q} (1 - (1 - chi(p))^2 / (p-1)^2)
@@ -72,17 +79,28 @@ def l_at_zero(chi: DirichletCharacter) -> complex:
     return complex(-(chi.values_table()[a % m] @ a) / m)
 
 
+@lru_cache(maxsize=256)
+def _digamma_at(m: int) -> np.ndarray:
+    """psi(a/m) for a = 1..m-1 by Gauss's digamma theorem, read-only."""
+    a = np.arange(1, m)
+    # sin and cot from the angle folded into (0, pi/2], which keeps them
+    # accurate near pi; cot changes sign under the fold
+    angle = np.pi * np.minimum(a, m - a) / m
+    log_sin = np.zeros(m)
+    log_sin[1:] = np.log(np.sin(angle))
+    cot = np.sign(m - 2 * a) / np.tan(angle)
+    out = -np.euler_gamma - math.log(2 * m) - np.pi / 2 * cot
+    out += np.fft.fft(log_sin).real[1:]
+    out.flags.writeable = False
+    return out
+
+
 def l_at_one(chi: DirichletCharacter) -> complex:
     """L(1, chi) for non-principal chi via the digamma formula."""
-    # imported here: scipy costs most of a cold `import primebias`, and
-    # counting needs none of it
-    from scipy.special import digamma
-
     if chi.is_principal():
         raise ValueError("L(1, chi) requires a non-principal character")
     m = chi.modulus
-    a = np.arange(1, m)
-    return complex(-(chi.values_table()[a] @ digamma(a / m)) / m)
+    return complex(-(chi.values_table()[1:] @ _digamma_at(m)) / m)
 
 
 @lru_cache(maxsize=64)

@@ -45,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import InternalConsistencyError, Modulus, prime_factors, primes_upto
+from .characters import character_group
 
 __all__ = [
     "SieveConfig",
@@ -457,10 +458,10 @@ def character_sum(table: CountTable) -> int:
     if table.r != 2:
         raise ValueError("character sums are defined for pair tables")
 
-    def legendre(a: int) -> int:
-        t = pow(a, (q - 1) // 2, q)
-        return 1 if t == 1 else -1
-
+    # the Legendre symbol: the character sending the primitive root to -1;
+    # its values are exactly +-1 on units
+    chi = character_group(q).character(((q - 1) // 2,))
+    legendre = [round(z.real) for z in chi.values_table().tolist()]
     return sum(
-        legendre(a) * legendre(b) * n for (a, b), n in table.counts.items()
+        legendre[a] * legendre[b] * n for (a, b), n in table.counts.items()
     )

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from primebias import character_group
@@ -72,15 +73,18 @@ def test_values_table_matches_call():
 
 def test_parity_partition():
     # chi(-1) = +-1, and exactly half the characters are odd for m > 2
-    for m in (3, 4, 5, 8, 12, 15, 40):
+    for m in range(1, 101):
         group = character_group(m)
         odd = [chi for chi in group.characters() if chi.is_odd()]
         even = [chi for chi in group.characters() if not chi.is_odd()]
-        assert len(odd) == len(even)
+        if m > 2:
+            assert len(odd) == len(even)
         for chi in odd:
+            assert chi.parity() == -1
             assert chi(m - 1) == pytest.approx(-1.0, abs=1e-12)
         for chi in even:
-            assert chi(m - 1) == pytest.approx(1.0, abs=1e-12)
+            assert chi.parity() == 1
+            assert chi(-1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_conjugate_inverts_values():
@@ -101,14 +105,34 @@ def test_conductors_mod8():
     assert conductors == [1, 4, 8, 8]
 
 
+def definition_conductor(chi):
+    """Smallest f | m with chi(n) = 1 on every unit n = 1 mod f, from values."""
+    m = chi.modulus
+    for f in range(1, m + 1):
+        if m % f == 0 and all(
+            abs(chi(n) - 1) < 1e-9
+            for n in range(1, m + 1, f) if math.gcd(n, m) == 1
+        ):
+            return f
+
+
+def test_conductor_matches_definition():
+    for m in range(1, 101):
+        for chi in character_group(m).characters():
+            assert chi.conductor() == definition_conductor(chi), chi.name()
+
+
 def test_primitive_character_agrees_on_coprimes():
-    for m in (12, 24, 45):
+    for m in range(1, 101):
+        units = [n for n in range(m) if math.gcd(n, m) == 1]
         for chi in character_group(m).characters():
             star = chi.primitive()
-            assert star.modulus == chi.conductor()
-            for n in range(1, 3 * m):
-                if math.gcd(n, m) == 1:
-                    assert chi(n) == pytest.approx(star(n), abs=1e-12)
+            f = chi.conductor()
+            assert star.modulus == f
+            assert star.conductor() == f  # primitive: its own conductor
+            got = star.values_table()[np.array(units) % f]
+            want = chi.values_table()[units]
+            assert np.abs(got - want).max() < 1e-12, chi.name()
 
 
 def test_order_divides_group_order():

@@ -256,14 +256,21 @@ def test_pattern_budget_exit_code(capsys):
 
 
 def test_counting_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: no command may load scipy
     script = (
         "import sys\n"
         "import primebias\n"
         "assert 'scipy' not in sys.modules, 'import primebias'\n"
         "from primebias import cli\n"
-        "code = cli.main(['count', '--q', '3', '--x', '1000', '--output', sys.argv[1]])\n"
-        "assert code == 0\n"
-        "assert 'scipy' not in sys.modules, 'count'\n"
+        "small = ['--truncation', '200000', '--output', sys.argv[1]]\n"
+        "for args in (['count', '--q', '3', '--x', '1000', '--output', sys.argv[1]],\n"
+        "             ['constants', '--q', '12'] + small,\n"
+        "             ['dump-lvalues', '--q', '97'] + small,\n"
+        "             ['predict', '--q', '12', '--x', '1e9'] + small,\n"
+        "             ['s0', '--q', '5', '--v', '0,1', '--H', '1000',\n"
+        "              '--method', 'both'] + small):\n"
+        "    assert cli.main(args) == 0, args\n"
+        "    assert 'scipy' not in sys.modules, args[0]\n"
     )
     src = os.path.dirname(os.path.dirname(primebias.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -53,6 +53,55 @@ def test_l_zero_chi3_closed_form():
     assert l_at_zero(chi) == pytest.approx(1.0 / 3, abs=1e-14)
 
 
+GAMMA = 0.5772156649015329
+R3 = math.sqrt(3)
+
+
+@pytest.mark.parametrize("a, m, want", [
+    (1, 2, -GAMMA - 2 * math.log(2)),
+    (1, 3, -GAMMA - math.pi / (2 * R3) - 1.5 * math.log(3)),
+    (2, 3, -GAMMA + math.pi / (2 * R3) - 1.5 * math.log(3)),
+    (1, 4, -GAMMA - math.pi / 2 - 3 * math.log(2)),
+    (3, 4, -GAMMA + math.pi / 2 - 3 * math.log(2)),
+    (1, 6, -GAMMA - R3 * math.pi / 2 - 2 * math.log(2) - 1.5 * math.log(3)),
+    (5, 6, -GAMMA + R3 * math.pi / 2 - 2 * math.log(2) - 1.5 * math.log(3)),
+])
+def test_digamma_closed_forms(a, m, want):
+    assert lfun._digamma_at(m)[a - 1] == pytest.approx(want, abs=1e-14)
+
+
+def test_digamma_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for m in [*range(1, 301), 1009, 2018]:
+        got = lfun._digamma_at(m)
+        assert len(got) == m - 1
+        assert not got.flags.writeable
+        if m > 1:
+            want = special.digamma(np.arange(1, m) / m)
+            assert np.abs(got - want).max() < 1e-12, m
+
+
+def real_primitive_character(m, parity):
+    """The unique real primitive character mod m with the given parity."""
+    chis = [c for c in character_group(m).characters()
+            if c.order() == 2 and c.conductor() == m and c.parity() == parity]
+    assert len(chis) == 1
+    return chis[0]
+
+
+@pytest.mark.parametrize("m, parity, want", [
+    (5, 1, 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)),
+    (8, 1, math.log(1 + math.sqrt(2)) / math.sqrt(2)),
+    (12, 1, math.log(2 + math.sqrt(3)) / math.sqrt(3)),
+    (7, -1, math.pi / math.sqrt(7)),
+    (8, -1, math.pi / (2 * math.sqrt(2))),
+])
+def test_l_one_class_number_formula(m, parity, want):
+    # h = 1 for Q(sqrt 5), Q(sqrt 2), Q(sqrt 3), Q(sqrt -7) and Q(sqrt -2)
+    chi = real_primitive_character(m, parity)
+    assert abs(l_at_one(chi) - want) < 1e-13
+
+
 def test_l_one_partial_sum_oracle():
     # sum chi(n)/n, grouped over full periods for O(1/N) tails
     for m in (5, 7):
