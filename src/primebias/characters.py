@@ -101,11 +101,10 @@ class CharacterGroup:
         # order: units[i] = prod_j g_j^dlog[i, j] mod m
         dlog = np.indices(self.orders, dtype=np.int64)
         dlog = dlog.reshape(len(orders), self.phi).T
-        units = np.ones(self.phi, dtype=np.intp)
+        units = np.full(self.phi, 1 % m, dtype=np.intp)
         for j, (g, s) in enumerate(zip(gens, orders)):
             powers = np.array([pow(g, e, m) for e in range(s)], dtype=np.intp)
             units = units * powers[dlog[:, j]] % m
-        units %= m
         if np.unique(units).size != self.phi:
             raise InternalConsistencyError(f"unit group mod {m} not covered")
         self._units = units
@@ -189,8 +188,6 @@ class DirichletCharacter:
 
     def parity(self) -> int:
         """chi(-1) as +1 or -1; characters with chi(-1) = -1 are odd."""
-        if self.group.m <= 2:
-            return 1
         t = int(self._exponents[-1])
         E = self.group.exponent
         if t < 0 or (2 * t) % E != 0:
@@ -224,8 +221,6 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """Smallest f | m with chi trivial on {n = 1 mod f, gcd(n, m) = 1}."""
         m = self.group.m
-        if self.is_principal():
-            return 1
         t = self._exponents
         # t[1::f] runs over the n = 1 mod f; non-units read -1
         return next(
