@@ -6,6 +6,14 @@ with --format json.  Floats are printed with 15 significant digits;
 counts stay exact integers.  --output FILE writes the table to FILE and
 a key=value run manifest to FILE.manifest.
 
+count writes its CSV table by table, straight from the count tables: each
+pattern's key string is built once, each table's constant fields are
+formatted once, and one string per table goes to the output.  Every table
+is complete before the first byte is written, so a failed run leaves no
+partial file.  The bytes are those the csv module writes (CRLF rows).
+The other commands build one dict per row; each of their rows costs a
+real computation, so formatting them is cheap by comparison.
+
 Exit codes: 0 on success, 2 on invalid arguments, 3 when an internal
 cross-check fails (two formulas for the same constant disagreeing is a
 bug worth a loud exit, not a warning).
@@ -107,16 +115,8 @@ def _cmd_count(args):
         tables = count_patterns_series(cfg, list(args.checkpoints))
     else:
         tables = [count_patterns(cfg)]
-    rows = []
-    for t in tables:
-        for classes in sorted(t.counts):
-            rows.append({
-                "q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
-                "limit": t.limit, "classes": _pattern_key(classes),
-                "count": t.counts[classes],
-            })
     meta = {"modulus": args.q, "threads": workers}
-    return rows, meta
+    return tables, meta
 
 
 def _cmd_predict(args):
@@ -301,6 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, metavar="FILE")
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="key=value defaults; explicit flags win")
+        sp.set_defaults(render=_render_rows)
 
     sp = sub.add_parser("count", help="exact pattern counts by sieve")
     sp.add_argument("--q", type=int, required=True)
@@ -314,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="worker processes, at most one per core")
     sp.add_argument("--checkpoints", type=_int_list, default=None)
     common(sp)
-    sp.set_defaults(func=_cmd_count)
+    sp.set_defaults(func=_cmd_count, render=_render_count)
 
     sp = sub.add_parser("predict", help="predicted pattern counts")
     sp.add_argument("--q", type=int, required=True)
@@ -406,6 +407,57 @@ def _serialize(rows, fmt: str) -> str:
     return out.getvalue()
 
 
+def _render_rows(rows, fmt: str):
+    """(row count, output chunks) for a list of row dicts."""
+    return len(rows), [_serialize(rows, fmt)]
+
+
+def _count_rows(tables):
+    """Yield (table, pattern keys, counts) per table, in pattern order.
+
+    Tables of r <= 3 list every pattern, so their key strings are built
+    once and shared; sparse tables build theirs when the patterns change.
+    The keys read as _pattern_key's, from one %-template per length r.
+    """
+    classes = keys = None
+    for t in tables:
+        order = sorted(t.counts)
+        if order != classes:
+            template = ";".join(["%s"] * t.r)
+            classes, keys = order, [template % c for c in order]
+        yield t, keys, [t.counts[c] for c in classes]
+
+
+_COUNT_FIELDS = ("q", "r", "skip", "mode", "limit", "classes", "count")
+
+
+def _count_csv(tables):
+    """Yield the count CSV, the header and then one chunk per table.
+
+    Byte for byte what csv.DictWriter writes from one dict per row: no
+    field needs quoting (integers, the mode word, keys such as 1;7;11),
+    and rows end in CRLF.  With no rows at all the output is the empty
+    header line DictWriter writes for no columns.
+    """
+    if not any(t.counts for t in tables):
+        yield "\r\n"
+        return
+    yield ",".join(_COUNT_FIELDS) + "\r\n"
+    for t, keys, counts in _count_rows(tables):
+        prefix = f"{t.q},{t.r},{t.skip},{t.mode},{t.limit},"
+        yield "".join([f"{prefix}{k},{n}\r\n" for k, n in zip(keys, counts)])
+
+
+def _render_count(tables, fmt: str):
+    """(row count, output chunks) for the count command's tables."""
+    if fmt == "json":
+        return _render_rows(
+            [dict(zip(_COUNT_FIELDS, (t.q, t.r, t.skip, t.mode, t.limit, k, n)))
+             for t, keys, counts in _count_rows(tables)
+             for k, n in zip(keys, counts)], fmt)
+    return sum(len(t.counts) for t in tables), _count_csv(tables)
+
+
 def _manifest(argv, meta, wall, nrows) -> str:
     lines = [
         "command=primebias " + " ".join(argv),
@@ -448,12 +500,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start
-    text = _serialize(rows, args.format)
+    nrows, chunks = args.render(rows, args.format)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         with open(args.output + ".manifest", "w") as fh:
-            fh.write(_manifest(argv, meta, wall, len(rows)))
+            fh.write(_manifest(argv, meta, wall, nrows))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0

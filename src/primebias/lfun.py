@@ -103,27 +103,41 @@ def l_at_one(chi: DirichletCharacter) -> complex:
     return complex(-(chi.values_table()[1:] @ _digamma_at(m)) / m)
 
 
-@lru_cache(maxsize=64)
-def _residue_power_sums(m: int, truncation: int) -> np.ndarray:
+# passes over the primes kept for later folds: (modulus, truncation) ->
+# sums, oldest dropped first
+_passes: dict[tuple[int, int], np.ndarray] = {}
+MAX_PASSES = 64
+
+
+def _residue_power_sums(m: int, base: int, truncation: int) -> np.ndarray:
     """S[k-1, a] = sum of w_p^k over EXACT_BOUND <= p <= P, p = a mod m.
 
-    w_p = 1/(p-1)^2 and k = 1..SERIES_TERMS; shape (SERIES_TERMS, m),
-    read-only.  One pass over the primes per (modulus, truncation), after
-    which every A(q, chi) with chi mod m costs O(SERIES_TERMS m).
+    w_p = 1/(p-1)^2 and k = 1..SERIES_TERMS; shape (SERIES_TERMS, m).
+    The sums mod m are folded from a pass over the primes mod a multiple
+    of m: a kept pass when there is one, else a new pass mod `base`
+    (itself a multiple of m), kept for later calls.  So one pass per
+    truncation serves every modulus dividing one passed before, and a
+    call then costs one fold, O(SERIES_TERMS b) for a pass mod b.
     """
-    primes = primes_upto(truncation)
-    primes = primes[np.searchsorted(primes, EXACT_BOUND):]
-    residues = primes % m
-    w = primes - 1.0
-    w *= w
-    np.reciprocal(w, out=w)
-    out = np.empty((SERIES_TERMS, m))
-    wk = w
-    for k in range(SERIES_TERMS):
-        out[k] = np.bincount(residues, weights=wk, minlength=m)
-        wk = wk * w
-    out.flags.writeable = False
-    return out
+    sums = next((s for (b, t), s in _passes.items()
+                 if t == truncation and b % m == 0), None)
+    if sums is None:
+        primes = primes_upto(truncation)
+        primes = primes[np.searchsorted(primes, EXACT_BOUND):]
+        residues = primes % base
+        w = primes - 1.0
+        w *= w
+        np.reciprocal(w, out=w)
+        sums = np.empty((SERIES_TERMS, base))
+        wk = w
+        for k in range(SERIES_TERMS):
+            sums[k] = np.bincount(residues, weights=wk, minlength=base)
+            wk = wk * w
+        sums.flags.writeable = False
+        if len(_passes) >= MAX_PASSES:
+            del _passes[next(iter(_passes))]
+        _passes[base, truncation] = sums
+    return sums.reshape(SERIES_TERMS, -1, m).sum(axis=1)
 
 
 def a_q_chi(
@@ -155,9 +169,7 @@ def a_q_chi(
     value = complex(np.prod(factor))
 
     # one pass over the primes serves every modulus dividing q
-    base = math.lcm(q, m)
-    sums = _residue_power_sums(base, truncation)
-    sums = sums.reshape(SERIES_TERMS, base // m, m).sum(axis=1)
+    sums = _residue_power_sums(m, math.lcm(q, m), truncation)
     uk = np.ones(m, dtype=np.complex128)
     log_rest = 0j
     for k in range(1, SERIES_TERMS + 1):

@@ -198,6 +198,62 @@ def test_dump_lvalues(capsys):
     assert abs(float(rows[0]["a_re"])) < 1e-20  # Euler product vanishes here
 
 
+def _dict_row_output(tables, fmt):
+    """The count output built the plain way: one dict per row, every cell
+    formatted by itself, csv.DictWriter or json.dumps(indent=2) over the
+    whole list.  Returns (text, number of rows)."""
+    rows = [{"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
+             "limit": t.limit, "classes": ";".join(str(a) for a in c),
+             "count": t.counts[c]}
+            for t in tables for c in sorted(t.counts)]
+    if fmt == "json":
+        return json.dumps(rows, indent=2, default=str) + "\n", len(rows)
+    out = io.StringIO()
+    fields = []
+    for row in rows:
+        fields += [k for k in row if k not in fields]
+    writer = csv.DictWriter(out, fieldnames=fields, restval="")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: "%.15g" % v if isinstance(v, float) else str(v)
+                         for k, v in row.items()})
+    return out.getvalue(), len(rows)
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--q", "3", "--nth-prime", "1000"], dict(q=3, count=1000)),
+    # every one of the 8**3 patterns, zeros included, at each checkpoint
+    (["--q", "30", "--r", "3", "--x", "1e5", "--checkpoints", "1e3,1e4"],
+     dict(q=30, r=3, x=10**5, xs=[1000, 10**4])),
+    # sparse tables whose patterns differ by checkpoint; none start by 10
+    (["--q", "7", "--r", "4", "--x", "5000", "--checkpoints", "10,300"],
+     dict(q=7, r=4, x=5000, xs=[10, 300])),
+    (["--q", "3", "--r", "4", "--x", "3"], dict(q=3, r=4, x=3)),  # no rows
+    (["--q", "5", "--skip", "2", "--x", "1e4"], dict(q=5, skip=2, x=10**4)),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_count_output_matches_dict_rows(flags, config, fmt, tmp_path, capsys):
+    config = dict(config)
+    xs = config.pop("xs", None)
+    cfg = sieve.SieveConfig(**config)
+    tables = (sieve.count_patterns_series(cfg, xs) if xs
+              else [sieve.count_patterns(cfg)])
+    want, nrows = _dict_row_output(tables, fmt)
+    argv = ["count"] + flags + ["--format", fmt]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert out == want
+    target = tmp_path / "counts"
+    code, out = run_cli(argv + ["--output", str(target)], capsys)
+    assert code == 0
+    assert out == ""
+    assert target.read_bytes() == want.encode()
+    manifest = (tmp_path / "counts.manifest").read_text().splitlines()
+    assert f"rows={nrows}" in manifest
+    if fmt == "csv":
+        assert nrows == max(0, want.count("\r\n") - 1)
+
+
 def test_output_file_and_manifest(tmp_path, capsys):
     target = tmp_path / "counts.csv"
     code, out = run_cli(["count", "--q", "3", "--x", "1000",
@@ -243,11 +299,18 @@ def _inconsistent_chunk(*args, **kwargs):
     raise InternalConsistencyError("induced in a worker")
 
 
-def test_worker_internal_error_exit_code(monkeypatch, capsys):
+def test_worker_internal_error_exit_code(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(sieve, "_count_chunk", _inconsistent_chunk)
-    code, _ = run_cli(["count", "--q", "3", "--x", "1e5", "--threads", "2"],
-                      capsys)
+    code, out = run_cli(["count", "--q", "3", "--x", "1e5", "--threads", "2"],
+                        capsys)
     assert code == 3
+    assert out == ""
+    # every table is finished before output starts: no partial file
+    target = tmp_path / "counts.csv"
+    code, _ = run_cli(["count", "--q", "3", "--x", "1e5", "--threads", "2",
+                       "--output", str(target)], capsys)
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pattern_budget_exit_code(capsys):

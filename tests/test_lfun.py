@@ -16,6 +16,7 @@ from primebias import (
     build_ctable,
     c_q_chi,
     character_group,
+    conjecture_constants,
     l_at_one,
     l_at_zero,
     primes_upto,
@@ -216,6 +217,30 @@ def test_a_factor_series_remainder_below_rounding():
     dropped = np.sum(x**k / k / (1.0 - x))
     dropped += 4.0**k / (k * (2 * k - 1)) * (10**6 - 1.0) ** (1 - 2 * k)
     assert dropped < 1e-17
+
+
+def test_power_sums_folded_from_a_multiple_match_a_direct_pass(monkeypatch):
+    P = 200_000
+    direct = {}
+    for m in (3, 4, 15, 20, 60):
+        monkeypatch.setattr(lfun, "_passes", {})
+        direct[m] = lfun._residue_power_sums(m, m, P)
+    monkeypatch.setattr(lfun, "_passes", {})
+    lfun._residue_power_sums(60, 60, P)
+    for m, want in direct.items():
+        got = lfun._residue_power_sums(m, m, P)
+        # only the summation order differs
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert list(lfun._passes) == [(60, P)]
+
+
+def test_one_power_sum_pass_per_constants_run(monkeypatch):
+    # c2 for q = 60 reaches A(60, chi) and, through the reduced form, A(15,
+    # chi); the base-15 sums fold from the base-60 pass
+    monkeypatch.setattr(lfun, "_passes", {})
+    P = 123_457  # a truncation no other test uses, so no C value is cached
+    conjecture_constants(60, (1, 7), truncation=P)
+    assert list(lfun._passes) == [(60, P)]
 
 
 def test_reduce_c_route_mismatch_raises(monkeypatch):
