@@ -22,8 +22,8 @@ for table in series:
     x = table.limit
     for pat in ((1, 1), (1, 2)):
         actual = table.counts[pat]
-        ip = integral_prediction(3, pat[0], pat[1], x, truncation=500_000).value
-        ap = asymptotic_prediction(3, pat, x, truncation=500_000).value
+        ip = integral_prediction(3, pat[0], pat[1], x).value
+        ap = asymptotic_prediction(3, pat, x).value
         print(
             f" ({pat[0]},{pat[1]})  {x:.0e}  {actual:9d}  "
             f"{ip:11.1f} ({ip / actual - 1:+.2e})  "

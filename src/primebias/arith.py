@@ -114,6 +114,12 @@ def von_mangoldt(n: int) -> float:
     return 0.0
 
 
+@lru_cache(maxsize=256)
+def _reduced_residues(q: int) -> tuple[int, ...]:
+    """The classes a in [1, q] with gcd(a, q) = 1."""
+    return tuple(a for a in range(1, q + 1) if math.gcd(a, q) == 1)
+
+
 def canonical_residue(q: int, v: int) -> int:
     """Representative of v mod q inside [1, q]; 0 maps to q."""
     return (v - 1) % q + 1
@@ -136,11 +142,7 @@ class Modulus:
         if self.q < 3:
             raise ValueError(f"modulus must be >= 3, got {self.q}")
         object.__setattr__(self, "phi", totient(self.q))
-        object.__setattr__(
-            self,
-            "classes",
-            tuple(a for a in range(1, self.q + 1) if math.gcd(a, self.q) == 1),
-        )
+        object.__setattr__(self, "classes", _reduced_residues(self.q))
 
     def canonical(self, v: int) -> int:
         return canonical_residue(self.q, v)

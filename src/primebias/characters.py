@@ -7,8 +7,9 @@ those generators.  Its values live in one exact integer table t over
 n = 0..m-1, with chi(n) = exp(2 pi i t[n] / E) for E the group exponent
 and t[n] = -1 on non-units; parity, conductor and primitive part are read
 from slices of that table, so they involve no rounding.  The complex
-values are built once from the same table; both tables are cached and
-read-only, and every evaluation indexes them.
+values are built once from the same table; both tables are read-only,
+and every evaluation indexes them.  A group hands out one shared
+instance per character, so the tables are built once per character.
 
 Moduli m = 1 and m = 2 are allowed (their groups are trivial) because
 the constant machinery walks divisors q/d of a pattern modulus.
@@ -109,22 +110,33 @@ class CharacterGroup:
             raise InternalConsistencyError(f"unit group mod {m} not covered")
         self._units = units
         self._dlog_matrix = dlog
+        self._characters: dict[tuple[int, ...], DirichletCharacter] = {}
+        self._all: tuple[DirichletCharacter, ...] | None = None
 
     def character(self, label: tuple[int, ...]) -> "DirichletCharacter":
+        """The character with this label, one shared instance per label."""
+        chi = self._characters.get(label)  # a label already in range
+        if chi is not None:
+            return chi
         if len(label) != len(self.orders):
             raise ValueError(f"label length {len(label)} != rank {len(self.orders)}")
         label = tuple(k % s for k, s in zip(label, self.orders))
-        return DirichletCharacter(self, label)
+        chi = self._characters.get(label)
+        if chi is None:
+            chi = self._characters[label] = DirichletCharacter(self, label)
+        return chi
 
     def principal(self) -> "DirichletCharacter":
         return self.character(tuple(0 for _ in self.orders))
 
     def characters(self) -> list["DirichletCharacter"]:
         """All phi(m) characters in lexicographic label order."""
-        return [
-            DirichletCharacter(self, exps)
-            for exps in product(*(range(s) for s in self.orders))
-        ]
+        if self._all is None:
+            self._all = tuple(
+                self.character(exps)
+                for exps in product(*(range(s) for s in self.orders))
+            )
+        return list(self._all)
 
 
 @lru_cache(maxsize=256)
@@ -132,7 +144,6 @@ def character_group(m: int) -> CharacterGroup:
     return CharacterGroup(m)
 
 
-@lru_cache(maxsize=4096)
 def _tables(
     group: CharacterGroup, label: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:

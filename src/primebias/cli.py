@@ -40,7 +40,7 @@ from .constants import (
     conjecture_constants,
     s0_main,
 )
-from .lfun import DEFAULT_TRUNCATION, build_ctable, tail_bound
+from .lfun import build_ctable, tail_bound
 from .predict import (
     asymptotic_prediction,
     integral_prediction,
@@ -93,6 +93,11 @@ def _exact_int(text: str) -> int:
 def _int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers, each read by _exact_int."""
     return tuple(_exact_int(t) for t in text.split(","))
+
+
+def _truncation(args):
+    """The manifest's truncation: the bound P, or none for the full product."""
+    return "none" if args.truncation is None else args.truncation
 
 
 def _pattern_key(classes) -> str:
@@ -151,7 +156,7 @@ def _cmd_predict(args):
                 "error_estimate": row.quadrature_error,
             })
     meta = {
-        "modulus": args.q, "truncation": args.truncation,
+        "modulus": args.q, "truncation": _truncation(args),
         "tail_bound": tail_bound(args.truncation), "rel_tol": args.rel_tol,
     }
     return rows, meta
@@ -180,7 +185,7 @@ def _cmd_constants(args):
                     "c1": cc.c1, "c2": val, "c2_method": tag,
                 })
     meta = {
-        "modulus": args.q, "truncation": args.truncation,
+        "modulus": args.q, "truncation": _truncation(args),
         "tail_bound": tail_bound(args.truncation),
         "tolerance": FORM_AGREEMENT_TOL,
     }
@@ -212,7 +217,7 @@ def _cmd_s0(args):
             row["difference"] = row["brute"] - row["analytic"]
         rows.append(row)
     meta = {
-        "modulus": args.q, "truncation": args.truncation,
+        "modulus": args.q, "truncation": _truncation(args),
         "tail_bound": ctx.tail_bound,
     }
     return rows, meta
@@ -244,7 +249,7 @@ def _cmd_compare(args):
                 row["rel_err_integral"] = integ.value / actual - 1
         rows.append(row)
     meta = {
-        "modulus": args.q, "x": x, "truncation": args.truncation,
+        "modulus": args.q, "x": x, "truncation": _truncation(args),
         "rel_tol": args.rel_tol, "threads": effective_workers(args.threads),
     }
     return rows, meta
@@ -278,13 +283,17 @@ def _cmd_dump_lvalues(args):
             "tail": r.tail,
         })
     meta = {
-        "modulus": args.q, "truncation": args.truncation,
+        "modulus": args.q, "truncation": _truncation(args),
         "tail_bound": tail_bound(args.truncation),
     }
     return rows, meta
 
 
 # ------------------------------------------------------------------ plumbing
+
+
+_TRUNCATION_HELP = ("stop the Euler products at the prime bound P; "
+                    "default: the full products")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -326,7 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
     sp.add_argument("--skip", type=int, default=2)
-    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    sp.add_argument("--truncation", type=int, default=None,
+                    help=_TRUNCATION_HELP)
     sp.add_argument("--rel-tol", type=float, default=1e-7)
     common(sp)
     sp.set_defaults(func=_cmd_predict)
@@ -336,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
-    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    sp.add_argument("--truncation", type=int, default=None,
+                    help=_TRUNCATION_HELP)
     sp.add_argument("--forms", action="store_true",
                     help="also list each independent formula's value")
     common(sp)
@@ -349,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--method", choices=("brute", "analytic", "both"),
                     default="both")
-    sp.add_argument("--truncation", type=int, default=10_000_000)
+    sp.add_argument("--truncation", type=int, default=None,
+                    help=_TRUNCATION_HELP)
     common(sp)
     sp.set_defaults(func=_cmd_s0)
 
@@ -361,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=None)
     sp.add_argument("--threads", type=int, default=1,
                     help="worker processes, at most one per core")
-    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    sp.add_argument("--truncation", type=int, default=None,
+                    help=_TRUNCATION_HELP)
     sp.add_argument("--rel-tol", type=float, default=1e-7)
     common(sp)
     sp.set_defaults(func=_cmd_compare)
@@ -373,7 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dump-lvalues", help="L-values and Euler factors")
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    sp.add_argument("--truncation", type=int, default=None,
+                    help=_TRUNCATION_HELP)
     common(sp)
     sp.set_defaults(func=_cmd_dump_lvalues)
     return p
@@ -509,3 +523,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.writelines(chunks)
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

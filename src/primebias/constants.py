@@ -34,7 +34,7 @@ from .arith import (
     von_mangoldt,
 )
 from .characters import character_group
-from .lfun import DEFAULT_TRUNCATION, c_q_chi
+from .lfun import c_q_chi
 
 __all__ = [
     "InternalConsistencyError",
@@ -64,7 +64,7 @@ def _real(z: complex, what: str) -> float:
 
 
 @lru_cache(maxsize=4096)
-def s0c(q: int, v: int, truncation: int = DEFAULT_TRUNCATION) -> float:
+def s0c(q: int, v: int, truncation: int | None = None) -> float:
     """The Proposition constant S_0^c(q, v).
 
     For v = 0 mod q this is the constant term next to -(phi/2q) log H:
@@ -95,7 +95,7 @@ def s0c(q: int, v: int, truncation: int = DEFAULT_TRUNCATION) -> float:
     return _real(out, f"S_0^c({q},{v})")
 
 
-def s0_main(q: int, v: int, H: float, truncation: int = DEFAULT_TRUNCATION) -> float:
+def s0_main(q: int, v: int, H: float, truncation: int | None = None) -> float:
     """Main terms of S_0(q, v; H): the log H slope appears only for v = 0."""
     if H <= 0:
         raise ValueError("H must be positive")
@@ -124,7 +124,7 @@ def c1(q: int, classes: tuple[int, ...] | list[int]) -> float:
 
 
 @lru_cache(maxsize=512)
-def _shifted_s0c_sum(q: int, shift: int, truncation: int) -> float:
+def _shifted_s0c_sum(q: int, shift: int, truncation: int | None) -> float:
     """sum over v mod q with gcd(v + shift, q) = 1 of S_0^c(q, v)."""
     return sum(
         s0c(q, v, truncation)
@@ -134,7 +134,7 @@ def _shifted_s0c_sum(q: int, shift: int, truncation: int) -> float:
 
 
 @lru_cache(maxsize=128)
-def _coprime_difference_sum(q: int, truncation: int) -> float:
+def _coprime_difference_sum(q: int, truncation: int | None) -> float:
     """sum over reduced v1, v2 of S_0^c(q, v2 - v1), grouped by difference."""
     classes = Modulus(q).classes
     counts: dict[int, int] = {}
@@ -145,7 +145,7 @@ def _coprime_difference_sum(q: int, truncation: int) -> float:
     return sum(n * s0c(q, dd, truncation) for dd, n in counts.items())
 
 
-def _c2_direct(q: int, a: int, b: int, truncation: int) -> float:
+def _c2_direct(q: int, a: int, b: int, truncation: int | None) -> float:
     """Direct class sum: every S_0^c(q, v) enters with its density weight."""
     phi = totient(q)
     t = -epsilon_q(q, a, b) / phi
@@ -157,7 +157,7 @@ def _c2_direct(q: int, a: int, b: int, truncation: int) -> float:
 
 
 @lru_cache(maxsize=128)
-def _odd_character_kernels(q: int, truncation: int) -> tuple:
+def _odd_character_kernels(q: int, truncation: int | None) -> tuple:
     """(d, K_d) for each divisor d > 1 of q that has odd characters.
 
     K_d(u) = sum over odd chi mod d of C(q, chi) conj(chi)(u), u = 0..d-1,
@@ -178,7 +178,7 @@ def _odd_character_kernels(q: int, truncation: int) -> tuple:
     return tuple(out)
 
 
-def _c2_character(q: int, a: int, b: int, truncation: int) -> float:
+def _c2_character(q: int, a: int, b: int, truncation: int | None) -> float:
     """Character double sum over divisors d > 1 of q and odd chi mod d."""
     phi = totient(q)
     out: complex = math.log(2 * math.pi) / (2 * q)
@@ -191,7 +191,7 @@ def _c2_character(q: int, a: int, b: int, truncation: int) -> float:
     return q * _real(out, f"c2 character form ({q};{a},{b})")
 
 
-def _c2_reduced(q: int, a: int, b: int, truncation: int) -> float:
+def _c2_reduced(q: int, a: int, b: int, truncation: int | None) -> float:
     """Divisor-reduced form: everything pushed to the odd part q0 of q."""
     q0 = q
     while q0 % 2 == 0:
@@ -218,7 +218,7 @@ def _c2_reduced(q: int, a: int, b: int, truncation: int) -> float:
     return _real(out, f"c2 reduced form ({q};{a},{b})")
 
 
-def _c2_diagonal(q: int, truncation: int) -> float:
+def _c2_diagonal(q: int, truncation: int | None) -> float:
     """Closed form on the diagonal a = b; no characters survive."""
     phi = totient(q)
     return (
@@ -226,7 +226,7 @@ def _c2_diagonal(q: int, truncation: int) -> float:
     ) / 2 - phi / 2 * sum(math.log(p) / (p - 1) for p in prime_factors(q))
 
 
-def _c2_prime(q: int, a: int, b: int, truncation: int) -> float:
+def _c2_prime(q: int, a: int, b: int, truncation: int | None) -> float:
     """Prime q, a != b: single character sum over the full group mod q."""
     phi = totient(q)
     group = character_group(q)
@@ -245,7 +245,7 @@ def _c2_prime(q: int, a: int, b: int, truncation: int) -> float:
 
 
 def c2_pair_forms(
-    q: int, a: int, b: int, truncation: int = DEFAULT_TRUNCATION
+    q: int, a: int, b: int, truncation: int | None = None
 ) -> dict[str, float]:
     """All applicable closed forms of c2(q; (a, b)), keyed by method tag."""
     mod = Modulus(q)
@@ -267,7 +267,7 @@ def c2_pair_forms(
 
 
 def c2_pair(
-    q: int, a: int, b: int, truncation: int = DEFAULT_TRUNCATION
+    q: int, a: int, b: int, truncation: int | None = None
 ) -> float:
     """c2 for a pair, from the divisor-reduced form.
 
@@ -287,7 +287,7 @@ def c2_pair(
 def c2_general(
     q: int,
     classes: tuple[int, ...] | list[int],
-    truncation: int = DEFAULT_TRUNCATION,
+    truncation: int | None = None,
 ) -> float:
     """c2 for an r-tuple: adjacent pair constants plus the lag corrections.
 
@@ -353,7 +353,7 @@ class ConjectureConstants:
 def conjecture_constants(
     q: int,
     classes: tuple[int, ...] | list[int],
-    truncation: int = DEFAULT_TRUNCATION,
+    truncation: int | None = None,
 ) -> ConjectureConstants:
     mod = Modulus(q)
     canon = tuple(mod.canonical(x) for x in classes)

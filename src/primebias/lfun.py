@@ -17,8 +17,29 @@ only.  The Euler-type product
     A(q, chi) = prod_{p | q} (1 - chi(p)/p)
               * prod_{p !| q} (1 - (1 - chi(p))^2 / (p-1)^2)
 
-converges absolutely; it is truncated at a bound P with the tail of the
-log-product dominated by sum_{p > P} 4/(p-1)^2 <= 5 / (P log P).  The
+converges absolutely, and by default it is taken in full.  Primes below
+EXACT_BOUND = M and primes dividing q are multiplied exactly.  For every
+other prime the logarithm of the factor is a power series in chi(p) and
+1/p,
+
+    log(1 - (1 - z)^2 / (p-1)^2) = sum_{s=2}^{K} sum_{l=0}^{s} c[s, l] z^l p^-s,
+
+kept to K = SERIES_POWERS, so the sum over p >= M needs only the prime
+sums P_M(s, psi) = sum_{p >= M} psi(p) p^-s for the powers psi = chi^l,
+where chi^0 is 1 at every prime.  They come from Moebius inversion of
+log L (H. Cohen, "High precision computation of Hardy-Littlewood
+constants", 1998; P. Moree, Manuscripta Math. 101, 2000):
+
+    P_M(s, psi) = sum_n mu(n)/n log L_M(ns, psi^n),
+    L_M(t, psi) = L(t, psi) prod_{p < M} (1 - psi(p) p^-t),
+    L(t, psi)   = m^-t sum_{a=1}^{m} psi(a) zeta(t, a/m),
+
+with the Hurwitz zeta function from a short direct sum and an
+Euler-Maclaurin tail.  log L_M(t, psi) is of size M^(1-t), so n stops at
+ns <= K; tail_bound(None) bounds the dropped powers s > K (~3e-22).  An
+explicit truncation P stops the product at P instead, as before: its
+log-tail is dominated by
+sum_{p > P} 4/(p-1)^2 <= 5 / (P log P) = tail_bound(P).  The
 combinations C(q, chi) = L(0,chi) L(1,chi) A(q,chi) vanish identically
 for even chi and drive all the second-order bias constants.
 
@@ -32,17 +53,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import InternalConsistencyError, prime_factors, primes_upto
+from .arith import (
+    InternalConsistencyError,
+    moebius,
+    prime_factors,
+    primes_upto,
+)
 from .characters import DirichletCharacter, character_group
 
 __all__ = [
-    "DEFAULT_TRUNCATION",
     "l_at_zero",
     "l_at_one",
+    "hurwitz_zeta",
+    "large_prime_log",
     "a_q_chi",
     "c_q_chi",
     "reduce_c",
@@ -51,18 +79,28 @@ __all__ = [
     "build_ctable",
 ]
 
-DEFAULT_TRUNCATION = 20_000_000
-
-# Primes below EXACT_BOUND are multiplied exactly; above it the series for
-# log(1 - u w_p), |u| <= 4, w_p = 1/(p-1)^2, stops after SERIES_TERMS
-# powers.  The dropped part is at most sum_{p >= EXACT_BOUND}
+# Primes below EXACT_BOUND are multiplied exactly.  The untruncated
+# product expands the other factors to p^-SERIES_POWERS; a truncated one
+# expands log(1 - u w_p), |u| <= 4, w_p = 1/(p-1)^2, to SERIES_TERMS
+# powers of w_p, which drops at most sum_{p >= EXACT_BOUND}
 # (4 w_p)^4 / (4 (1 - 4 w_p)) ~ 1e-21, far below double rounding.
 EXACT_BOUND = 1000
+SERIES_POWERS = 8
 SERIES_TERMS = 3
 
 
-def tail_bound(truncation: int) -> float:
-    """Upper bound for sum_{p > P} 4/(p-1)^2, the dropped log-product mass."""
+def tail_bound(truncation: int | None) -> float:
+    """Bound on the log-product mass the evaluation of A(q, chi) drops.
+
+    For a truncation P: sum_{p > P} 4/(p-1)^2 <= 5 / (P log P).  For
+    None: the powers s > K = SERIES_POWERS of the expansion.  Summed over
+    l, |c[s, l]| is at most 3^s / s (the series of log(1 - 4/(p-1)^2)),
+    so the drop is at most sum_{p >= M} (3/p)^(K+1) / ((K+1)(1 - 3/p))
+    <= 3^(K+1) / (K (K+1) (1 - 3/M) (M-1)^K), M = EXACT_BOUND.
+    """
+    if truncation is None:
+        K, M = SERIES_POWERS, EXACT_BOUND
+        return 3.0 ** (K + 1) / (K * (K + 1) * (1 - 3 / M) * (M - 1.0) ** K)
     if truncation < 100:
         raise ValueError("truncation too small for the tail estimate")
     return 5.0 / (truncation * math.log(truncation))
@@ -103,6 +141,142 @@ def l_at_one(chi: DirichletCharacter) -> complex:
     return complex(-(chi.values_table()[1:] @ _digamma_at(m)) / m)
 
 
+# Bernoulli numbers B_2, B_4, ..., B_12 for the Euler-Maclaurin tail
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+HURWITZ_DIRECT = 12
+
+
+def hurwitz_zeta(s, a) -> np.ndarray:
+    """zeta(s, a) = sum_{n >= 0} (n + a)^-s for real s > 1 and a > 0.
+
+    Elementwise over broadcast arrays.  The first HURWITZ_DIRECT terms
+    are summed directly, smallest first, after the Euler-Maclaurin tail
+    at y = a + HURWITZ_DIRECT through B_12; the first dropped term,
+    |B_14|/14! s(s+1)...(s+12) y^(-s-13), is below 1e-16 for s <= 8.
+    """
+    s, a = np.broadcast_arrays(np.asarray(s, dtype=float),
+                               np.asarray(a, dtype=float))
+    y = a + HURWITZ_DIRECT
+    out = y ** (1 - s) / (s - 1) + 0.5 * y ** -s
+    # term_j = s(s+1)...(s+2j-2) / (2j)! y^(-s-2j+1)
+    term = s * y ** (-s - 1) / 2
+    for j, b in enumerate(_BERNOULLI, 1):
+        out += b * term
+        term = term * (s + 2 * j - 1) * (s + 2 * j) / (
+            (2 * j + 1) * (2 * j + 2) * y * y)
+    for n in range(HURWITZ_DIRECT - 1, -1, -1):
+        out += (n + a) ** -s
+    return out
+
+
+def _log1p(z: np.ndarray) -> np.ndarray:
+    """log(1 + z) for complex z, with small |z| kept to relative precision."""
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
+def _series_coefficients() -> np.ndarray:
+    """c[s, l] with log(1 - (1-z)^2/(p-1)^2) = sum c[s, l] z^l p^-s.
+
+    The logarithm is -sum_k (1-z)^(2k) / k * (p-1)^(-2k), and
+    (p-1)^(-2k) = sum_{j >= 0} C(2k+j-1, j) p^(-2k-j); rows s < 2 are 0.
+    """
+    K = SERIES_POWERS
+    c = [[Fraction(0)] * (K + 1) for _ in range(K + 1)]
+    for s in range(2, K + 1):
+        for k in range(1, s // 2 + 1):
+            for l in range(2 * k + 1):
+                c[s][l] -= Fraction((-1) ** l * math.comb(2 * k, l)
+                                    * math.comb(s - 1, s - 2 * k), k)
+    out = np.array(c, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+_COEFFICIENTS = _series_coefficients()
+
+
+def _label_rows(orders: tuple[int, ...], labels: np.ndarray) -> np.ndarray:
+    """Label-order index of each row of labels, read modulo the orders."""
+    rows = np.zeros(len(labels), dtype=np.intp)
+    for j, s in enumerate(orders):
+        rows = rows * s + labels[:, j] % s
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _prime_sums(m: int, bound: int) -> np.ndarray:
+    """S[s, j] = sum_{p >= bound} psi_j(p) p^-s for s = 2..SERIES_POWERS.
+
+    psi_j runs over the characters mod m in label order, and the last
+    column, j = phi(m), is the function 1 at every prime, whose L-function
+    is zeta; rows 0 and 1 are 0.  Read-only.  One Hurwitz table serves
+    every character and every t: for each residue r mod m it holds
+    m^-t zeta(t, a_r/m), a_r the least positive member of r, except that
+    the class of 1 starts at 1 + m, so one matrix product gives
+    L(t, psi) - 1 for every psi and log L stays accurate when it is small.
+    """
+    K = SERIES_POWERS
+    group = character_group(m)
+    chars = group.characters()
+    values = np.ones((len(chars) + 1, m), dtype=np.complex128)
+    for row, chi in zip(values, chars):
+        row[:] = chi.values_table()
+    labels = np.array([chi.label for chi in chars], dtype=np.intp)
+    labels = labels.reshape(len(chars), len(group.orders))
+
+    t = np.arange(K + 1, dtype=float)[2:, None]
+    start = np.arange(m, dtype=float)
+    start[0] = m
+    start[1 % m] += m
+    hurwitz = m ** -t * hurwitz_zeta(t, start / m)
+    # log L_M(t, psi) for t = 2..K, one row per t
+    log_l = _log1p(hurwitz @ values.T)
+    small = primes_upto(bound - 1)
+    z = values[:, small % m]
+    inv = 1.0 / small
+    for i, ti in enumerate(range(2, K + 1)):
+        log_l[i] += _log1p(-z * inv**ti).sum(axis=1)
+
+    sums = np.zeros((K + 1, len(values)), dtype=np.complex128)
+    for s in range(2, K + 1):
+        for n in range(K // s, 0, -1):
+            mu = moebius(n)
+            if mu:
+                # psi^n; the function 1 stays 1
+                rows = np.append(_label_rows(group.orders, labels * n),
+                                 len(chars))
+                sums[s] += mu / n * log_l[n * s - 2, rows]
+    sums.flags.writeable = False
+    return sums
+
+
+def large_prime_log(q: int, chi: DirichletCharacter | None = None) -> complex:
+    """sum over primes p >= EXACT_BOUND, p !| q, of log(1 - (1-chi(p))^2/(p-1)^2).
+
+    chi = None reads chi(p) as 0 at every prime, which gives the
+    twin-prime factors log(1 - 1/(p-1)^2).  Every power p^-s, s <=
+    SERIES_POWERS, is summed over all p >= EXACT_BOUND from the prime
+    sums of chi^l; the primes dividing q are then taken out again.
+    """
+    if chi is None:
+        sums = _prime_sums(1, EXACT_BOUND)
+        out = complex(_COEFFICIENTS[:, 0] @ sums[:, -1])
+    else:
+        group = chi.group
+        sums = _prime_sums(group.m, EXACT_BOUND)
+        # chi^0 = 1 at every prime, then chi^l for l = 1..K
+        powers = np.outer(np.arange(1, SERIES_POWERS + 1),
+                          np.array(chi.label, dtype=np.intp))
+        rows = np.append(sums.shape[1] - 1, _label_rows(group.orders, powers))
+        out = complex(np.sum(_COEFFICIENTS * sums[:, rows]))
+    for p in prime_factors(q):
+        if p >= EXACT_BOUND:
+            z = 0 if chi is None else chi(p)
+            out -= cmath.log(1 - (1 - z) ** 2 / (p - 1) ** 2)
+    return out
+
+
 # passes over the primes kept for later folds: (modulus, truncation) ->
 # sums, oldest dropped first
 _passes: dict[tuple[int, int], np.ndarray] = {}
@@ -141,53 +315,64 @@ def _residue_power_sums(m: int, base: int, truncation: int) -> np.ndarray:
 
 
 def a_q_chi(
-    q: int, chi: DirichletCharacter, truncation: int = DEFAULT_TRUNCATION
+    q: int, chi: DirichletCharacter, truncation: int | None = None
 ) -> tuple[complex, float]:
-    """Truncated A(q, chi) together with its tail bound.
+    """A(q, chi), in full or truncated at P, together with its tail bound.
 
     The ambient modulus q decides which primes sit in the "p | q" factor;
-    chi keeps its own modulus.  Requires q <= truncation so every prime
-    dividing q is inside the sieve range.
+    chi keeps its own modulus.  A truncation P needs q <= P, so every
+    prime dividing q is inside the sieve range.
 
     Primes below EXACT_BOUND and primes dividing q are multiplied factor
-    by factor.  For every other p <= P the logarithm of the factor,
-    log(1 - u w_p) with u = (1 - chi(p))^2, is expanded to SERIES_TERMS
-    powers of w_p; u depends on p mod m only, so the sum over those
-    primes is a contraction of the per-residue sums of w_p^k.
+    by factor.  By default every other prime enters through
+    large_prime_log.  With a truncation P, for every other p <= P the
+    logarithm of the factor, log(1 - u w_p) with u = (1 - chi(p))^2, is
+    expanded to SERIES_TERMS powers of w_p; u depends on p mod m only, so
+    the sum over those primes is a contraction of the per-residue sums of
+    w_p^k.
     """
     q = int(q)
-    if q < 1 or q > truncation:
+    if q < 1 or (truncation is not None and q > truncation):
         raise ValueError(f"need 1 <= q <= truncation, got q={q}")
     m = chi.modulus
     vals = chi.values_table()
-    u = (1.0 - vals) ** 2
 
-    small = primes_upto(min(truncation, EXACT_BOUND - 1))
+    if truncation is None:
+        small = primes_upto(EXACT_BOUND - 1)
+    else:
+        small = primes_upto(min(truncation, EXACT_BOUND - 1))
     z = vals[small % m]
     factor = np.where(q % small == 0, 1.0 - z / small,
                       1.0 - (1.0 - z) ** 2 / (small - 1.0) ** 2)
     value = complex(np.prod(factor))
 
-    # one pass over the primes serves every modulus dividing q
-    sums = _residue_power_sums(m, math.lcm(q, m), truncation)
-    uk = np.ones(m, dtype=np.complex128)
-    log_rest = 0j
-    for k in range(1, SERIES_TERMS + 1):
-        uk = uk * u
-        log_rest -= (uk @ sums[k - 1]) / k
-    # primes dividing q beyond the exact bound leave the series for their
-    # own (1 - chi(p)/p) factor
+    if truncation is None:
+        log_rest = large_prime_log(q, chi)
+    else:
+        u = (1.0 - vals) ** 2
+        # one pass over the primes serves every modulus dividing q
+        sums = _residue_power_sums(m, math.lcm(q, m), truncation)
+        uk = np.ones(m, dtype=np.complex128)
+        log_rest = 0j
+        for k in range(1, SERIES_TERMS + 1):
+            uk = uk * u
+            log_rest -= (uk @ sums[k - 1]) / k
+        # primes dividing q beyond the exact bound leave the series
+        for p in prime_factors(q):
+            if p >= EXACT_BOUND:
+                up, wp = u[p % m], 1.0 / (p - 1.0) ** 2
+                log_rest += sum((up * wp) ** k / k
+                                for k in range(1, SERIES_TERMS + 1))
+    # ... for their own (1 - chi(p)/p) factor
     for p in prime_factors(q):
         if p >= EXACT_BOUND:
-            up, wp = u[p % m], 1.0 / (p - 1.0) ** 2
-            log_rest += sum((up * wp) ** k / k for k in range(1, SERIES_TERMS + 1))
             value *= 1.0 - vals[p % m] / p
     return value * cmath.exp(log_rest), tail_bound(truncation)
 
 
 @lru_cache(maxsize=8192)
 def c_q_chi(
-    q: int, chi: DirichletCharacter, truncation: int = DEFAULT_TRUNCATION
+    q: int, chi: DirichletCharacter, truncation: int | None = None
 ) -> complex:
     """C(q, chi) = L(0,chi) L(1,chi) A(q,chi); exactly 0 unless chi is odd."""
     if chi.is_principal() or not chi.is_odd():
@@ -197,7 +382,7 @@ def c_q_chi(
 
 
 def reduce_c(
-    q: int, chi: DirichletCharacter, truncation: int = DEFAULT_TRUNCATION
+    q: int, chi: DirichletCharacter, truncation: int | None = None
 ) -> complex:
     """C(q, chi) via the reduction identities, cross-checked against the direct product.
 
@@ -253,11 +438,11 @@ class CTable:
     """L-value summary for the non-principal characters mod q."""
 
     q: int
-    truncation: int
+    truncation: int | None
     rows: tuple[CTableRow, ...]
 
 
-def build_ctable(q: int, truncation: int = DEFAULT_TRUNCATION) -> CTable:
+def build_ctable(q: int, truncation: int | None = None) -> CTable:
     rows = []
     for chi in character_group(int(q)).characters():
         if chi.is_principal():

@@ -32,7 +32,6 @@ import numpy as np
 from .arith import Modulus, canonical_residue, epsilon_q, prime_factors
 from .constants import c1 as c1_coeff
 from .constants import c2_general, c2_pair, s0c, skip_coefficient
-from .lfun import DEFAULT_TRUNCATION
 from .singular import SingularContext
 
 __all__ = [
@@ -141,7 +140,7 @@ class _PairDensity:
     small matrix products over the y array.
     """
 
-    def __init__(self, q: int, a: int, b: int, truncation: int = DEFAULT_TRUNCATION):
+    def __init__(self, q: int, a: int, b: int, truncation: int | None = None):
         mod = Modulus(q)
         self.q, self.phi = q, mod.phi
         self.a, self.b = mod.canonical(a), mod.canonical(b)
@@ -219,7 +218,7 @@ class _PairDensity:
 
 
 def density_terms_semianalytic(
-    q: int, a: int, b: int, y: float, truncation: int = DEFAULT_TRUNCATION
+    q: int, a: int, b: int, y: float, truncation: int | None = None
 ) -> DensityTerms:
     ev = _PairDensity(q, a, b, truncation)
     logy, alpha, H, d0, d1, d2 = ev.terms(np.array([y]))
@@ -302,7 +301,7 @@ def asymptotic_prediction(
     q: int,
     classes: tuple[int, ...] | list[int],
     x: float,
-    truncation: int = DEFAULT_TRUNCATION,
+    truncation: int | None = None,
 ) -> PredictionRow:
     """li(x)/phi^r (1 + c1 loglog x / log x + c2 / log x), assembled literally."""
     mod = Modulus(q)
@@ -337,7 +336,7 @@ def integral_prediction(
     a: int,
     b: int,
     x: float,
-    truncation: int = DEFAULT_TRUNCATION,
+    truncation: int | None = None,
     rel_tol: float = 1e-7,
 ) -> PredictionRow:
     """The density integral from y_min = exp(2q/phi) to x in u = log y."""

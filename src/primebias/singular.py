@@ -11,8 +11,17 @@ which factors as  [2 if q odd]  *  prod_{odd p !| q} (1 - 1/(p-1)^2)
 and vanishes for odd h when q is odd (the p = 2 factor dies).  The
 zero-mean variant is S_{q,0}({0,h}) = S_q({0,h}) - 1 on pairs, 1 on the
 empty set and 0 on singletons.  A SingularContext freezes q and the
-truncation point of the infinite product; the h-dependent corrections
-are applied exactly, by sieving, never by per-h full products.
+twin-type product over odd p !| q; the h-dependent corrections are
+applied exactly, by sieving, never by per-h full products.
+
+By default the twin-type product is taken in full: odd primes below
+lfun.EXACT_BOUND exactly, the rest through lfun.large_prime_log, the
+series of the Euler products A(q, chi) read with chi(p) = 0.  Every odd
+prime p !| q dividing h then multiplies by (p-1)/(p-2).  An explicit
+truncation P stops the product at P, as before, and an odd p | h above P
+multiplies by p/(p-1) instead: that is (p-1)/(p-2) times the factor
+1 - 1/(p-1)^2 the truncated product leaves out, so the primes dividing h
+are exact at any P.
 
 s0_brute computes S_0^k(q, v; H) = sum over h = v mod q of
 h^k S_{q,0}({0,h}) e^{-h/H}, truncated where the weight is ~e^{-50}.
@@ -25,26 +34,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lfun
 from .arith import canonical_residue, prime_factors, primes_upto, totient
 
 __all__ = ["SingularContext", "S0Sum", "singular_pair", "singular_pair_zero",
            "singular_zero", "s0_brute", "s0_moment_main"]
 
-DEFAULT_SINGULAR_TRUNCATION = 10_000_000
-
-
 class SingularContext:
-    """q plus a truncation point P for the generic twin-type product."""
+    """q plus the twin-type product, in full or truncated at P."""
 
-    def __init__(self, q: int, truncation: int = DEFAULT_SINGULAR_TRUNCATION):
+    def __init__(self, q: int, truncation: int | None = None):
         if q < 3:
             raise ValueError(f"modulus must be >= 3, got {q}")
-        if truncation < 100:
+        if truncation is not None and truncation < 100:
             raise ValueError("truncation too small")
         self.q = q
         self.phi = totient(q)
         self.truncation = truncation
-        primes = primes_upto(truncation)
+        if truncation is None:
+            primes = primes_upto(lfun.EXACT_BOUND - 1)
+        else:
+            primes = primes_upto(truncation)
         odd = primes[primes > 2]
         keep = np.ones(len(odd), dtype=bool)
         for p in prime_factors(q):
@@ -52,9 +62,19 @@ class SingularContext:
                 keep &= odd != p
         odd = odd[keep]
         self.twin_tail = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
-        # dropped log-product mass is ~ sum_{p>P} 1/(p-1)^2 ~ 1/(P log P)
-        self.tail_bound = 2.0 / (truncation * math.log(truncation))
+        if truncation is None:
+            self.twin_tail *= math.exp(lfun.large_prime_log(q).real)
+            self.tail_bound = lfun.tail_bound(None)
+        else:
+            # dropped log-product mass ~ sum_{p>P} 1/(p-1)^2 ~ 1/(P log P)
+            self.tail_bound = 2.0 / (truncation * math.log(truncation))
         self._pair_cache: np.ndarray | None = None
+
+    def h_factor(self, p: int) -> float:
+        """The factor S_q({0,h}) takes from an odd prime p !| q dividing h."""
+        if self.truncation is None or p <= self.truncation:
+            return (p - 1.0) / (p - 2.0)
+        return p / (p - 1.0)
 
     def pair_values(self, cutoff: int) -> np.ndarray:
         """S_q({0,h}) for h = 0..cutoff (index 0 is NaN); grown as needed."""
@@ -69,8 +89,7 @@ class SingularContext:
             p = int(p)
             if p == 2 or self.q % p == 0:
                 continue
-            mult = (p - 1.0) / (p - 2.0) if p <= self.truncation else p / (p - 1.0)
-            vals[p::p] *= mult
+            vals[p::p] *= self.h_factor(p)
         self._pair_cache = vals
         return vals
 
@@ -85,10 +104,7 @@ def singular_pair(ctx: SingularContext, h: int) -> float:
     for p in prime_factors(h):
         if p == 2 or ctx.q % p == 0:
             continue
-        if p <= ctx.truncation:
-            val *= (p - 1.0) / (p - 2.0)
-        else:
-            val *= p / (p - 1.0)
+        val *= ctx.h_factor(p)
     return val
 
 

@@ -165,3 +165,9 @@ def test_sawtooth_values_and_mean():
     for q in (3, 4, 5, 12):
         total = sum(sawtooth_B(q, v) for v in range(1, q + 1))
         assert total == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_modulus_classes_shared():
+    assert Modulus(60).classes is Modulus(60).classes
+    assert Modulus(60).classes == tuple(
+        a for a in range(1, 61) if math.gcd(a, 60) == 1)

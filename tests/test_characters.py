@@ -1,10 +1,14 @@
 """Character group enumeration, orthogonality, conductors."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import primebias
 from primebias import character_group
 
 
@@ -151,3 +155,38 @@ def test_name_round_trip():
     assert len(set(names)) == len(names)
     for name in names:
         assert name.startswith("mod12:")
+
+
+def test_characters_are_shared_instances():
+    group = character_group(60)
+    chars = group.characters()
+    assert [group.character(chi.label) for chi in chars] == chars
+    for chi in chars:
+        assert group.character(chi.label) is chi
+        assert chi.conjugate() is chi.conjugate()
+        assert chi.conjugate().conjugate() is chi
+        assert chi.primitive() is chi.primitive()
+    assert all(a is b for a, b in zip(group.characters(), chars))
+
+
+def test_constants_build_each_character_once(tmp_path):
+    # in a fresh interpreter, so every character is built during the run
+    script = (
+        "import sys\n"
+        "from primebias import characters, cli\n"
+        "built = []\n"
+        "init = characters.DirichletCharacter.__post_init__\n"
+        "def recording(self):\n"
+        "    built.append((self.group.m, self.label))\n"
+        "    init(self)\n"
+        "characters.DirichletCharacter.__post_init__ = recording\n"
+        "assert cli.main(['constants', '--q', '60', '--output', sys.argv[1]]) == 0\n"
+        "assert built, 'no character built'\n"
+        "assert len(built) == len(set(built)), len(built) - len(set(built))\n"
+    )
+    src = os.path.dirname(os.path.dirname(primebias.__file__))
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(tmp_path / "c.csv")],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -325,13 +325,15 @@ def test_counting_imports_no_scipy(tmp_path):
         "import primebias\n"
         "assert 'scipy' not in sys.modules, 'import primebias'\n"
         "from primebias import cli\n"
-        "small = ['--truncation', '200000', '--output', sys.argv[1]]\n"
-        "for args in (['count', '--q', '3', '--x', '1000', '--output', sys.argv[1]],\n"
-        "             ['constants', '--q', '12'] + small,\n"
-        "             ['dump-lvalues', '--q', '97'] + small,\n"
-        "             ['predict', '--q', '12', '--x', '1e9'] + small,\n"
-        "             ['s0', '--q', '5', '--v', '0,1', '--H', '1000',\n"
-        "              '--method', 'both'] + small):\n"
+        "out = ['--output', sys.argv[1]]\n"
+        "small = ['--truncation', '200000'] + out\n"
+        "for tail in (small, out):\n"
+        "  for args in (['count', '--q', '3', '--x', '1000'] + out,\n"
+        "               ['constants', '--q', '12'] + tail,\n"
+        "               ['dump-lvalues', '--q', '97'] + tail,\n"
+        "               ['predict', '--q', '12', '--x', '1e9'] + tail,\n"
+        "               ['s0', '--q', '5', '--v', '0,1', '--H', '1000',\n"
+        "                '--method', 'both'] + tail):\n"
         "    assert cli.main(args) == 0, args\n"
         "    assert 'scipy' not in sys.modules, args[0]\n"
     )
@@ -361,3 +363,66 @@ def test_bad_classes_exit_code(capsys):
     assert code == 2
     code, _ = run_cli(["constants", "--q", "3", "--classes", "1,3"], capsys)
     assert code == 2
+
+
+def _package_env():
+    src = os.path.dirname(os.path.dirname(primebias.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+@pytest.mark.parametrize("module", ["primebias", "primebias.cli"])
+def test_python_m_runs_the_cli(module, capsys):
+    run = lambda *args: subprocess.run(
+        [sys.executable, "-m", module, *args], env=_package_env(),
+        capture_output=True, text=True, timeout=120)
+    proc = run("count", "--q", "3", "--x", "100")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    # the 23 primes from 5 to 97 each open one window
+    assert len(rows) == 4 and sum(int(r["count"]) for r in rows) == 23
+    _, out = run_cli(["count", "--q", "3", "--x", "100"], capsys)
+    assert proc.stdout.replace("\r\n", "\n") == out.replace("\r\n", "\n")
+    proc = run("count", "--q", "2", "--x", "100")
+    assert proc.returncode == 2
+    assert "modulus must be >= 3" in proc.stderr
+
+
+def test_default_constants_sieve_no_further_than_1e4(tmp_path):
+    # the full Euler products need the primes below the exact bound only,
+    # and never the power-sum pass of a truncated product; run in a fresh
+    # interpreter so no cached value hides a sieve
+    script = (
+        "import json, sys\n"
+        "from primebias import arith, cli, lfun\n"
+        "limits = []\n"
+        "def recording(limit, inner=arith.primes_upto):\n"
+        "    limits.append(int(limit))\n"
+        "    return inner(limit)\n"
+        "for name, mod in list(sys.modules.items()):\n"
+        "    if name.startswith('primebias') and hasattr(mod, 'primes_upto'):\n"
+        "        mod.primes_upto = recording\n"
+        "def refuse(*args):\n"
+        "    raise RuntimeError('power-sum pass in a default run')\n"
+        "lfun._residue_power_sums = refuse\n"
+        "for args in (['constants', '--q', '60'], ['dump-lvalues', '--q', '97']):\n"
+        "    assert cli.main(args + ['--output', sys.argv[1]]) == 0, args\n"
+        "print(json.dumps(limits))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(tmp_path / "t.csv")], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    limits = json.loads(proc.stdout)
+    assert limits and max(limits) <= 10**4, limits
+    manifest = (tmp_path / "t.csv.manifest").read_text().splitlines()
+    assert "truncation=none" in manifest
+
+
+def test_manifest_names_an_explicit_truncation(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    code, _ = run_cli(["constants", "--q", "5", "--truncation", "200000",
+                       "--output", str(out)], capsys)
+    assert code == 0
+    manifest = (tmp_path / "c.csv.manifest").read_text().splitlines()
+    assert "truncation=200000" in manifest
+    assert "tail_bound=%.15g" % primebias.tail_bound(200000) in manifest

@@ -248,7 +248,7 @@ def test_reduce_c_route_mismatch_raises(monkeypatch):
                if c.is_odd() and c.conductor() == 3)
     exact = lfun.c_q_chi
 
-    def skewed(q, c, truncation=lfun.DEFAULT_TRUNCATION):
+    def skewed(q, c, truncation=None):
         value = exact(q, c, truncation)
         return value * (1 + 1e-6) if c.modulus == 3 else value
 
@@ -269,9 +269,10 @@ def test_c_factor_can_vanish_identically():
     # chi(3) = -1 with 3 coprime to q makes the p = 3 Euler factor zero
     chi = quadratic_character(4)
     assert chi(3) == pytest.approx(-1.0, abs=1e-14)
-    a, _ = a_q_chi(4, chi, truncation=10**4)
-    assert abs(a) < 1e-14
-    assert abs(c_q_chi(4, chi, truncation=10**4)) < 1e-14
+    for P in (10**4, None):
+        a, _ = a_q_chi(4, chi, truncation=P)
+        assert abs(a) < 1e-14
+        assert abs(c_q_chi(4, chi, truncation=P)) < 1e-14
 
 
 @pytest.mark.parametrize("q", [6, 9, 12, 15, 18, 20, 21, 24, 30])
@@ -297,3 +298,102 @@ def test_ctable_rows():
         assert row.tail == pytest.approx(tail_bound(10**5))
         if row.parity == 1:
             assert row.c == 0j
+
+
+# ---------------------------------------------------------------- the full product
+
+
+def test_hurwitz_zeta_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    a = np.concatenate([np.linspace(1e-3, 1.0, 400),
+                        1.0 / np.arange(1, 200), [1e-6, 0.5, 1.0]])
+    for t in range(2, lfun.SERIES_POWERS + 1):
+        got = lfun.hurwitz_zeta(t, a)
+        want = special.zeta(t, a)
+        assert np.abs(got / want - 1).max() < 1e-14, t
+
+
+def test_hurwitz_zeta_closed_forms():
+    # zeta(2, 1) = pi^2/6, zeta(2, 1/2) = pi^2/2, zeta(4, 1) = pi^4/90
+    got = lfun.hurwitz_zeta([2, 2, 4], [1.0, 0.5, 1.0])
+    want = [math.pi**2 / 6, math.pi**2 / 2, math.pi**4 / 90]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_series_coefficients_reproduce_the_factor():
+    # the power series in z and 1/p against the logarithm itself, ~4e-6
+    # here; the first dropped power is ~ 3^9 / 9 * p^-9 ~ 2e-24
+    p = 997.0
+    for z in (1.0, -1.0, 0.0, 1j, np.exp(2j * np.pi / 5)):
+        series = sum(lfun._COEFFICIENTS[s, l] * z**l * p**-s
+                     for s in range(lfun.SERIES_POWERS + 1)
+                     for l in range(lfun.SERIES_POWERS + 1))
+        exact = lfun._log1p(np.array(-(1 - z) ** 2 / (p - 1) ** 2 + 0j))
+        assert abs(series - exact) < 1e-20
+
+
+def test_full_product_known_value_mod12():
+    # A(12, chi_3) = (3/2) prod_{p = 2 mod 3, p >= 5} (1 - 4/(p-1)^2); the
+    # reference 1.035553910000536729... is the same series evaluated with
+    # 40-digit arithmetic to K = 30 powers
+    chi = quadratic_character(3)
+    a, tail = a_q_chi(12, chi)
+    assert abs(a - 1.0355539100005367) < 1e-14
+    assert tail == tail_bound(None) < 1e-21
+    assert a.real == pytest.approx(1.036, abs=1e-3)
+
+
+@pytest.mark.parametrize("P", [10**5, 10**6])
+def test_full_product_within_tail_of_truncated(P):
+    # tail_bound(P) bounds the dropped log-mass, so the products differ by
+    # at most |A_P| (exp(tail_bound(P)) - 1)
+    for q in range(1, 31):
+        for chi in character_group(q).characters():
+            full, _ = a_q_chi(q, chi)
+            cut, tail = a_q_chi(q, chi, truncation=P)
+            assert abs(full - cut) <= abs(cut) * math.expm1(tail), (q, chi.name())
+
+
+def test_full_product_within_tail_of_truncated_2e7():
+    chi = quadratic_character(3)
+    full, _ = a_q_chi(12, chi)
+    cut, tail = a_q_chi(12, chi, truncation=2 * 10**7)
+    assert abs(full - cut) <= abs(cut) * math.expm1(tail)
+    # and far inside it: the truncated product is missing about 5.8e-9
+    assert abs(full - cut) == pytest.approx(5.83e-9, rel=0.01)
+
+
+def test_full_product_independent_of_exact_bound(monkeypatch):
+    chis = [(q, chi) for q in (7, 12, 30, 60, 97, 2018)
+            for chi in character_group(q).characters()[1::7]]
+    chis.append((12, quadratic_character(3)))
+    full = [a_q_chi(q, chi)[0] for q, chi in chis]
+    monkeypatch.setattr(lfun, "EXACT_BOUND", 100)
+    for (q, chi), want in zip(chis, full):
+        got, tail = a_q_chi(q, chi)
+        assert abs(got - want) <= 1e-13, (q, chi.name(), got - want)
+        assert tail < 1e-13  # the s > K powers at M = 100
+
+
+def test_large_prime_log_leaves_out_prime_divisors_of_q():
+    # 1009 is the first prime above the exact bound: q = 2018 takes it out
+    # of the series, so the two logs differ by exactly its factor
+    chi = character_group(1009).characters()[5]
+    assert chi(1009) == 0
+    gap = lfun.large_prime_log(1009, chi) - lfun.large_prime_log(1, chi)
+    assert gap == pytest.approx(-math.log(1 - 1 / 1008**2), abs=1e-18)
+    gap = lfun.large_prime_log(2018, None) - lfun.large_prime_log(2, None)
+    assert gap == pytest.approx(-math.log(1 - 1 / 1008**2), abs=1e-18)
+
+
+@pytest.mark.parametrize("q", range(3, 31))
+def test_reduction_identities_untruncated(q):
+    for d in range(3, q + 1):
+        if q % d:
+            continue
+        for chi in character_group(d).characters():
+            if chi.is_principal():
+                continue
+            direct = c_q_chi(q, chi)
+            routed = reduce_c(q, chi)
+            assert abs(direct - routed) < 1e-9 * (1 + abs(direct))

@@ -7,6 +7,7 @@ import pytest
 
 from primebias import (
     SingularContext,
+    prime_factors,
     s0_brute,
     s0_moment_main,
     singular_pair,
@@ -155,3 +156,39 @@ def test_s0_cutoff_insensitivity():
     sel = hs[hs % 4 == 1]
     doubled = float(np.sum((vals[sel] - 1.0) * np.exp(-sel / H)))
     assert doubled == pytest.approx(base.value, abs=1e-12)
+
+
+def test_twin_prime_constant_untruncated():
+    # prod_{p >= 3} (1 - 1/(p-1)^2) = 0.66016181584686957392...
+    ctx = SingularContext(4)
+    assert abs(ctx.twin_tail - 0.6601618158468695739) < 1e-14
+    assert ctx.truncation is None and ctx.tail_bound < 1e-21
+
+
+def test_untruncated_twin_tail_takes_out_large_prime_divisors():
+    # 2018 = 2 * 1009 leaves out the factor of 1009, above the exact bound
+    got = SingularContext(2018).twin_tail / SingularContext(4).twin_tail
+    assert got == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15)
+
+
+def test_untruncated_within_tail_of_truncated():
+    for q in (3, 4, 5, 12, 30):
+        full = SingularContext(q).twin_tail
+        cut = SingularContext(q, truncation=10**6)
+        assert abs(full - cut.twin_tail) <= cut.twin_tail * math.expm1(cut.tail_bound)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 12])
+def test_untruncated_pair_values_against_trial_division(q):
+    # untruncated, every odd p !| q dividing h contributes (p-1)/(p-2),
+    # however large
+    ctx = SingularContext(q)
+    vals = ctx.pair_values(10**4)
+    base = 2.0 * ctx.twin_tail if q % 2 else ctx.twin_tail
+    for h in range(1, 10**4 + 1):
+        want = 0.0 if q % 2 and h % 2 else base
+        for p in prime_factors(h):
+            if p > 2 and q % p:
+                want *= (p - 1.0) / (p - 2.0)
+        assert singular_pair(ctx, h) == pytest.approx(want, rel=1e-13), h
+        assert vals[h] == pytest.approx(want, rel=1e-13), h
