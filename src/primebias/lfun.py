@@ -169,9 +169,8 @@ def hurwitz_zeta(s, a) -> np.ndarray:
     return out
 
 
-def _log1p(z: np.ndarray) -> np.ndarray:
-    """log(1 + z) for complex z, with small |z| kept to relative precision."""
-    x, y = z.real, z.imag
+def _log1p(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """log(1 + x + iy), with small |x + iy| kept to relative precision."""
     return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
 
 
@@ -231,12 +230,14 @@ def _prime_sums(m: int, bound: int) -> np.ndarray:
     start[1 % m] += m
     hurwitz = m ** -t * hurwitz_zeta(t, start / m)
     # log L_M(t, psi) for t = 2..K, one row per t
-    log_l = _log1p(hurwitz @ values.T)
+    l_minus_1 = (values @ hurwitz.T).T
+    log_l = _log1p(l_minus_1.real, l_minus_1.imag)
     small = primes_upto(bound - 1)
     z = values[:, small % m]
     inv = 1.0 / small
     for i, ti in enumerate(range(2, K + 1)):
-        log_l[i] += _log1p(-z * inv**ti).sum(axis=1)
+        r = -inv**ti
+        log_l[i] += _log1p(z.real * r, z.imag * r).sum(axis=1)
 
     sums = np.zeros((K + 1, len(values)), dtype=np.complex128)
     for s in range(2, K + 1):
@@ -357,13 +358,13 @@ def a_q_chi(
         for k in range(1, SERIES_TERMS + 1):
             uk = uk * u
             log_rest -= (uk @ sums[k - 1]) / k
-        # primes dividing q beyond the exact bound leave the series
         for p in prime_factors(q):
             if p >= EXACT_BOUND:
                 up, wp = u[p % m], 1.0 / (p - 1.0) ** 2
                 log_rest += sum((up * wp) ** k / k
                                 for k in range(1, SERIES_TERMS + 1))
-    # ... for their own (1 - chi(p)/p) factor
+    # primes dividing q beyond the exact bound leave the series (above) for
+    # their own (1 - chi(p)/p) factor
     for p in prime_factors(q):
         if p >= EXACT_BOUND:
             value *= 1.0 - vals[p % m] / p

@@ -328,7 +328,8 @@ def test_series_coefficients_reproduce_the_factor():
         series = sum(lfun._COEFFICIENTS[s, l] * z**l * p**-s
                      for s in range(lfun.SERIES_POWERS + 1)
                      for l in range(lfun.SERIES_POWERS + 1))
-        exact = lfun._log1p(np.array(-(1 - z) ** 2 / (p - 1) ** 2 + 0j))
+        w = -(1 - z) ** 2 / (p - 1) ** 2 + 0j
+        exact = lfun._log1p(w.real, w.imag)
         assert abs(series - exact) < 1e-20
 
 
