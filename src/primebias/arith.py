@@ -32,7 +32,11 @@ __all__ = [
     "epsilon_q",
     "pattern_epsilon",
     "canonical_residue",
+    "MAX_PATTERNS",
+    "check_pattern_budget",
 ]
+
+MAX_PATTERNS = 1 << 24  # phi(q)**r: the most patterns any command enumerates
 
 
 class InternalConsistencyError(AssertionError):
@@ -118,6 +122,22 @@ def von_mangoldt(n: int) -> float:
 def _reduced_residues(q: int) -> tuple[int, ...]:
     """The classes a in [1, q] with gcd(a, q) = 1."""
     return tuple(a for a in range(1, q + 1) if math.gcd(a, q) == 1)
+
+
+def check_pattern_budget(q: int, r: int) -> None:
+    """Refuse phi(q)^r > MAX_PATTERNS patterns before any is enumerated.
+
+    The power is built one factor at a time, so a huge r costs nothing.
+    """
+    phi = totient(q)
+    n = 1
+    for _ in range(r):
+        n *= phi
+        if n > MAX_PATTERNS:
+            raise ValueError(
+                f"phi({q})^{r} = {phi}^{r} patterns exceed the budget of "
+                f"{MAX_PATTERNS}"
+            )
 
 
 def canonical_residue(q: int, v: int) -> int:

@@ -11,8 +11,9 @@ pattern's key string is built once, each table's constant fields are
 formatted once, and one string per table goes to the output.  Every table
 is complete before the first byte is written, so a failed run leaves no
 partial file.  The bytes are those the csv module writes (CRLF rows).
-The other commands build one dict per row; each of their rows costs a
-real computation, so formatting them is cheap by comparison.
+The other commands build one dict per row.  Most rows cost a real
+computation, so formatting them is cheap by comparison; a constants row
+only reads the c2 table of its modulus, and there the rows cost more.
 
 Exit codes: 0 on success, 2 on invalid arguments, 3 when an internal
 cross-check fails (two formulas for the same constant disagreeing is a
@@ -31,7 +32,7 @@ import time
 from decimal import Decimal, InvalidOperation
 
 from . import __version__
-from .arith import Modulus, ResiduePattern
+from .arith import Modulus, ResiduePattern, check_pattern_budget
 from .characters import character_group
 from .constants import (
     FORM_AGREEMENT_TOL,
@@ -130,6 +131,7 @@ def _cmd_predict(args):
         patterns = [tuple(args.classes)]
         ResiduePattern(mod, patterns[0])  # reject classes not coprime to q
     else:
+        check_pattern_budget(args.q, args.r)
         patterns = list(itertools.product(mod.classes, repeat=args.r))
     rows = []
     for classes in patterns:
@@ -167,6 +169,7 @@ def _cmd_constants(args):
     if args.classes is not None:
         patterns = [tuple(args.classes)]
     else:
+        check_pattern_budget(args.q, args.r)
         patterns = list(itertools.product(mod.classes, repeat=args.r))
     rows = []
     for classes in patterns:
@@ -335,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
     sp.add_argument("--skip", type=int, default=2)
-    sp.add_argument("--truncation", type=int, default=None,
+    sp.add_argument("--truncation", type=_exact_int, default=None,
                     help=_TRUNCATION_HELP)
     sp.add_argument("--rel-tol", type=float, default=1e-7)
     common(sp)
@@ -346,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
-    sp.add_argument("--truncation", type=int, default=None,
+    sp.add_argument("--truncation", type=_exact_int, default=None,
                     help=_TRUNCATION_HELP)
     sp.add_argument("--forms", action="store_true",
                     help="also list each independent formula's value")
@@ -360,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--method", choices=("brute", "analytic", "both"),
                     default="both")
-    sp.add_argument("--truncation", type=int, default=None,
+    sp.add_argument("--truncation", type=_exact_int, default=None,
                     help=_TRUNCATION_HELP)
     common(sp)
     sp.set_defaults(func=_cmd_s0)
@@ -373,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=None)
     sp.add_argument("--threads", type=int, default=1,
                     help="worker processes, at most one per core")
-    sp.add_argument("--truncation", type=int, default=None,
+    sp.add_argument("--truncation", type=_exact_int, default=None,
                     help=_TRUNCATION_HELP)
     sp.add_argument("--rel-tol", type=float, default=1e-7)
     common(sp)
@@ -386,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dump-lvalues", help="L-values and Euler factors")
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--truncation", type=int, default=None,
+    sp.add_argument("--truncation", type=_exact_int, default=None,
                     help=_TRUNCATION_HELP)
     common(sp)
     sp.set_defaults(func=_cmd_dump_lvalues)

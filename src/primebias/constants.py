@@ -7,11 +7,12 @@ has the shape
 
 with c1 elementary and c2 built out of the Proposition constants S_0^c(q, v),
 the sawtooth B_q, the discrepancy epsilon_q and the character combinations
-C(q, chi).  For pairs, c2 admits several independent closed forms (the direct
-sum over residue classes, the character double sum, the divisor-reduced form,
-plus special shapes on the diagonal and for prime q); every call cross-checks
-the applicable forms against each other and refuses to return a value they
-disagree on.  Longer patterns and skip patterns reduce to the pair constants.
+C(q, chi), which enter through one kernel per divisor d of a modulus,
+K(u) = sum over chi mod d of C(q, chi) conj(chi)(u).  Every closed form of
+the pair constant has the shape c2(q; (a, b)) = F(b - a) + G(a) + H(b).  One
+table per q holds them all, and no value is returned until every applicable
+form agrees with the divisor-reduced one on every pair.  Longer patterns and
+skip patterns reduce to the pair constants.
 """
 
 from __future__ import annotations
@@ -19,17 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .arith import (
     InternalConsistencyError,
     Modulus,
-    canonical_residue,
-    epsilon_q,
+    ResiduePattern,
     moebius,
     prime_factors,
-    sawtooth_B,
     totient,
     von_mangoldt,
 )
@@ -37,17 +38,9 @@ from .characters import character_group
 from .lfun import c_q_chi
 
 __all__ = [
-    "InternalConsistencyError",
-    "s0c",
-    "s0_main",
-    "c1",
-    "c2_pair",
-    "c2_pair_forms",
-    "c2_general",
-    "c2_symmetric_sum",
-    "skip_coefficient",
-    "ConjectureConstants",
-    "conjecture_constants",
+    "InternalConsistencyError", "s0c", "s0c_vector", "s0_main", "c1",
+    "c2_pair", "c2_pair_forms", "c2_general", "c2_symmetric_sum",
+    "skip_coefficient", "ConjectureConstants", "conjecture_constants",
 ]
 
 # forms are algebraically identical at any fixed truncation, so disagreement
@@ -57,15 +50,44 @@ FORM_AGREEMENT_TOL = 1e-8
 _IMAG_TOL = 1e-9
 
 
-def _real(z: complex, what: str) -> float:
-    if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z.real)):
-        raise InternalConsistencyError(f"{what} has imaginary residue {z.imag!r}")
+def _real(z: np.ndarray, what: str) -> np.ndarray:
+    """The real part of z, refusing any imaginary residue above rounding."""
+    bad = np.abs(z.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(z.real))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InternalConsistencyError(
+            f"{what} has imaginary residue {z.imag[i]!r} at {i}"
+        )
     return z.real
 
 
-@lru_cache(maxsize=4096)
-def s0c(q: int, v: int, truncation: int | None = None) -> float:
-    """The Proposition constant S_0^c(q, v).
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _sawtooth(q: int) -> np.ndarray:
+    """B_q(v) for v = 0..q-1, with v = 0 read as q (see arith.sawtooth_B)."""
+    return 0.5 - np.r_[q, 1:q] / q
+
+
+@lru_cache(maxsize=1024)
+def _kernel(q: int, d: int, truncation: int | None) -> np.ndarray:
+    """K(u) = sum over chi mod d of C(q, chi) conj(chi)(u), u = 0..d-1.
+
+    Only odd characters have C(q, chi) != 0.  They come in conjugate pairs
+    with conjugate C values, so the kernel is real.
+    """
+    odd = [chi for chi in character_group(d).characters() if chi.is_odd()]
+    c_vals = np.array([c_q_chi(q, chi, truncation) for chi in odd], dtype=complex)
+    values = np.array([chi.values_table() for chi in odd]).reshape(len(odd), d)
+    kernel = _real(c_vals @ values.conj(), f"K(q={q}, d={d})")
+    kernel.flags.writeable = False
+    return kernel
+
+
+@lru_cache(maxsize=64)
+def s0c_vector(q: int, truncation: int | None = None) -> np.ndarray:
+    """The Proposition constants S_0^c(q, v) for v = 0..q-1, read-only.
 
     For v = 0 mod q this is the constant term next to -(phi/2q) log H:
         (phi/2q)(log(q/2pi) - sum_{p|q} log p/(p-1)) + 1/2.
@@ -73,26 +95,27 @@ def s0c(q: int, v: int, truncation: int | None = None) -> float:
         -(phi/2q) Lambda(q/d)/phi(q/d) - B_q(v)
         + (1/phi(q/d)) sum_{chi != chi0 mod q/d} conj(chi)(v/d) C(q, chi).
     """
-    if q < 3:
-        raise ValueError(f"modulus must be >= 3, got {q}")
-    phi = totient(q)
-    vc = v % q
-    if vc == 0:
-        tot = math.log(q / (2 * math.pi)) - sum(
-            math.log(p) / (p - 1) for p in prime_factors(q)
-        )
-        return phi / (2 * q) * tot + 0.5
-    d = math.gcd(vc, q)
-    qd = q // d
-    out: complex = -phi / (2 * q) * von_mangoldt(qd) / totient(qd) - sawtooth_B(q, vc)
-    group = character_group(qd)
-    acc = 0j
-    for chi in group.characters():
-        if chi.is_principal():
-            continue
-        acc += chi.conjugate()(vc // d) * c_q_chi(q, chi, truncation)
-    out += acc / totient(qd)
-    return _real(out, f"S_0^c({q},{v})")
+    phi = Modulus(q).phi  # validates q >= 3
+    out = np.empty(q)
+    out[0] = phi / (2 * q) * (
+        math.log(q / (2 * math.pi))
+        - sum(math.log(p) / (p - 1) for p in prime_factors(q))
+    ) + 0.5
+    sawtooth = _sawtooth(q)
+    for d in _divisors(q)[:-1]:
+        qd = q // d
+        u = np.flatnonzero(np.gcd(np.arange(qd), qd) == 1)
+        v = d * u
+        phi_qd = totient(qd)
+        out[v] = -phi / (2 * q) * von_mangoldt(qd) / phi_qd - sawtooth[v]
+        out[v] += _kernel(q, qd, truncation)[u] / phi_qd
+    out.flags.writeable = False
+    return out
+
+
+def s0c(q: int, v: int, truncation: int | None = None) -> float:
+    """The Proposition constant S_0^c(q, v); see s0c_vector."""
+    return float(s0c_vector(q, truncation)[v % q])
 
 
 def s0_main(q: int, v: int, H: float, truncation: int | None = None) -> float:
@@ -106,119 +129,94 @@ def s0_main(q: int, v: int, H: float, truncation: int | None = None) -> float:
 
 def c1(q: int, classes: tuple[int, ...] | list[int]) -> float:
     """First-order coefficient (phi/2)((r-1)/phi - #adjacent repeats)."""
-    mod = Modulus(q)
-    canon = tuple(mod.canonical(a) for a in classes)
-    for a in canon:
-        if math.gcd(a, q) != 1:
-            raise ValueError(f"class {a} not coprime to {q}")
-    r = len(canon)
-    if r < 2:
+    pat = ResiduePattern(q, tuple(classes))
+    if pat.r < 2:
         raise ValueError("patterns need r >= 2")
-    repeats = sum(1 for x, y in zip(canon, canon[1:]) if x == y)
-    return mod.phi / 2 * ((r - 1) / mod.phi - repeats)
+    phi = pat.modulus.phi
+    return phi / 2 * ((pat.r - 1) / phi - pat.repeat_count())
 
 
 # ---------------------------------------------------------------------------
-# the five closed forms for the pair constant c2(q; (a, b))
+# the closed forms for the pair constant c2(q; (a, b)), one table per q
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _shifted_s0c_sum(q: int, shift: int, truncation: int | None) -> float:
-    """sum over v mod q with gcd(v + shift, q) = 1 of S_0^c(q, v)."""
-    return sum(
-        s0c(q, v, truncation)
-        for v in range(1, q + 1)
-        if math.gcd(v + shift, q) == 1
-    )
+class _PairForm(NamedTuple):
+    """c2(q; (a, b)) = f[(b - a) mod q] + g[a mod q] + h[b mod q]."""
+
+    f: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+    def at(self, q: int, a, b):
+        """The value at (a, b); arrays of a and b broadcast to a grid."""
+        return self.f[(b - a) % q] + self.g[a % q] + self.h[b % q]
 
 
-@lru_cache(maxsize=128)
-def _coprime_difference_sum(q: int, truncation: int | None) -> float:
-    """sum over reduced v1, v2 of S_0^c(q, v2 - v1), grouped by difference."""
-    classes = Modulus(q).classes
-    counts: dict[int, int] = {}
-    for v1 in classes:
-        for v2 in classes:
-            dd = canonical_residue(q, v2 - v1)
-            counts[dd] = counts.get(dd, 0) + 1
-    return sum(n * s0c(q, dd, truncation) for dd, n in counts.items())
+def _reduced_form(q: int, f: np.ndarray, truncation: int | None) -> _PairForm:
+    """Divisor-reduced form: the characters pushed to the odd part q0 of q.
 
-
-def _c2_direct(q: int, a: int, b: int, truncation: int | None) -> float:
-    """Direct class sum: every S_0^c(q, v) enters with its density weight."""
-    phi = totient(q)
-    t = -epsilon_q(q, a, b) / phi
-    t += s0c(q, b - a, truncation) + sawtooth_B(q, b - a) - 1 / (2 * phi)
-    t -= _shifted_s0c_sum(q, a % q, truncation) / phi
-    t -= _shifted_s0c_sum(q, (-b) % q, truncation) / phi
-    t += _coprime_difference_sum(q, truncation) / phi**2
-    return q * t
-
-
-@lru_cache(maxsize=128)
-def _odd_character_kernels(q: int, truncation: int | None) -> tuple:
-    """(d, K_d) for each divisor d > 1 of q that has odd characters.
-
-    K_d(u) = sum over odd chi mod d of C(q, chi) conj(chi)(u), u = 0..d-1,
-    so the character form's inner double sum is one dot product per d.
+    G(a) = -H(a) = (q0/phi(q0)) sum_{d | q0} mu(d)/phi(d) K_{q0,d}(a).
     """
-    out = []
-    for d in range(2, q + 1):
-        if q % d:
-            continue
-        odd = [chi for chi in character_group(d).characters() if chi.is_odd()]
-        if not odd:
-            continue
-        c_vals = np.array([c_q_chi(q, chi, truncation) for chi in odd])
-        conj = np.array([chi.conjugate().values_table() for chi in odd])
-        kernel = c_vals @ conj
-        kernel.flags.writeable = False
-        out.append((d, kernel))
-    return tuple(out)
-
-
-def _c2_character(q: int, a: int, b: int, truncation: int | None) -> float:
-    """Character double sum over divisors d > 1 of q and odd chi mod d."""
-    phi = totient(q)
-    out: complex = math.log(2 * math.pi) / (2 * q)
-    out += s0c(q, b - a, truncation) + sawtooth_B(q, b - a)
-    for d, kernel in _odd_character_kernels(q, truncation):
-        u = np.arange(d) * (q // d)
-        # how many of u q/d + a and u q/d - b are coprime to q, per u mod d
-        hits = (np.gcd(u + a, q) == 1).astype(float) + (np.gcd(u - b, q) == 1)
-        out -= (kernel @ hits) / (phi * totient(d))
-    return q * _real(out, f"c2 character form ({q};{a},{b})")
-
-
-def _c2_reduced(q: int, a: int, b: int, truncation: int | None) -> float:
-    """Divisor-reduced form: everything pushed to the odd part q0 of q."""
-    q0 = q
-    while q0 % 2 == 0:
-        q0 //= 2
-    out: complex = math.log(2 * math.pi) / 2
-    out += q * s0c(q, b - a, truncation) + q * sawtooth_B(q, b - a)
-    tail = 0j
-    for d in range(1, q0 + 1):
-        if q0 % d:
-            continue
+    q0 = q // (q & -q)  # q & -q is the largest power of 2 dividing q
+    residues = np.arange(q)
+    k0 = np.zeros(q)
+    for d in _divisors(q0):
         mu = moebius(d)
-        if mu == 0:
-            continue
-        group = character_group(d)
-        inner = 0j
-        for chi in group.characters():
-            c_val = c_q_chi(q0, chi, truncation)
-            if c_val == 0:
-                continue
-            conj = chi.conjugate()
-            inner += c_val * (conj(b) - conj(a))
-        tail += mu / totient(d) * inner
-    out -= q0 / totient(q0) * tail
-    return _real(out, f"c2 reduced form ({q};{a},{b})")
+        if mu:
+            k0 += mu / totient(d) * _kernel(q0, d, truncation)[residues % d]
+    k0 *= q0 / totient(q0)
+    return _PairForm(f, k0, -k0)
 
 
-def _c2_diagonal(q: int, truncation: int | None) -> float:
+def _direct_form(q: int, s0: np.ndarray) -> _PairForm:
+    """Direct class sum: every S_0^c(q, v) enters with its density weight.
+
+    c2 = q (S(b-a) + B(b-a) - 1/(2 phi) + D/phi^2
+            - (Sh(a) + Sh(-b) + epsilon_q(a, b)) / phi),
+    with Sh(s) the sum of S(u - s) over units u, D = sum over units of Sh,
+    and epsilon_q(a, b) = (U(b - 1) - phi b/q) - (U(a) - phi a/q), with U(n)
+    the number of units in [1, n] and a, b read in [1, q].
+    """
+    phi = totient(q)
+    units = np.array(Modulus(q).classes)
+    residues = np.arange(q)
+    sh = s0[(units[None, :] - residues[:, None]) % q].sum(axis=1)
+    total = sh[units].sum()
+    upto = np.cumsum(np.gcd(np.arange(q + 1), q) == 1)
+    canon = np.r_[q, 1:q]
+    eps_a = upto[canon] - phi * canon / q
+    eps_b = upto[canon - 1] - phi * canon / q
+    f = q * (s0 + _sawtooth(q) - 1 / (2 * phi) + total / phi**2)
+    g = q * (eps_a - sh) / phi
+    h = -q * (sh[(-residues) % q] + eps_b) / phi
+    return _PairForm(f, g, h)
+
+
+def _character_form(q: int, f: np.ndarray, truncation: int | None) -> _PairForm:
+    """Character double sum over divisors d > 1 of q and odd chi mod d.
+
+    G(a) = -q W(a) and H(b) = -q W(-b), where
+    W(s) = sum_d sum_u K_{q,d}(u) [gcd(u q/d + s, q) = 1] / (phi phi(d)).
+    """
+    phi = totient(q)
+    residues = np.arange(q)
+    coprime = (np.gcd(residues, q) == 1).astype(float)
+    w = np.zeros(q)
+    for d in _divisors(q)[1:]:
+        shifted = np.arange(d)[:, None] * (q // d) + residues[None, :]
+        w += _kernel(q, d, truncation) @ coprime[shifted % q] / (phi * totient(d))
+    return _PairForm(f, -q * w, -q * w[(-residues) % q])
+
+
+def _prime_form(q: int, truncation: int | None) -> _PairForm:
+    """Prime q, a != b: F(v) = log(2 pi/q)/2 + (q/phi) K_{q,q}(v), G = -H."""
+    phi = q - 1
+    k = q / phi * _kernel(q, q, truncation)
+    return _PairForm(math.log(2 * math.pi / q) / 2 + k, -k / phi, k / phi)
+
+
+def _c2_diagonal(q: int) -> float:
     """Closed form on the diagonal a = b; no characters survive."""
     phi = totient(q)
     return (
@@ -226,62 +224,72 @@ def _c2_diagonal(q: int, truncation: int | None) -> float:
     ) / 2 - phi / 2 * sum(math.log(p) / (p - 1) for p in prime_factors(q))
 
 
-def _c2_prime(q: int, a: int, b: int, truncation: int | None) -> float:
-    """Prime q, a != b: single character sum over the full group mod q."""
-    phi = totient(q)
-    group = character_group(q)
-    acc = 0j
-    v = canonical_residue(q, b - a)
-    for chi in group.characters():
-        if chi.is_principal():
-            continue
-        c_val = c_q_chi(q, chi, truncation)
-        if c_val == 0:
-            continue
-        conj = chi.conjugate()
-        acc += c_val * (conj(v) + (conj(b) - conj(a)) / phi)
-    out = math.log(2 * math.pi / q) / 2 + q / phi * acc
-    return _real(out, f"c2 prime form ({q};{a},{b})")
+# forms that apply only on (True) or only off (False) the diagonal a = b
+_ON_DIAGONAL = {"diagonal": True, "prime_q": False}
+
+_CHECK_BLOCK = 1 << 18  # pairs compared at once: a few MB at any q
+
+
+def _check_forms(q: int, forms: Mapping[str, _PairForm]) -> None:
+    """Compare every applicable form with the reduced one on every pair."""
+    units = np.array(Modulus(q).classes)
+    rows = max(1, _CHECK_BLOCK // len(units))
+    for start in range(0, len(units), rows):
+        a = units[start:start + rows, None]
+        ref = forms["reduced"].at(q, a, units)
+        tol = FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(ref))
+        for tag, form in forms.items():
+            got = form.at(q, a, units)
+            bad = ~(np.abs(got - ref) <= tol)
+            if tag in _ON_DIAGONAL:
+                bad &= (a == units) == _ON_DIAGONAL[tag]
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise InternalConsistencyError(
+                    f"c2({q};({a[i, 0]},{units[j]})) forms disagree: "
+                    f"{tag}={got[i, j]!r} vs reduced={ref[i, j]!r}"
+                )
+
+
+@lru_cache(maxsize=16)
+def _c2_table(q: int, truncation: int | None) -> Mapping[str, _PairForm]:
+    """Every closed form of c2 mod q by method tag, checked entry by entry."""
+    s0 = s0c_vector(q, truncation)
+    f = math.log(2 * math.pi) / 2 + q * (s0 + _sawtooth(q))
+    zeros = np.zeros(q)
+    forms = {
+        "direct": _direct_form(q, s0),
+        "character": _character_form(q, f, truncation),
+        "reduced": _reduced_form(q, f, truncation),
+        "diagonal": _PairForm(np.full(q, _c2_diagonal(q)), zeros, zeros),
+    }
+    if prime_factors(q) == (q,):
+        forms["prime_q"] = _prime_form(q, truncation)
+    for form in forms.values():
+        for vec in form:
+            vec.flags.writeable = False
+    _check_forms(q, forms)
+    return MappingProxyType(forms)
 
 
 def c2_pair_forms(
     q: int, a: int, b: int, truncation: int | None = None
 ) -> dict[str, float]:
     """All applicable closed forms of c2(q; (a, b)), keyed by method tag."""
-    mod = Modulus(q)
-    a, b = mod.canonical(a), mod.canonical(b)
-    if math.gcd(a, q) != 1 or math.gcd(b, q) != 1:
-        raise ValueError(f"classes ({a},{b}) not reduced mod {q}")
-    forms = {
-        "direct": _c2_direct(q, a, b, truncation),
-        "character": _c2_character(q, a, b, truncation),
-        "reduced": _c2_reduced(q, a, b, truncation),
+    a, b = ResiduePattern(q, (a, b)).classes
+    return {
+        tag: float(form.at(q, a, b))
+        for tag, form in _c2_table(q, truncation).items()
+        if _ON_DIAGONAL.get(tag, a == b) == (a == b)
     }
-    if a == b:
-        forms["diagonal"] = _c2_diagonal(q, truncation)
-    else:
-        ps = prime_factors(q)
-        if len(ps) == 1 and ps[0] == q:
-            forms["prime_q"] = _c2_prime(q, a, b, truncation)
-    return forms
 
 
 def c2_pair(
     q: int, a: int, b: int, truncation: int | None = None
 ) -> float:
-    """c2 for a pair, from the divisor-reduced form.
-
-    Every other applicable form is computed as well, and any disagreement
-    beyond FORM_AGREEMENT_TOL aborts the call.
-    """
-    forms = c2_pair_forms(q, a, b, truncation)
-    ref = forms["reduced"]
-    for tag, val in forms.items():
-        if abs(val - ref) > FORM_AGREEMENT_TOL * max(1.0, abs(ref)):
-            raise InternalConsistencyError(
-                f"c2({q};({a},{b})) forms disagree: {tag}={val!r} vs reduced={ref!r}"
-            )
-    return ref
+    """c2 for a pair, from the divisor-reduced form (checked in _c2_table)."""
+    a, b = ResiduePattern(q, (a, b)).classes
+    return float(_c2_table(q, truncation)["reduced"].at(q, a, b))
 
 
 def c2_general(
@@ -294,15 +302,11 @@ def c2_general(
     c2(q; a) = sum_i c2(q; (a_i, a_{i+1}))
              + (phi/2) sum_{j=1}^{r-2} (1/j) ((r-1-j)/phi - #{i : a_i = a_{i+j+1}}).
     """
-    mod = Modulus(q)
-    canon = tuple(mod.canonical(x) for x in classes)
-    r = len(canon)
+    pat = ResiduePattern(q, tuple(classes))
+    canon, r, phi = pat.classes, pat.r, pat.modulus.phi
     if r < 2:
         raise ValueError("patterns need r >= 2")
-    total = sum(
-        c2_pair(q, canon[i], canon[i + 1], truncation) for i in range(r - 1)
-    )
-    phi = mod.phi
+    total = sum(c2_pair(q, x, y, truncation) for x, y in zip(canon, canon[1:]))
     for j in range(1, r - 1):
         lag = sum(1 for i in range(r - 1 - j) if canon[i] == canon[i + j + 1])
         total += phi / 2 / j * ((r - 1 - j) / phi - lag)
@@ -355,16 +359,11 @@ def conjecture_constants(
     classes: tuple[int, ...] | list[int],
     truncation: int | None = None,
 ) -> ConjectureConstants:
-    mod = Modulus(q)
-    canon = tuple(mod.canonical(x) for x in classes)
-    if len(canon) == 2:
-        c2_val = c2_pair(q, canon[0], canon[1], truncation)
-    else:
-        c2_val = c2_general(q, canon, truncation)
+    canon = ResiduePattern(q, tuple(classes)).classes
     return ConjectureConstants(
         q=q,
         classes=canon,
         c1=c1(q, canon),
-        c2=c2_val,
+        c2=c2_general(q, canon, truncation),
         c2_method="reduced",
     )

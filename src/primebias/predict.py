@@ -31,7 +31,7 @@ import numpy as np
 
 from .arith import Modulus, canonical_residue, epsilon_q, prime_factors
 from .constants import c1 as c1_coeff
-from .constants import c2_general, c2_pair, s0c, skip_coefficient
+from .constants import c2_general, c2_pair, s0c_vector, skip_coefficient
 from .singular import SingularContext
 
 __all__ = [
@@ -148,7 +148,7 @@ class _PairDensity:
         self.v0 = (self.b - self.a) % q
         self.slope = -self.phi / (2 * q)  # the log H coefficient at v = 0
 
-        s0c_arr = np.array([s0c(q, v, truncation) for v in range(q)])
+        s0c_arr = s0c_vector(q, truncation)
         w = lambda u: canonical_residue(q, u)
 
         self.w_v0 = w(self.v0)

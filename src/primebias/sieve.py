@@ -44,7 +44,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import InternalConsistencyError, Modulus, prime_factors, primes_upto
+from .arith import (
+    InternalConsistencyError,
+    Modulus,
+    check_pattern_budget,
+    prime_factors,
+    primes_upto,
+)
 from .characters import character_group
 
 __all__ = [
@@ -61,7 +67,6 @@ __all__ = [
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd numbers per segment: a 1 MB mask
 CHUNK_SIZE = 1 << 25  # integers per chunk, the unit of work of one worker
 MAX_SIEVE_LIMIT = 50_000_000_000
-MAX_PATTERNS = 1 << 24  # phi(q)**r; one int64 count each, per table
 TILE_PRIMES = (3, 5, 7, 11, 13, 17)
 TILE_PERIOD = 255255  # product of TILE_PRIMES, in odd numbers
 # windows starting at primes <= x close before x + GAP_PAD * (span + 1):
@@ -80,7 +85,7 @@ class SieveConfig:
     segment_size: int = DEFAULT_SEGMENT_SIZE
 
     def __post_init__(self):
-        mod = Modulus(self.q)  # validates q >= 3
+        Modulus(self.q)  # validates q >= 3
         if self.r < 2:
             raise ValueError("window length r must be >= 2")
         if self.skip < 1:
@@ -95,11 +100,7 @@ class SieveConfig:
             raise ValueError("threads must be >= 1")
         if self.segment_size < 1024 or self.segment_size % 2:
             raise ValueError("segment_size must be a positive even count >= 1024")
-        if mod.phi**self.r > MAX_PATTERNS:
-            raise ValueError(
-                f"phi({self.q})^{self.r} = {mod.phi**self.r:.3e} patterns exceed "
-                f"the budget of {MAX_PATTERNS} (one count per pattern, per table)"
-            )
+        check_pattern_budget(self.q, self.r)  # one int64 count each, per table
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -73,10 +74,26 @@ def test_integer_flags_accept_scientific_notation(capsys):
     ["count", "--q", "3", "--nth-prime", "2.5"],
     ["compare", "--q", "3", "--x", "1e-3"],
     ["predict", "--q", "3", "--x", "1e9,1.5", "--method", "asymptotic"],
+    ["constants", "--q", "12", "--truncation", "200000.5"],
+    ["dump-lvalues", "--q", "7", "--truncation", "2.5"],
 ])
 def test_integer_flags_refuse_fractions(argv, capsys):
     code, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--q", "12"],
+    ["dump-lvalues", "--q", "7"],
+    ["predict", "--q", "5", "--x", "1e9", "--method", "asymptotic"],
+    ["s0", "--q", "5", "--v", "0,1", "--H", "1e3", "--method", "analytic"],
+])
+def test_truncation_accepts_scientific_notation(argv, capsys):
+    code, plain = run_cli(argv + ["--truncation", "200000"], capsys)
+    assert code == 0
+    code, sci = run_cli(argv + ["--truncation", "2e5"], capsys)
+    assert code == 0
+    assert sci == plain
 
 
 def test_count_requires_exactly_one_bound(capsys):
@@ -314,8 +331,16 @@ def test_worker_internal_error_exit_code(monkeypatch, capsys, tmp_path):
 
 
 def test_pattern_budget_exit_code(capsys):
-    code, _ = run_cli(["count", "--q", "100", "--r", "6", "--x", "1e6"], capsys)
-    assert code == 2
+    # phi(q)**r > 2**24 patterns: refused before any pattern is enumerated
+    for argv in (["count", "--q", "100", "--r", "6", "--x", "1e6"],
+                 ["constants", "--q", "420", "--r", "4"],
+                 ["predict", "--q", "420", "--r", "4",
+                  "--method", "asymptotic", "--x", "1e9"]):
+        start = time.perf_counter()
+        code, out = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert time.perf_counter() - start < 5, argv
 
 
 def test_counting_imports_no_scipy(tmp_path):
@@ -346,14 +371,19 @@ def test_counting_imports_no_scipy(tmp_path):
 
 
 def test_form_mismatch_exit_code(monkeypatch, capsys):
-    exact = constants._c2_character
+    exact = constants._character_form
 
-    def skewed(q, a, b, truncation):
-        return exact(q, a, b, truncation) + 1e-6
+    def skewed(q, f, truncation):
+        form = exact(q, f, truncation)
+        return form._replace(g=form.g + 1e-6)
 
-    monkeypatch.setattr(constants, "_c2_character", skewed)
-    code, _ = run_cli(["constants", "--q", "5", "--classes", "1,2",
-                       "--truncation", "200000"], capsys)
+    monkeypatch.setattr(constants, "_character_form", skewed)
+    constants._c2_table.cache_clear()
+    try:
+        code, _ = run_cli(["constants", "--q", "5", "--classes", "1,2",
+                           "--truncation", "200000"], capsys)
+    finally:
+        constants._c2_table.cache_clear()
     assert code == 3
 
 

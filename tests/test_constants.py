@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from primebias import (
+    InternalConsistencyError,
     Modulus,
     c1,
     c2_general,
@@ -17,9 +18,12 @@ from primebias import (
     primes_upto,
     s0_main,
     s0c,
+    sawtooth_B,
     skip_coefficient,
+    totient,
     von_mangoldt,
 )
+from primebias import constants
 
 P_FAST = 200_000  # identity checks are truncation-independent, keep them quick
 
@@ -113,19 +117,92 @@ def test_c2_forms_agree_identically():
                 assert spread < 1e-8, (q, a, b, forms)
 
 
+def direct_form_oracle(q, a, b, truncation):
+    """The direct class sum for one pair, straight from its definition."""
+    phi = totient(q)
+    units = Modulus(q).classes
+
+    def shifted(shift):
+        return sum(s0c(q, v, truncation) for v in range(1, q + 1)
+                   if math.gcd(v + shift, q) == 1)
+
+    pairs = sum(s0c(q, v2 - v1, truncation) for v1 in units for v2 in units)
+    t = -epsilon_q(q, a, b) / phi
+    t += s0c(q, b - a, truncation) + sawtooth_B(q, b - a) - 1 / (2 * phi)
+    t -= (shifted(a) + shifted(-b)) / phi
+    t += pairs / phi**2
+    return q * t
+
+
+def test_c2_table_against_per_pair_direct_form():
+    for q in range(3, 31):
+        mod = Modulus(q)
+        for a in mod.classes:
+            for b in mod.classes:
+                want = direct_form_oracle(q, a, b, P_FAST)
+                forms = c2_pair_forms(q, a, b, truncation=P_FAST)
+                scale = max(1.0, abs(want))
+                assert abs(forms["direct"] - want) <= 1e-12 * scale, (q, a, b)
+                assert abs(forms["reduced"] - want) <= 1e-8 * scale, (q, a, b)
+
+
+@pytest.mark.parametrize("builder,tag,vector,index,raises", [
+    ("_direct_form", "direct", "h", 1, True),
+    ("_direct_form", "direct", "g", 4, True),  # the last row block only
+    ("_character_form", "character", "g", 2, True),
+    ("_reduced_form", "direct", "f", 3, True),  # reduced is the reference
+    ("_prime_form", "prime_q", "f", 1, True),
+    ("_prime_form", "prime_q", "f", 0, False),  # b - a = 0: off its domain
+])
+def test_one_skewed_entry_raises(monkeypatch, builder, tag, vector, index,
+                                 raises):
+    exact = getattr(constants, builder)
+
+    def skewed(*args):
+        form = exact(*args)
+        vec = getattr(form, vector).copy()
+        vec[index] += 1e-6
+        return form._replace(**{vector: vec})
+
+    monkeypatch.setattr(constants, builder, skewed)
+    monkeypatch.setattr(constants, "_CHECK_BLOCK", 8)  # two rows per block
+    constants._c2_table.cache_clear()
+    try:
+        if raises:
+            with pytest.raises(InternalConsistencyError,
+                               match=f"forms disagree: {tag}="):
+                c2_pair(5, 1, 1, truncation=P_FAST)
+        else:
+            c2_pair(5, 1, 1, truncation=P_FAST)
+    finally:
+        constants._c2_table.cache_clear()
+
+
+def test_skewed_diagonal_raises(monkeypatch):
+    exact = constants._c2_diagonal
+    monkeypatch.setattr(constants, "_c2_diagonal", lambda q: exact(q) + 1e-6)
+    constants._c2_table.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError,
+                           match=r"c2\(12;\(1,1\)\) forms disagree: diagonal="):
+            c2_pair(12, 1, 5, truncation=P_FAST)
+    finally:
+        constants._c2_table.cache_clear()
+
+
 def test_c2_reversal_symmetry():
-    for q in (5, 8, 12):
+    for q in range(3, 101):
         mod = Modulus(q)
         for a in mod.classes:
             for b in mod.classes:
                 lhs = c2_pair(q, a, b, truncation=P_FAST)
                 rhs = c2_pair(q, -b, -a, truncation=P_FAST)
-                assert lhs == pytest.approx(rhs, abs=1e-10)
+                assert abs(lhs - rhs) <= 1e-10, (q, a, b, lhs, rhs)
 
 
 def test_c2_symmetric_sum_character_free():
     # c2(a,b) + c2(b,a) has a closed form with no L-values in it
-    for q in (5, 8, 9, 12, 15):
+    for q in range(3, 101):
         mod = Modulus(q)
         for a in mod.classes:
             for b in mod.classes:
@@ -134,7 +211,7 @@ def test_c2_symmetric_sum_character_free():
                 want = c2_symmetric_sum(q, a, b)
                 got = (c2_pair(q, a, b, truncation=P_FAST)
                        + c2_pair(q, b, a, truncation=P_FAST))
-                assert got == pytest.approx(want, abs=1e-8)
+                assert abs(got - want) <= 1e-8, (q, a, b, got, want)
 
 
 def test_c2_prime_power_symmetry():
