@@ -13,7 +13,7 @@ closed forms that exist at q = 3, 4, 8 and 12.
 
 import math
 
-from primebias import c2_pair, c2_pair_forms, character_group, conjecture_constants
+from primebias import c1, c2_general, c2_pair, c2_pair_forms, character_group
 from primebias.arith import Modulus
 from primebias.lfun import a_q_chi
 
@@ -23,8 +23,8 @@ for q in (4, 8):
     print("pattern      c1        c2")
     for a in mod.classes:
         for b in mod.classes:
-            c = conjecture_constants(q, (a, b))
-            print(f" ({a},{b})    {c.c1:+.4f}   {c.c2:+.6f}")
+            c1_ab, c2_ab = c1(q, (a, b)), c2_general(q, (a, b))
+            print(f" ({a},{b})    {c1_ab:+.4f}   {c2_ab:+.6f}")
     print()
 
 # %%

@@ -18,13 +18,11 @@ from .arith import (
 )
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .constants import (
-    ConjectureConstants,
     c1,
     c2_general,
     c2_pair,
     c2_pair_forms,
     c2_symmetric_sum,
-    conjecture_constants,
     s0_main,
     s0c,
     skip_coefficient,
@@ -77,9 +75,8 @@ __all__ = [
     "pattern_epsilon", "prime_factors", "primes_upto", "sawtooth_B",
     "totient", "von_mangoldt",
     "CharacterGroup", "DirichletCharacter", "character_group",
-    "ConjectureConstants", "InternalConsistencyError", "c1", "c2_general",
-    "c2_pair", "c2_pair_forms", "c2_symmetric_sum", "conjecture_constants",
-    "s0_main", "s0c", "skip_coefficient",
+    "InternalConsistencyError", "c1", "c2_general", "c2_pair",
+    "c2_pair_forms", "c2_symmetric_sum", "s0_main", "s0c", "skip_coefficient",
     "CTable", "CTableRow", "a_q_chi", "build_ctable", "c_q_chi", "l_at_one",
     "l_at_zero", "reduce_c", "tail_bound",
     "DensityTerms", "PredictionRow", "adaptive_gauss_legendre",

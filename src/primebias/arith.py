@@ -125,10 +125,13 @@ def _reduced_residues(q: int) -> tuple[int, ...]:
 
 
 def check_pattern_budget(q: int, r: int) -> None:
-    """Refuse phi(q)^r > MAX_PATTERNS patterns before any is enumerated.
+    """Refuse r < 2, or phi(q)^r > MAX_PATTERNS patterns, before any
+    pattern is enumerated.
 
     The power is built one factor at a time, so a huge r costs nothing.
     """
+    if r < 2:
+        raise ValueError(f"patterns need r >= 2, got r={r}")
     phi = totient(q)
     n = 1
     for _ in range(r):

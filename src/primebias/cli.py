@@ -6,14 +6,14 @@ with --format json.  Floats are printed with 15 significant digits;
 counts stay exact integers.  --output FILE writes the table to FILE and
 a key=value run manifest to FILE.manifest.
 
-count writes its CSV table by table, straight from the count tables: each
-pattern's key string is built once, each table's constant fields are
-formatted once, and one string per table goes to the output.  Every table
-is complete before the first byte is written, so a failed run leaves no
-partial file.  The bytes are those the csv module writes (CRLF rows).
-The other commands build one dict per row.  Most rows cost a real
-computation, so formatting them is cheap by comparison; a constants row
-only reads the c2 table of its modulus, and there the rows cost more.
+Every command returns its table as blocks for one writer.  A block is a
+run of rows: a dict, in field order, from each field to a column (a list
+or array, one cell per row; a block has at least one) or to the one value
+its rows share, such as count's q and limit.  Blocks are written one at a
+time, so a run holds one block's text at once; constants and asymptotic
+predict make one block per leading class from arrays over all their
+patterns.  Every computation that can fail ends before the first byte is
+written.
 
 Exit codes: 0 on success, 2 on invalid arguments, 3 when an internal
 cross-check fails (two formulas for the same constant disagreeing is a
@@ -23,13 +23,14 @@ bug worth a loud exit, not a warning).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import sys
 import time
+from contextlib import nullcontext
 from decimal import Decimal, InvalidOperation
+
+import numpy as np
 
 from . import __version__
 from .arith import Modulus, ResiduePattern, check_pattern_budget
@@ -37,12 +38,13 @@ from .characters import character_group
 from .constants import (
     FORM_AGREEMENT_TOL,
     InternalConsistencyError,
-    c2_pair_forms,
-    conjecture_constants,
+    _pair_forms,
+    _pattern_constants,
     s0_main,
 )
 from .lfun import build_ctable, tail_bound
 from .predict import (
+    _asymptotic_terms,
     asymptotic_prediction,
     integral_prediction,
     skip_prediction,
@@ -101,8 +103,23 @@ def _truncation(args):
     return "none" if args.truncation is None else args.truncation
 
 
-def _pattern_key(classes) -> str:
-    return ";".join(str(a) for a in classes)
+def _pattern_keys(patterns, r: int) -> list[str]:
+    """The key of each r-tuple of classes, such as 1;7;11."""
+    template = ";".join(["%s"] * r)
+    return [template % c for c in patterns]
+
+
+def _columns(rows):
+    """The blocks of a list of dicts that share their keys: one block."""
+    return [{f: [row[f] for row in rows] for f in rows[0]}] if rows else []
+
+
+def _pattern_axes(args):
+    """The classes each position runs over: --classes, or every class."""
+    if args.classes is not None:
+        return [(a,) for a in ResiduePattern(args.q, args.classes).classes]
+    check_pattern_budget(args.q, args.r)
+    return [Modulus(args.q).classes] * args.r
 
 
 # ---------------------------------------------------------------- commands
@@ -121,78 +138,88 @@ def _cmd_count(args):
         tables = count_patterns_series(cfg, list(args.checkpoints))
     else:
         tables = [count_patterns(cfg)]
-    meta = {"modulus": args.q, "threads": workers}
-    return tables, meta
+
+    def blocks():
+        # tables of r <= 3 list every pattern, so their keys are built once
+        # and shared; sparse tables build theirs when the patterns change
+        classes = keys = None
+        for t in tables:
+            order = sorted(t.counts)
+            if order != classes:
+                classes, keys = order, _pattern_keys(order, t.r)
+            yield {"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
+                   "limit": t.limit, "classes": keys,
+                   "count": [t.counts[c] for c in classes]}
+
+    return blocks(), {"modulus": args.q, "threads": workers}
 
 
 def _cmd_predict(args):
-    mod = Modulus(args.q)
-    if args.classes is not None:
-        patterns = [tuple(args.classes)]
-        ResiduePattern(mod, patterns[0])  # reject classes not coprime to q
+    q, xs = args.q, args.x
+    axes = _pattern_axes(args)
+    if args.method == "asymptotic":
+        c1, c2 = _pattern_constants(q, np.ix_(*axes), args.truncation)
+        patterns = Modulus(q).phi ** len(axes)
+        values = np.stack([_asymptotic_terms(c1, c2, patterns, x)["value"]
+                           for x in xs], axis=-1)
+        method, errors = "asymptotic", None
+    elif len(axes) != 2:
+        raise ValueError(f"{args.method} predictions are defined for pairs")
     else:
-        check_pattern_budget(args.q, args.r)
-        patterns = list(itertools.product(mod.classes, repeat=args.r))
-    rows = []
-    for classes in patterns:
-        for x in args.x:
-            if args.method == "integral":
-                if len(classes) != 2:
-                    raise ValueError(
-                        "integral predictions are defined for pairs")
-                a, b = classes
-                row = integral_prediction(args.q, a, b, x,
-                                          truncation=args.truncation,
-                                          rel_tol=args.rel_tol)
-            elif args.method == "skip":
-                if len(classes) != 2:
-                    raise ValueError("skip predictions are defined for pairs")
-                a, b = classes
-                row = skip_prediction(args.q, a, b, args.skip, x)
-            else:
-                row = asymptotic_prediction(args.q, classes, x,
-                                            truncation=args.truncation)
-            rows.append({
-                "pattern": _pattern_key(row.classes), "x": x,
-                "value": row.value, "method": row.method,
-                "error_estimate": row.quadrature_error,
-            })
+        rows = [integral_prediction(q, a, b, x, truncation=args.truncation,
+                                    rel_tol=args.rel_tol)
+                if args.method == "integral"
+                else skip_prediction(q, a, b, args.skip, x)
+                for a in axes[0] for b in axes[1] for x in xs]
+        method = rows[0].method
+        values = np.array([r.value for r in rows]).reshape(len(axes[0]), -1)
+        errors = np.array([r.quadrature_error for r in rows]).reshape(values.shape)
+    # one block per leading class; rows run pattern by pattern, then by x
+    tail = _pattern_keys(itertools.product(*axes[1:]), len(axes) - 1)
+    blocks = ({"pattern": [f"{a};{k}" for k in tail for _ in xs],
+               "x": list(xs) * len(tail), "value": values[i].ravel(),
+               "method": method,
+               "error_estimate": None if errors is None else errors[i]}
+              for i, a in enumerate(axes[0]))
     meta = {
-        "modulus": args.q, "truncation": _truncation(args),
+        "modulus": q, "truncation": _truncation(args),
         "tail_bound": tail_bound(args.truncation), "rel_tol": args.rel_tol,
     }
-    return rows, meta
+    return blocks, meta
 
 
 def _cmd_constants(args):
-    mod = Modulus(args.q)
-    if args.classes is not None:
-        patterns = [tuple(args.classes)]
-    else:
-        check_pattern_budget(args.q, args.r)
-        patterns = list(itertools.product(mod.classes, repeat=args.r))
-    rows = []
-    for classes in patterns:
-        cc = conjecture_constants(args.q, classes,
-                                  truncation=args.truncation)
-        rows.append({
-            "pattern": _pattern_key(cc.classes),
-            "c1": cc.c1, "c2": cc.c2, "c2_method": cc.c2_method,
-        })
-        if args.forms and len(cc.classes) == 2:
-            a, b = cc.classes
-            forms = c2_pair_forms(args.q, a, b, truncation=args.truncation)
-            for tag, val in sorted(forms.items()):
-                rows.append({
-                    "pattern": _pattern_key(cc.classes),
-                    "c1": cc.c1, "c2": val, "c2_method": tag,
-                })
+    q, truncation = args.q, args.truncation
+    axes = _pattern_axes(args)
+    c1, c2 = _pattern_constants(q, np.ix_(*axes), truncation)
+    tail = _pattern_keys(itertools.product(*axes[1:]), len(axes) - 1)
+    b = np.array(axes[-1])
+
+    def blocks():
+        for i, a in enumerate(axes[0]):
+            keys = [f"{a};{k}" for k in tail]
+            if not (args.forms and len(axes) == 2):
+                yield {"pattern": keys, "c1": c1[i].ravel(),
+                       "c2": c2[i].ravel(), "c2_method": "reduced"}
+                continue
+            # each pair's c2 row, then a row per closed form that applies
+            tags, values, applies = zip(("reduced", c2[i], True),
+                                        *_pair_forms(q, a, b, truncation))
+            shown = np.column_stack(np.broadcast_arrays(*applies))
+            per_pair = shown.sum(axis=1)
+            yield {
+                "pattern": [k for k, n in zip(keys, per_pair) for _ in range(n)],
+                "c1": np.repeat(c1[i], per_pair),
+                "c2": np.column_stack(values)[shown],
+                "c2_method": np.broadcast_to(tags, shown.shape)[shown],
+            }
+
     meta = {
-        "modulus": args.q, "truncation": _truncation(args),
-        "tail_bound": tail_bound(args.truncation),
+        "modulus": q, "truncation": _truncation(args),
+        "tail_bound": tail_bound(truncation),
         "tolerance": FORM_AGREEMENT_TOL,
     }
-    return rows, meta
+    return blocks(), meta
 
 
 def _analytic_s0(q, v, H, k, truncation):
@@ -223,7 +250,7 @@ def _cmd_s0(args):
         "modulus": args.q, "truncation": _truncation(args),
         "tail_bound": ctx.tail_bound,
     }
-    return rows, meta
+    return _columns(rows), meta
 
 
 def _cmd_compare(args):
@@ -238,7 +265,7 @@ def _cmd_compare(args):
         asym = asymptotic_prediction(args.q, classes, x,
                                      truncation=args.truncation)
         row = {
-            "pattern": _pattern_key(classes), "actual": actual,
+            "pattern": ";".join(map(str, classes)), "actual": actual,
             "integral_prediction": "", "asymptotic_prediction": asym.value,
             "rel_err_integral": "",
             "rel_err_asymptotic": asym.value / actual - 1 if actual else "",
@@ -255,7 +282,7 @@ def _cmd_compare(args):
         "modulus": args.q, "x": x, "truncation": _truncation(args),
         "rel_tol": args.rel_tol, "threads": effective_workers(args.threads),
     }
-    return rows, meta
+    return _columns(rows), meta
 
 
 def _cmd_dump_characters(args):
@@ -270,7 +297,7 @@ def _cmd_dump_characters(args):
             "values": ";".join("%.15g%+.15gj" % (z.real, z.imag)
                                for z in vals),
         })
-    return rows, {"modulus": args.q}
+    return _columns(rows), {"modulus": args.q}
 
 
 def _cmd_dump_lvalues(args):
@@ -289,7 +316,7 @@ def _cmd_dump_lvalues(args):
         "modulus": args.q, "truncation": _truncation(args),
         "tail_bound": tail_bound(args.truncation),
     }
-    return rows, meta
+    return _columns(rows), meta
 
 
 # ------------------------------------------------------------------ plumbing
@@ -309,14 +336,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
+        sp.add_argument("--q", type=int, required=True)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None, metavar="FILE")
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="key=value defaults; explicit flags win")
-        sp.set_defaults(render=_render_rows)
 
     sp = sub.add_parser("count", help="exact pattern counts by sieve")
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--skip", type=int, default=1)
     sp.add_argument("--x", type=_exact_int, default=None,
@@ -327,10 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="worker processes, at most one per core")
     sp.add_argument("--checkpoints", type=_int_list, default=None)
     common(sp)
-    sp.set_defaults(func=_cmd_count, render=_render_count)
+    sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("predict", help="predicted pattern counts")
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--x", type=_int_list, required=True)
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--method", choices=("integral", "asymptotic", "skip"),
@@ -345,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_predict)
 
     sp = sub.add_parser("constants", help="bias constants per pattern")
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
@@ -357,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_constants)
 
     sp = sub.add_parser("s0", help="truncated pair-correlation sums")
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--v", type=_int_list, required=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--k", type=int, default=0)
@@ -369,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_s0)
 
     sp = sub.add_parser("compare", help="sieve counts next to predictions")
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--x", type=_exact_int, default=None)
     sp.add_argument("--nth-prime", dest="count", type=_exact_int,
@@ -383,12 +405,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_compare)
 
     sp = sub.add_parser("dump-characters", help="multiplicative character table")
-    sp.add_argument("--q", type=int, required=True)
     common(sp)
     sp.set_defaults(func=_cmd_dump_characters)
 
     sp = sub.add_parser("dump-lvalues", help="L-values and Euler factors")
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--truncation", type=_exact_int, default=None,
                     help=_TRUNCATION_HELP)
     common(sp)
@@ -408,83 +428,64 @@ def _load_config(path: str) -> list[str]:
     return flags
 
 
-def _serialize(rows, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(rows, indent=2, default=str) + "\n"
-    out = io.StringIO()
-    fields: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in fields:
-                fields.append(k)
-    writer = csv.DictWriter(out, fieldnames=fields, restval="")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(v) for k, v in row.items()})
-    return out.getvalue()
+def _column(value):
+    """A block's column as a list of cells, or None for a shared value."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value if isinstance(value, list) else None
 
 
-def _render_rows(rows, fmt: str):
-    """(row count, output chunks) for a list of row dicts."""
-    return len(rows), [_serialize(rows, fmt)]
+def _csv(blocks, fh) -> int:
+    """Write the header, then each block's rows through one template, and
+    return the number of rows.  The bytes are those csv.DictWriter writes:
+    no field needs quoting (numbers, words, keys such as 1;7;11); rows end
+    in CRLF.  No block's text outlives its write."""
+    nrows = 0
+    for block in blocks:
+        pieces, columns = [], []
+        for value in block.values():
+            cells = _column(value)
+            if cells is None:
+                pieces.append(_fmt(value).replace("%", "%%"))
+                continue
+            floats = {issubclass(k, float) for k in set(map(type, cells))}
+            if floats == {True, False}:  # floats among other cells
+                cells = [_fmt(v) for v in cells]
+            pieces.append("%.15g" if floats == {True} else "%s")
+            columns.append(cells)
+        if columns[0] and not nrows:
+            fh.write(",".join(block) + "\r\n")
+        template = ",".join(pieces) + "\r\n"
+        fh.write("".join([template % row for row in zip(*columns)]))
+        nrows += len(columns[0])
+    if not nrows:
+        fh.write("\r\n")  # the header DictWriter writes for no columns
+    return nrows
 
 
-def _count_rows(tables):
-    """Yield (table, pattern keys, counts) per table, in pattern order.
-
-    Tables of r <= 3 list every pattern, so their key strings are built
-    once and shared; sparse tables build theirs when the patterns change.
-    The keys read as _pattern_key's, from one %-template per length r.
-    """
-    classes = keys = None
-    for t in tables:
-        order = sorted(t.counts)
-        if order != classes:
-            template = ";".join(["%s"] * t.r)
-            classes, keys = order, [template % c for c in order]
-        yield t, keys, [t.counts[c] for c in classes]
-
-
-_COUNT_FIELDS = ("q", "r", "skip", "mode", "limit", "classes", "count")
-
-
-def _count_csv(tables):
-    """Yield the count CSV, the header and then one chunk per table.
-
-    Byte for byte what csv.DictWriter writes from one dict per row: no
-    field needs quoting (integers, the mode word, keys such as 1;7;11),
-    and rows end in CRLF.  With no rows at all the output is the empty
-    header line DictWriter writes for no columns.
-    """
-    if not any(t.counts for t in tables):
-        yield "\r\n"
-        return
-    yield ",".join(_COUNT_FIELDS) + "\r\n"
-    for t, keys, counts in _count_rows(tables):
-        prefix = f"{t.q},{t.r},{t.skip},{t.mode},{t.limit},"
-        yield "".join([f"{prefix}{k},{n}\r\n" for k, n in zip(keys, counts)])
-
-
-def _render_count(tables, fmt: str):
-    """(row count, output chunks) for the count command's tables."""
-    if fmt == "json":
-        return _render_rows(
-            [dict(zip(_COUNT_FIELDS, (t.q, t.r, t.skip, t.mode, t.limit, k, n)))
-             for t, keys, counts in _count_rows(tables)
-             for k, n in zip(keys, counts)], fmt)
-    return sum(len(t.counts) for t in tables), _count_csv(tables)
+def _json(blocks, fh) -> int:
+    """Write one json.dumps(rows, indent=2) of every row as a dict, block
+    by block, and return the number of rows.  Each block's items are cut
+    from the dump of its own rows, between its "[\n" and "\n]"."""
+    nrows = 0
+    for block in blocks:
+        cells = [itertools.repeat(value) if (column := _column(value)) is None
+                 else column for value in block.values()]
+        rows = [dict(zip(block, row)) for row in zip(*cells)]
+        if rows:
+            fh.write(("[\n" if not nrows else ",\n")
+                     + json.dumps(rows, indent=2)[2:-2])
+        nrows += len(rows)
+        del rows  # before the next block's rows are built
+    fh.write("\n]\n" if nrows else "[]\n")
+    return nrows
 
 
 def _manifest(argv, meta, wall, nrows) -> str:
-    lines = [
-        "command=primebias " + " ".join(argv),
-        f"version={__version__}",
-    ]
-    for k, v in meta.items():
-        lines.append(f"{k}={_fmt(v)}")
-    lines.append(f"rows={nrows}")
-    lines.append(f"wall_seconds={wall:.3f}")
-    return "\n".join(lines) + "\n"
+    fields = {"command": "primebias " + " ".join(argv),
+              "version": __version__, **meta, "rows": nrows}
+    return ("".join(f"{k}={_fmt(v)}\n" for k, v in fields.items())
+            + f"wall_seconds={wall:.3f}\n")
 
 
 def main(argv=None) -> int:
@@ -509,7 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        rows, meta = args.func(args)
+        blocks, meta = args.func(args)
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
@@ -517,14 +518,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start
-    nrows, chunks = args.render(rows, args.format)
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+        nrows = (_json if args.format == "json" else _csv)(blocks, fh)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.writelines(chunks)
         with open(args.output + ".manifest", "w") as fh:
             fh.write(_manifest(argv, meta, wall, nrows))
-    else:
-        sys.stdout.writelines(chunks)
     return 0
 
 

@@ -12,13 +12,12 @@ K(u) = sum over chi mod d of C(q, chi) conj(chi)(u).  Every closed form of
 the pair constant has the shape c2(q; (a, b)) = F(b - a) + G(a) + H(b).  One
 table per q holds them all, and no value is returned until every applicable
 form agrees with the divisor-reduced one on every pair.  Longer patterns and
-skip patterns reduce to the pair constants.
+skip patterns reduce to the pair constants, for one pattern or a grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -40,7 +39,7 @@ from .lfun import c_q_chi
 __all__ = [
     "InternalConsistencyError", "s0c", "s0c_vector", "s0_main", "c1",
     "c2_pair", "c2_pair_forms", "c2_general", "c2_symmetric_sum",
-    "skip_coefficient", "ConjectureConstants", "conjecture_constants",
+    "skip_coefficient",
 ]
 
 # forms are algebraically identical at any fixed truncation, so disagreement
@@ -127,13 +126,23 @@ def s0_main(q: int, v: int, H: float, truncation: int | None = None) -> float:
     return s0c(q, v, truncation)
 
 
+def _coincidences(classes, j: int):
+    """#{i : a_i = a_{i+j+1}} for patterns as in _pattern_constants."""
+    # sum() starts from the integer 0, so bool arrays add up as counts
+    return sum(x == y for x, y in zip(classes, classes[j + 1:]))
+
+
+def _pattern_c1(phi: int, classes):
+    """c1 for patterns as in _pattern_constants."""
+    if len(classes) < 2:
+        raise ValueError("patterns need r >= 2")
+    return phi / 2 * ((len(classes) - 1) / phi - _coincidences(classes, 0))
+
+
 def c1(q: int, classes: tuple[int, ...] | list[int]) -> float:
     """First-order coefficient (phi/2)((r-1)/phi - #adjacent repeats)."""
     pat = ResiduePattern(q, tuple(classes))
-    if pat.r < 2:
-        raise ValueError("patterns need r >= 2")
-    phi = pat.modulus.phi
-    return phi / 2 * ((pat.r - 1) / phi - pat.repeat_count())
+    return float(_pattern_c1(pat.modulus.phi, pat.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +281,52 @@ def _c2_table(q: int, truncation: int | None) -> Mapping[str, _PairForm]:
     return MappingProxyType(forms)
 
 
+def _pair_forms(q: int, a, b, truncation: int | None):
+    """Yield (tag, values, applies) for every closed form, sorted by tag;
+    applies marks the pairs (a, b) on which the form holds.  a and b are
+    canonical classes or arrays of them that broadcast."""
+    diagonal = np.equal(a, b)
+    for tag, form in sorted(_c2_table(q, truncation).items()):
+        yield tag, form.at(q, a, b), diagonal == _ON_DIAGONAL.get(tag, diagonal)
+
+
 def c2_pair_forms(
     q: int, a: int, b: int, truncation: int | None = None
 ) -> dict[str, float]:
     """All applicable closed forms of c2(q; (a, b)), keyed by method tag."""
     a, b = ResiduePattern(q, (a, b)).classes
-    return {
-        tag: float(form.at(q, a, b))
-        for tag, form in _c2_table(q, truncation).items()
-        if _ON_DIAGONAL.get(tag, a == b) == (a == b)
-    }
+    return {tag: float(value)
+            for tag, value, applies in _pair_forms(q, a, b, truncation)
+            if applies}
 
 
 def c2_pair(
     q: int, a: int, b: int, truncation: int | None = None
 ) -> float:
     """c2 for a pair, from the divisor-reduced form (checked in _c2_table)."""
-    a, b = ResiduePattern(q, (a, b)).classes
-    return float(_c2_table(q, truncation)["reduced"].at(q, a, b))
+    return c2_general(q, (a, b), truncation)
+
+
+def _pattern_constants(q: int, classes, truncation: int | None):
+    """c1 and c2 of the patterns (a_1, ..., a_r), entry by entry.
+
+    classes holds r canonical reduced classes mod q, or arrays of them that
+    broadcast together: np.ix_(*[Modulus(q).classes] * r) gives every
+    pattern, in itertools.product order.  Only r >= 2 is checked.
+
+    c2(q; a) = sum_i c2(q; (a_i, a_{i+1}))
+             + (phi/2) sum_{j=1}^{r-2} (1/j) ((r-1-j)/phi - #{i : a_i = a_{i+j+1}}),
+    summed in that order, so a pattern reads the same bits alone as in a grid.
+    """
+    phi, r = totient(q), len(classes)
+    c1 = _pattern_c1(phi, classes)
+    pair = _c2_table(q, truncation)["reduced"]
+    c2 = pair.at(q, classes[0], classes[1])
+    for x, y in zip(classes[1:], classes[2:]):
+        c2 = c2 + pair.at(q, x, y)
+    for j in range(1, r - 1):
+        c2 = c2 + phi / 2 / j * ((r - 1 - j) / phi - _coincidences(classes, j))
+    return c1, c2
 
 
 def c2_general(
@@ -297,20 +334,9 @@ def c2_general(
     classes: tuple[int, ...] | list[int],
     truncation: int | None = None,
 ) -> float:
-    """c2 for an r-tuple: adjacent pair constants plus the lag corrections.
-
-    c2(q; a) = sum_i c2(q; (a_i, a_{i+1}))
-             + (phi/2) sum_{j=1}^{r-2} (1/j) ((r-1-j)/phi - #{i : a_i = a_{i+j+1}}).
-    """
-    pat = ResiduePattern(q, tuple(classes))
-    canon, r, phi = pat.classes, pat.r, pat.modulus.phi
-    if r < 2:
-        raise ValueError("patterns need r >= 2")
-    total = sum(c2_pair(q, x, y, truncation) for x, y in zip(canon, canon[1:]))
-    for j in range(1, r - 1):
-        lag = sum(1 for i in range(r - 1 - j) if canon[i] == canon[i + j + 1])
-        total += phi / 2 / j * ((r - 1 - j) / phi - lag)
-    return total
+    """c2 for an r-tuple: pair constants plus lag terms (_pattern_constants)."""
+    canon = ResiduePattern(q, tuple(classes)).classes
+    return float(_pattern_constants(q, canon, truncation)[1])
 
 
 def c2_symmetric_sum(q: int, a: int, b: int) -> float:
@@ -341,29 +367,3 @@ def skip_coefficient(q: int, k: int, equal: bool) -> tuple[float, float]:
     if equal:
         return 0.0, -(phi - 1) / (2 * (k - 1))
     return 0.0, 1 / (2 * (k - 1))
-
-
-@dataclass(frozen=True)
-class ConjectureConstants:
-    """c1/c2 bundle for a pattern."""
-
-    q: int
-    classes: tuple[int, ...]
-    c1: float
-    c2: float
-    c2_method: str
-
-
-def conjecture_constants(
-    q: int,
-    classes: tuple[int, ...] | list[int],
-    truncation: int | None = None,
-) -> ConjectureConstants:
-    canon = ResiduePattern(q, tuple(classes)).classes
-    return ConjectureConstants(
-        q=q,
-        classes=canon,
-        c1=c1(q, canon),
-        c2=c2_general(q, canon, truncation),
-        c2_method="reduced",
-    )

@@ -29,9 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import Modulus, canonical_residue, epsilon_q, prime_factors
-from .constants import c1 as c1_coeff
-from .constants import c2_general, c2_pair, s0c_vector, skip_coefficient
+from .arith import (
+    Modulus,
+    ResiduePattern,
+    canonical_residue,
+    epsilon_q,
+    prime_factors,
+)
+from .constants import _pattern_constants, s0c_vector, skip_coefficient
 from .singular import SingularContext
 
 __all__ = [
@@ -297,6 +302,27 @@ class PredictionRow:
     quadrature_error: float | None = None
 
 
+def _asymptotic_terms(c1, c2, patterns: int, x: float) -> dict:
+    """The terms of li(x)/patterns (1 + c1 loglog x / log x + c2 / log x),
+    assembled literally, with their sum as "value".
+
+    c1 and c2 may be arrays (see constants._pattern_constants); li(x) is
+    taken once for all of them.
+    """
+    if x <= math.e:
+        raise ValueError("x too small for loglog")
+    li_x = li(x)
+    main = li_x / patterns
+    logx = math.log(x)
+    loglog_term = c1 * math.log(logx) / logx
+    log_term = c2 / logx
+    return {
+        "li": li_x, "main": main, "c1": c1, "c2": c2,
+        "loglog_term": loglog_term, "log_term": log_term,
+        "value": main * (1.0 + loglog_term + log_term),
+    }
+
+
 def asymptotic_prediction(
     q: int,
     classes: tuple[int, ...] | list[int],
@@ -304,30 +330,12 @@ def asymptotic_prediction(
     truncation: int | None = None,
 ) -> PredictionRow:
     """li(x)/phi^r (1 + c1 loglog x / log x + c2 / log x), assembled literally."""
-    mod = Modulus(q)
-    canon = tuple(mod.canonical(c) for c in classes)
-    r = len(canon)
-    if r < 2:
-        raise ValueError("patterns need r >= 2")
-    if x <= math.e:
-        raise ValueError("x too small for loglog")
-    li_x = li(x)
-    main = li_x / mod.phi**r
-    c1_val = c1_coeff(q, canon)
-    if r == 2:
-        c2_val = c2_pair(q, canon[0], canon[1], truncation)
-    else:
-        c2_val = c2_general(q, canon, truncation)
-    logx = math.log(x)
-    loglog_term = c1_val * math.log(logx) / logx
-    log_term = c2_val / logx
-    value = main * (1.0 + loglog_term + log_term)
+    pat = ResiduePattern(q, tuple(classes))
+    c1, c2 = _pattern_constants(q, pat.classes, truncation)
+    terms = _asymptotic_terms(float(c1), float(c2), pat.modulus.phi**pat.r, x)
     return PredictionRow(
-        q=q, classes=canon, x=x, method="asymptotic", value=value,
-        terms={
-            "li": li_x, "main": main, "c1": c1_val, "c2": c2_val,
-            "loglog_term": loglog_term, "log_term": log_term,
-        },
+        q=q, classes=pat.classes, x=x, method="asymptotic",
+        value=terms.pop("value"), terms=terms,
     )
 
 

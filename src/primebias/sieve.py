@@ -86,8 +86,6 @@ class SieveConfig:
 
     def __post_init__(self):
         Modulus(self.q)  # validates q >= 3
-        if self.r < 2:
-            raise ValueError("window length r must be >= 2")
         if self.skip < 1:
             raise ValueError("skip must be >= 1")
         if (self.x is None) == (self.count is None):
@@ -100,7 +98,7 @@ class SieveConfig:
             raise ValueError("threads must be >= 1")
         if self.segment_size < 1024 or self.segment_size % 2:
             raise ValueError("segment_size must be a positive even count >= 1024")
-        check_pattern_budget(self.q, self.r)  # one int64 count each, per table
+        check_pattern_budget(self.q, self.r)  # r >= 2; one int64 per pattern
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,22 @@ import pytest
 
 import primebias
 from primebias import cli, constants, sieve
-from primebias.constants import InternalConsistencyError
+from primebias.arith import Modulus, ResiduePattern
+from primebias.characters import character_group
+from primebias.constants import (
+    InternalConsistencyError,
+    c1,
+    c2_general,
+    c2_pair_forms,
+    s0_main,
+)
+from primebias.lfun import build_ctable
+from primebias.predict import (
+    asymptotic_prediction,
+    integral_prediction,
+    skip_prediction,
+)
+from primebias.singular import SingularContext, s0_brute, s0_moment_main
 
 
 def run_cli(argv, capsys):
@@ -215,16 +231,113 @@ def test_dump_lvalues(capsys):
     assert abs(float(rows[0]["a_re"])) < 1e-20  # Euler product vanishes here
 
 
-def _dict_row_output(tables, fmt):
-    """The count output built the plain way: one dict per row, every cell
-    formatted by itself, csv.DictWriter or json.dumps(indent=2) over the
-    whole list.  Returns (text, number of rows)."""
-    rows = [{"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
-             "limit": t.limit, "classes": ";".join(str(a) for a in c),
-             "count": t.counts[c]}
+def _key(classes):
+    return ";".join(str(a) for a in classes)
+
+
+def _count_rows(tables):
+    return [{"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
+             "limit": t.limit, "classes": _key(c), "count": t.counts[c]}
             for t in tables for c in sorted(t.counts)]
+
+
+def _patterns(q, r=2, classes=None):
+    if classes is not None:
+        return [ResiduePattern(q, classes).classes]
+    return list(itertools.product(Modulus(q).classes, repeat=r))
+
+
+def _constants_rows(q, r=2, classes=None, truncation=None, forms=False):
+    rows = []
+    for pat in _patterns(q, r, classes):
+        row = {"pattern": _key(pat), "c1": c1(q, pat),
+               "c2": c2_general(q, pat, truncation), "c2_method": "reduced"}
+        rows.append(row)
+        if forms and len(pat) == 2:
+            found = c2_pair_forms(q, *pat, truncation=truncation)
+            rows += [dict(row, c2=val, c2_method=tag)
+                     for tag, val in sorted(found.items())]
+    return rows
+
+
+def _predict_rows(q, xs, method, r=2, classes=None, truncation=None,
+                  skip=2):
+    rows = []
+    for pat in _patterns(q, r, classes):
+        for x in xs:
+            if method == "integral":
+                got = integral_prediction(q, *pat, x, truncation=truncation)
+            elif method == "skip":
+                got = skip_prediction(q, *pat, skip, x)
+            else:
+                got = asymptotic_prediction(q, pat, x, truncation=truncation)
+            rows.append({"pattern": _key(got.classes), "x": x,
+                         "value": got.value, "method": got.method,
+                         "error_estimate": got.quadrature_error})
+    return rows
+
+
+def _s0_rows(q, vs, H, method, k=0, truncation=None):
+    ctx = SingularContext(q, truncation=truncation)
+    rows = []
+    for v in vs:
+        row = {"q": q, "v": v, "H": H, "k": k, "method": method}
+        if method in ("brute", "both"):
+            got = s0_brute(ctx, v, H, k=k)
+            row["brute"], row["cutoff"] = got.value, got.cutoff
+        if method in ("analytic", "both"):
+            row["analytic"] = (s0_main(q, v, H, truncation) if k == 0
+                               else s0_moment_main(q, H, k) if v % q == 0
+                               else 0.0)
+        if method == "both":
+            row["difference"] = row["brute"] - row["analytic"]
+        rows.append(row)
+    return rows
+
+
+def _compare_rows(q, r, x, truncation=None):
+    table = sieve.count_patterns(sieve.SieveConfig(q=q, r=r, x=x))
+    rows = []
+    for pat, actual in sorted(table.counts.items()):
+        asym = asymptotic_prediction(q, pat, x, truncation=truncation).value
+        row = {"pattern": _key(pat), "actual": actual,
+               "integral_prediction": "", "asymptotic_prediction": asym,
+               "rel_err_integral": "",
+               "rel_err_asymptotic": asym / actual - 1 if actual else ""}
+        if r == 2:
+            integ = integral_prediction(q, *pat, x,
+                                        truncation=truncation).value
+            row["integral_prediction"] = integ
+            if actual:
+                row["rel_err_integral"] = integ / actual - 1
+        rows.append(row)
+    return rows
+
+
+def _character_rows(q):
+    return [{"name": chi.name(), "modulus": chi.modulus,
+             "conductor": chi.conductor(), "order": chi.order(),
+             "parity": chi.parity(),
+             "values": ";".join("%.15g%+.15gj" % (z.real, z.imag)
+                                for z in chi.values_table())}
+            for chi in character_group(q).characters()]
+
+
+def _lvalue_rows(q, truncation=None):
+    return [{"name": r.name, "conductor": r.conductor, "parity": r.parity,
+             "l0_re": r.l0.real, "l0_im": r.l0.imag,
+             "l1_re": r.l1.real, "l1_im": r.l1.imag,
+             "a_re": r.a.real, "a_im": r.a.imag,
+             "c_re": r.c.real, "c_im": r.c.imag, "tail": r.tail}
+            for r in build_ctable(q, truncation=truncation).rows]
+
+
+def _dict_row_output(rows, fmt):
+    """A command's output built the plain way: one dict per row, every
+    cell formatted by itself, csv.DictWriter or json.dumps(indent=2) over
+    the whole list.  Returns (text, number of rows)."""
     if fmt == "json":
-        return json.dumps(rows, indent=2, default=str) + "\n", len(rows)
+        return json.dumps(rows, indent=2) + "\n", len(rows)
     out = io.StringIO()
     fields = []
     for row in rows:
@@ -255,20 +368,111 @@ def test_count_output_matches_dict_rows(flags, config, fmt, tmp_path, capsys):
     cfg = sieve.SieveConfig(**config)
     tables = (sieve.count_patterns_series(cfg, xs) if xs
               else [sieve.count_patterns(cfg)])
-    want, nrows = _dict_row_output(tables, fmt)
-    argv = ["count"] + flags + ["--format", fmt]
+    _check_output(["count"] + flags, _count_rows(tables), fmt, tmp_path,
+                  capsys)
+
+
+# JSON cells that must stay numbers of one kind, never strings
+_JSON_FLOATS = ("c1", "c2", "value")
+_JSON_INTS = ("x", "count")
+
+
+def _check_output(argv, rows, fmt, tmp_path, capsys):
+    """The command writes rows as _dict_row_output does, to stdout and to
+    --output, and its manifest counts them."""
+    want, nrows = _dict_row_output(rows, fmt)
+    argv = argv + ["--format", fmt]
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert out == want
-    target = tmp_path / "counts"
+    target = tmp_path / "table"
     code, out = run_cli(argv + ["--output", str(target)], capsys)
     assert code == 0
     assert out == ""
     assert target.read_bytes() == want.encode()
-    manifest = (tmp_path / "counts.manifest").read_text().splitlines()
+    manifest = (tmp_path / "table.manifest").read_text().splitlines()
     assert f"rows={nrows}" in manifest
     if fmt == "csv":
         assert nrows == max(0, want.count("\r\n") - 1)
+    else:
+        for row in json.loads(want):
+            for field in _JSON_FLOATS:
+                assert type(row.get(field, 0.0)) is float, (field, row)
+            for field in _JSON_INTS:
+                assert type(row.get(field, 0)) is int, (field, row)
+
+
+P = 200_000
+_TABLES = [
+    pytest.param(["constants", "--q", str(q)], lambda q=q: _constants_rows(q),
+                 id=f"constants-q{q}")
+    for q in (4, 12, 60)
+] + [
+    pytest.param(["constants", "--q", "30", "--r", "3"],
+                 lambda: _constants_rows(30, r=3), id="constants-q30-r3"),
+    pytest.param(["constants", "--q", "5", "--r", "4"],
+                 lambda: _constants_rows(5, r=4), id="constants-q5-r4"),
+    pytest.param(["constants", "--q", "12", "--classes=-7,19,1"],
+                 lambda: _constants_rows(12, classes=(-7, 19, 1)),
+                 id="constants-classes"),
+] + [
+    pytest.param(["constants", "--q", str(q), "--classes", pair, "--forms"],
+                 lambda q=q, pair=pair: _constants_rows(
+                     q, classes=tuple(map(int, pair.split(","))), forms=True),
+                 id=f"constants-forms-q{q}-{pair}")
+    for q, pair in ((5, "1,1"), (5, "1,2"), (12, "5,5"), (12, "5,7"))
+] + [
+    pytest.param(["constants", "--q", "12", "--truncation", "2e5"],
+                 lambda: _constants_rows(12, truncation=P),
+                 id="constants-truncation"),
+    pytest.param(["predict", "--q", "12", "--method", "asymptotic",
+                  "--x", "1e9,1e12,1e15"],
+                 lambda: _predict_rows(12, (10**9, 10**12, 10**15),
+                                       "asymptotic"),
+                 id="predict-asymptotic-r2"),
+    pytest.param(["predict", "--q", "12", "--r", "3", "--method",
+                  "asymptotic", "--x", "1e9,1e12,1e15"],
+                 lambda: _predict_rows(12, (10**9, 10**12, 10**15),
+                                       "asymptotic", r=3),
+                 id="predict-asymptotic-r3"),
+    pytest.param(["predict", "--q", "5", "--classes", "1,2", "--x", "1e9",
+                  "--truncation", "2e5"],
+                 lambda: _predict_rows(5, (10**9,), "integral",
+                                       classes=(1, 2), truncation=P),
+                 id="predict-integral"),
+    pytest.param(["predict", "--q", "5", "--classes", "1,4", "--method",
+                  "skip", "--skip", "3", "--x", "1e9,1e12"],
+                 lambda: _predict_rows(5, (10**9, 10**12), "skip",
+                                       classes=(1, 4), skip=3),
+                 id="predict-skip"),
+] + [
+    pytest.param(["s0", "--q", "5", "--v", "0,1,3", "--H", "100", "--k", k,
+                  "--method", method, "--truncation", "2e5"],
+                 lambda k=k, method=method: _s0_rows(
+                     5, (0, 1, 3), 100.0, method, k=int(k), truncation=P),
+                 id=f"s0-{method}-k{k}")
+    for method, k in (("brute", "0"), ("analytic", "0"), ("both", "0"),
+                      ("analytic", "2"))
+] + [
+    # at x = 500 some triples mod 5 are never seen: mixed float, "" cells
+    pytest.param(["compare", "--q", q, "--r", r, "--x", x,
+                  "--truncation", "2e5"],
+                 lambda q=q, r=r, x=x: _compare_rows(int(q), int(r), int(x),
+                                                     truncation=P),
+                 id=f"compare-q{q}-r{r}")
+    for q, r, x in (("3", "2", "10000"), ("5", "3", "500"))
+] + [
+    pytest.param(["dump-characters", "--q", "12"],
+                 lambda: _character_rows(12), id="dump-characters"),
+    pytest.param(["dump-lvalues", "--q", "12"], lambda: _lvalue_rows(12),
+                 id="dump-lvalues"),
+]
+
+
+@pytest.mark.parametrize("argv, rows", _TABLES)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_matches_dict_rows(argv, rows, fmt, tmp_path, capsys):
+    _check_output(argv, rows(), fmt, tmp_path, capsys)
 
 
 def test_output_file_and_manifest(tmp_path, capsys):
@@ -331,11 +535,17 @@ def test_worker_internal_error_exit_code(monkeypatch, capsys, tmp_path):
 
 
 def test_pattern_budget_exit_code(capsys):
-    # phi(q)**r > 2**24 patterns: refused before any pattern is enumerated
-    for argv in (["count", "--q", "100", "--r", "6", "--x", "1e6"],
+    # r < 2, or phi(q)**r > 2**24 patterns: refused before any pattern is
+    # enumerated
+    short = [[cmd, "--q", "420", "--r", r] + tail
+             for r in ("1", "0", "-1")
+             for cmd, tail in (("constants", []), ("count", ["--x", "1e6"]),
+                               ("predict", ["--method", "asymptotic",
+                                            "--x", "1e9"]))]
+    for argv in [["count", "--q", "100", "--r", "6", "--x", "1e6"],
                  ["constants", "--q", "420", "--r", "4"],
                  ["predict", "--q", "420", "--r", "4",
-                  "--method", "asymptotic", "--x", "1e9"]):
+                  "--method", "asymptotic", "--x", "1e9"]] + short:
         start = time.perf_counter()
         code, out = run_cli(argv, capsys)
         assert code == 2, argv

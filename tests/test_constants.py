@@ -13,7 +13,6 @@ from primebias import (
     c2_pair,
     c2_pair_forms,
     c2_symmetric_sum,
-    conjecture_constants,
     epsilon_q,
     primes_upto,
     s0_main,
@@ -23,7 +22,7 @@ from primebias import (
     totient,
     von_mangoldt,
 )
-from primebias import constants
+from primebias import cli, constants
 
 P_FAST = 200_000  # identity checks are truncation-independent, keep them quick
 
@@ -240,6 +239,13 @@ def test_c2_triple_assembly():
         lag = 1.0 * (1.0 / 1.0) * (
             (3 - 1 - 1) / 2.0 - (1 if classes[0] == classes[2] else 0))
         assert got == pytest.approx(pair_sum + lag, abs=1e-10)
+    # mod 5 the pair constant depends on the order of its classes
+    assert c2_pair(5, 2, 4, truncation=P_FAST) != pytest.approx(
+        c2_pair(5, 4, 2, truncation=P_FAST))
+    got = c2_general(5, (1, 2, 4), truncation=P_FAST)
+    pair_sum = (c2_pair(5, 1, 2, truncation=P_FAST)
+                + c2_pair(5, 2, 4, truncation=P_FAST))
+    assert got == pytest.approx(pair_sum + 2.0 * (1 / 4), abs=1e-10)
 
 
 def test_skip_coefficients():
@@ -249,10 +255,17 @@ def test_skip_coefficients():
     assert skip_coefficient(3, 4, equal=True) == (0.0, pytest.approx(-1.0 / 6))
 
 
-def test_conjecture_constants_bundle():
-    cc = conjecture_constants(3, (1, 2), truncation=P_FAST)
-    assert cc.q == 3
-    assert cc.classes == (1, 2)
-    assert cc.c1 == pytest.approx(0.5)
-    assert cc.c2 == pytest.approx(0.5 * math.log(2 * math.pi / 3), abs=1e-7)
-    assert cc.c2_method == "reduced"
+def test_pattern_constants_of_one_pair(capsys):
+    assert c1(3, (1, 2)) == pytest.approx(0.5)
+    want = 0.5 * math.log(2 * math.pi / 3)
+    assert c2_general(3, (1, 2), truncation=P_FAST) == pytest.approx(
+        want, abs=1e-7)
+    # the command's row for the same pattern, canonicalised
+    assert cli.main(["constants", "--q", "3", "--classes", "4,-1",
+                     "--truncation", str(P_FAST)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "pattern,c1,c2,c2_method"
+    pattern, c1_cell, c2_cell, method = row.split(",")
+    assert (pattern, method) == ("1;2", "reduced")
+    assert float(c1_cell) == pytest.approx(0.5)
+    assert float(c2_cell) == pytest.approx(want, abs=1e-7)

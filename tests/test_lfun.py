@@ -14,9 +14,9 @@ from primebias import (
     InternalConsistencyError,
     a_q_chi,
     build_ctable,
+    c2_general,
     c_q_chi,
     character_group,
-    conjecture_constants,
     l_at_one,
     l_at_zero,
     primes_upto,
@@ -239,7 +239,7 @@ def test_one_power_sum_pass_per_constants_run(monkeypatch):
     # chi); the base-15 sums fold from the base-60 pass
     monkeypatch.setattr(lfun, "_passes", {})
     P = 123_457  # a truncation no other test uses, so no C value is cached
-    conjecture_constants(60, (1, 7), truncation=P)
+    c2_general(60, (1, 7), truncation=P)
     assert list(lfun._passes) == [(60, P)]
 
 
