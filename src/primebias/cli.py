@@ -33,28 +33,11 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import __version__
-from .arith import Modulus, ResiduePattern, check_pattern_budget
-from .characters import character_group
-from .constants import (
-    FORM_AGREEMENT_TOL,
+from .arith import (
     InternalConsistencyError,
-    _pair_forms,
-    _pattern_constants,
-    s0_main,
-)
-from .lfun import build_ctable, tail_bound
-from .predict import (
-    _asymptotic_terms,
-    asymptotic_prediction,
-    integral_prediction,
-    skip_prediction,
-)
-from .singular import SingularContext, s0_brute, s0_moment_main
-from .sieve import (
-    SieveConfig,
-    count_patterns,
-    count_patterns_series,
-    effective_workers,
+    Modulus,
+    ResiduePattern,
+    check_pattern_budget,
 )
 
 __all__ = ["main"]
@@ -126,6 +109,9 @@ def _pattern_axes(args):
 
 
 def _cmd_count(args):
+    from .sieve import (SieveConfig, count_patterns, count_patterns_series,
+                        effective_workers)
+
     cfg = SieveConfig(
         q=args.q, r=args.r, skip=args.skip, x=args.x, count=args.count,
         threads=args.threads,
@@ -155,6 +141,10 @@ def _cmd_count(args):
 
 
 def _cmd_predict(args):
+    from .constants import _pattern_constants
+    from .lfun import tail_bound
+    from .predict import _asymptotic_terms, integral_prediction, skip_prediction
+
     q, xs = args.q, args.x
     axes = _pattern_axes(args)
     if args.method == "asymptotic":
@@ -189,6 +179,9 @@ def _cmd_predict(args):
 
 
 def _cmd_constants(args):
+    from .constants import FORM_AGREEMENT_TOL, _pair_forms, _pattern_constants
+    from .lfun import tail_bound
+
     q, truncation = args.q, args.truncation
     axes = _pattern_axes(args)
     c1, c2 = _pattern_constants(q, np.ix_(*axes), truncation)
@@ -223,6 +216,9 @@ def _cmd_constants(args):
 
 
 def _analytic_s0(q, v, H, k, truncation):
+    from .constants import s0_main
+    from .singular import s0_moment_main
+
     if k == 0:
         return s0_main(q, v, H, truncation=truncation)
     if v % q == 0:
@@ -231,6 +227,8 @@ def _analytic_s0(q, v, H, k, truncation):
 
 
 def _cmd_s0(args):
+    from .singular import SingularContext, s0_brute
+
     ctx = SingularContext(args.q, truncation=args.truncation)
     rows = []
     for v in args.v:
@@ -254,38 +252,48 @@ def _cmd_s0(args):
 
 
 def _cmd_compare(args):
+    from .constants import _pattern_constants
+    from .predict import _asymptotic_terms, integral_prediction
+    from .sieve import SieveConfig, count_patterns, effective_workers
+
     cfg = SieveConfig(q=args.q, r=args.r, x=args.x, count=args.count,
                       threads=args.threads)
     table = count_patterns(cfg)
     # predictions are taken at the largest prime actually seen in by_count
     # mode so both columns describe the same window of integers
     x = args.x if args.x is not None else table.largest_prime
-    rows = []
-    for classes, actual in sorted(table.counts.items()):
-        asym = asymptotic_prediction(args.q, classes, x,
-                                     truncation=args.truncation)
-        row = {
-            "pattern": ";".join(map(str, classes)), "actual": actual,
-            "integral_prediction": "", "asymptotic_prediction": asym.value,
-            "rel_err_integral": "",
-            "rel_err_asymptotic": asym.value / actual - 1 if actual else "",
-        }
-        if args.r == 2:
-            integ = integral_prediction(args.q, classes[0], classes[1], x,
-                                        truncation=args.truncation,
-                                        rel_tol=args.rel_tol)
-            row["integral_prediction"] = integ.value
-            if actual:
-                row["rel_err_integral"] = integ.value / actual - 1
-        rows.append(row)
     meta = {
         "modulus": args.q, "x": x, "truncation": _truncation(args),
         "rel_tol": args.rel_tol, "threads": effective_workers(args.threads),
     }
-    return _columns(rows), meta
+    patterns = sorted(table.counts)
+    if not patterns:  # r >= 4 lists only the patterns counted
+        return [], meta
+    actual = [table.counts[c] for c in patterns]
+    c1, c2 = _pattern_constants(args.q, np.array(patterns).T, args.truncation)
+    patterns_total = Modulus(args.q).phi ** args.r
+    asym = _asymptotic_terms(c1, c2, patterns_total, x)["value"].tolist()
+
+    def rel_err(values):
+        return [v / n - 1 if n else "" for v, n in zip(values, actual)]
+
+    integ = rel_integ = [""] * len(patterns)
+    if args.r == 2:
+        integ = [integral_prediction(args.q, a, b, x, truncation=args.truncation,
+                                     rel_tol=args.rel_tol).value
+                 for a, b in patterns]
+        rel_integ = rel_err(integ)
+    block = {
+        "pattern": _pattern_keys(patterns, args.r), "actual": actual,
+        "integral_prediction": integ, "asymptotic_prediction": asym,
+        "rel_err_integral": rel_integ, "rel_err_asymptotic": rel_err(asym),
+    }
+    return [block], meta
 
 
 def _cmd_dump_characters(args):
+    from .characters import character_group
+
     group = character_group(args.q)
     rows = []
     for chi in group.characters():
@@ -301,6 +309,8 @@ def _cmd_dump_characters(args):
 
 
 def _cmd_dump_lvalues(args):
+    from .lfun import build_ctable, tail_bound
+
     ctable = build_ctable(args.q, truncation=args.truncation)
     rows = []
     for r in ctable.rows:
@@ -439,24 +449,32 @@ def _csv(blocks, fh) -> int:
     """Write the header, then each block's rows through one template, and
     return the number of rows.  The bytes are those csv.DictWriter writes:
     no field needs quoting (numbers, words, keys such as 1;7;11); rows end
-    in CRLF.  No block's text outlives its write."""
+    in CRLF.  Shared fields before a block's first column are formatted
+    once, into the separator between its rows.  No block's text outlives
+    its write."""
     nrows = 0
     for block in blocks:
-        pieces, columns = [], []
+        lead, pieces, columns = "", [], []
         for value in block.values():
             cells = _column(value)
-            if cells is None:
+            if cells is None and not columns:
+                lead += _fmt(value) + ","
+            elif cells is None:
                 pieces.append(_fmt(value).replace("%", "%%"))
-                continue
-            floats = {issubclass(k, float) for k in set(map(type, cells))}
-            if floats == {True, False}:  # floats among other cells
-                cells = [_fmt(v) for v in cells]
-            pieces.append("%.15g" if floats == {True} else "%s")
-            columns.append(cells)
-        if columns[0] and not nrows:
+            else:
+                floats = {issubclass(k, float) for k in set(map(type, cells))}
+                if floats == {True, False}:  # floats among other cells
+                    cells = [_fmt(v) for v in cells]
+                pieces.append("%.15g" if floats == {True} else "%s")
+                columns.append(cells)
+        if not columns[0]:
+            continue
+        if not nrows:
             fh.write(",".join(block) + "\r\n")
-        template = ",".join(pieces) + "\r\n"
-        fh.write("".join([template % row for row in zip(*columns)]))
+        template = ",".join(pieces)
+        fh.write(lead)
+        fh.write(("\r\n" + lead).join([template % row for row in zip(*columns)]))
+        fh.write("\r\n")
         nrows += len(columns[0])
     if not nrows:
         fh.write("\r\n")  # the header DictWriter writes for no columns

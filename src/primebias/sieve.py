@@ -32,11 +32,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -51,7 +49,6 @@ from .arith import (
     prime_factors,
     primes_upto,
 )
-from .characters import character_group
 
 __all__ = [
     "SieveConfig",
@@ -61,6 +58,7 @@ __all__ = [
     "count_patterns_series",
     "character_sum",
     "nth_prime_upper_bound",
+    "nth_prime_lower_bound",
     "effective_workers",
 ]
 
@@ -121,11 +119,21 @@ class CountTable:
 
 
 def nth_prime_upper_bound(n: int) -> int:
-    """p_n < n (ln n + ln ln n) for n >= 6; padded for small n."""
+    """p_n < n (ln n + ln ln n) for n >= 6, padded for small n; for
+    n >= 39017, p_n <= n (ln n + ln ln n - 0.9484) (Dusart, Math. Comp.
+    68, 1999)."""
     if n < 6:
         return 15
     ln = math.log(n)
-    return int(n * (ln + math.log(ln))) + 10
+    return int(n * (ln + math.log(ln) - (0.9484 if n >= 39017 else 0))) + 10
+
+
+def nth_prime_lower_bound(n: int) -> int:
+    """p_n >= n (ln n + ln ln n - 1) for n >= 2 (Dusart, as above)."""
+    if n < 2:
+        return 2
+    ln = math.log(n)
+    return max(2, int(n * (ln + math.log(ln) - 1)))
 
 
 def effective_workers(threads: int, cpus: int | None = None) -> int:
@@ -230,6 +238,10 @@ def _ordered(fn, jobs, workers: int):
         for job in jobs:
             yield fn(*job)
         return
+    # only runs with workers load the process machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     jobs = iter(jobs)
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
@@ -339,14 +351,19 @@ def _tables(config: SieveConfig, xs: list[int] | None,
         top = nth_prime_upper_bound(config.count + span + q + 16)
         bounds = [config.count]  # window starts per table, when known
         cuts = set()
+        # the N-th window start lies above this edge, so the chunk counted
+        # again with a cap is about as wide as the gap between the bounds;
+        # it is no checkpoint, so it stays out of cuts
+        below = {nth_prime_lower_bound(config.count)}
     else:
         top = xs[-1]
         bounds = []
         cuts = {x + 1 for x in xs}
+        below = set()
     n_tables = 1 if by_count else len(xs)
     end = top + GAP_PAD * (span + 1) + 1
     _check_limit(end - 1)
-    edges = _edges(end, chunk_size, cuts)
+    edges = _edges(end, chunk_size, cuts | below)
     chunks = list(zip(edges, edges[1:]))
     root = math.isqrt(end - 1)
     class_index = _class_index(mod, np.int64)
@@ -456,6 +473,7 @@ def character_sum(table: CountTable) -> int:
         raise ValueError("character sums are defined for an odd prime modulus")
     if table.r != 2:
         raise ValueError("character sums are defined for pair tables")
+    from .characters import character_group
 
     # the Legendre symbol: the character sending the primitive root to -1;
     # its values are exactly +-1 on units

@@ -70,11 +70,13 @@ class SingularContext:
             self.tail_bound = 2.0 / (truncation * math.log(truncation))
         self._pair_cache: np.ndarray | None = None
 
-    def h_factor(self, p: int) -> float:
-        """The factor S_q({0,h}) takes from an odd prime p !| q dividing h."""
-        if self.truncation is None or p <= self.truncation:
-            return (p - 1.0) / (p - 2.0)
-        return p / (p - 1.0)
+    def h_factor(self, p):
+        """The factor S_q({0,h}) takes from an odd prime p !| q dividing h;
+        elementwise for an array of such primes."""
+        full = (p - 1.0) / (p - 2.0)
+        if self.truncation is None:
+            return full
+        return np.where(p > self.truncation, p / (p - 1.0), full)
 
     def pair_values(self, cutoff: int) -> np.ndarray:
         """S_q({0,h}) for h = 0..cutoff (index 0 is NaN); grown as needed."""
@@ -85,11 +87,19 @@ class SingularContext:
         vals[0] = np.nan
         if self.q % 2:
             vals[1::2] = 0.0
-        for p in primes_upto(cutoff):
-            p = int(p)
-            if p == 2 or self.q % p == 0:
-                continue
+        ps = primes_upto(cutoff)
+        ps = ps[(ps > 2) & (self.q % ps != 0)]
+        small = np.searchsorted(ps, math.isqrt(cutoff), side="right")
+        for p in ps[:small].tolist():
             vals[p::p] *= self.h_factor(p)
+        # a larger prime divides an h <= cutoff at most once, as its largest
+        # prime factor, so it comes last in h's product either way: one
+        # scatter multiplies them all in, each index at most once
+        large = ps[small:]
+        n = cutoff // large
+        first = np.repeat(np.cumsum(n) - n, n)  # where each prime's run starts
+        multiples = np.repeat(large, n) * (np.arange(len(first)) - first + 1)
+        vals[multiples] *= np.repeat(self.h_factor(large), n)
         self._pair_cache = vals
         return vals
 

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import primebias
-from primebias import cli, constants, sieve
+from primebias import cli, constants, lfun, sieve
 from primebias.arith import Modulus, ResiduePattern
 from primebias.characters import character_group
 from primebias.constants import (
@@ -454,13 +454,14 @@ _TABLES = [
     for method, k in (("brute", "0"), ("analytic", "0"), ("both", "0"),
                       ("analytic", "2"))
 ] + [
-    # at x = 500 some triples mod 5 are never seen: mixed float, "" cells
+    # at x = 500 some triples mod 5 are never seen: mixed float, "" cells;
+    # r = 4 lists only the quadruples counted
     pytest.param(["compare", "--q", q, "--r", r, "--x", x,
                   "--truncation", "2e5"],
                  lambda q=q, r=r, x=x: _compare_rows(int(q), int(r), int(x),
                                                      truncation=P),
                  id=f"compare-q{q}-r{r}")
-    for q, r, x in (("3", "2", "10000"), ("5", "3", "500"))
+    for q, r, x in (("3", "2", "10000"), ("5", "3", "500"), ("5", "4", "2000"))
 ] + [
     pytest.param(["dump-characters", "--q", "12"],
                  lambda: _character_rows(12), id="dump-characters"),
@@ -510,7 +511,8 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(*a, **k):
         raise InternalConsistencyError("induced")
 
-    monkeypatch.setattr(cli, "build_ctable", boom)
+    # the command imports build_ctable when it runs, so it finds the patch
+    monkeypatch.setattr(lfun, "build_ctable", boom)
     code, _ = run_cli(["dump-lvalues", "--q", "4"], capsys)
     assert code == 3
 
@@ -646,6 +648,10 @@ def test_default_constants_sieve_no_further_than_1e4(tmp_path):
         "lfun._residue_power_sums = refuse\n"
         "for args in (['constants', '--q', '60'], ['dump-lvalues', '--q', '97']):\n"
         "    assert cli.main(args + ['--output', sys.argv[1]]) == 0, args\n"
+        "# modules the commands loaded after the patch bound the recording\n"
+        "for name, mod in list(sys.modules.items()):\n"
+        "    if name.startswith('primebias') and hasattr(mod, 'primes_upto'):\n"
+        "        assert mod.primes_upto is recording, name\n"
         "print(json.dumps(limits))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script,
@@ -666,3 +672,45 @@ def test_manifest_names_an_explicit_truncation(tmp_path, capsys):
     manifest = (tmp_path / "c.csv.manifest").read_text().splitlines()
     assert "truncation=200000" in manifest
     assert "tail_bound=%.15g" % primebias.tail_bound(200000) in manifest
+
+
+def _loads(script):
+    """The modules a fresh interpreter has loaded after running script:
+    numpy, the process machinery and every primebias module."""
+    script += (
+        "\nimport json, sys\n"
+        "watched = ('numpy', 'multiprocessing', 'concurrent.futures')\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m in watched or m.startswith('primebias'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    out = str(tmp_path / "t.csv")
+    assert _loads("import primebias") == {"primebias"}
+    run = "from primebias import cli\nassert cli.main({}) == 0\n".format
+    loaded = _loads(run(["constants", "--q", "12", "--output", out]))
+    assert "primebias.constants" in loaded
+    assert not loaded & {"primebias.sieve", "primebias.predict",
+                         "multiprocessing", "concurrent.futures"}, loaded
+    # count, and so its spawned workers, loads only the sieve and arith
+    loaded = _loads(run(["count", "--q", "12", "--x", "1e5", "--output", out]))
+    assert loaded == {"numpy", "primebias", "primebias.arith",
+                      "primebias.cli", "primebias.sieve"}, loaded
+
+
+def test_public_names_resolve_to_their_submodules():
+    namespace = {}
+    exec("from primebias import *", namespace)
+    for name in primebias.__all__:
+        value = getattr(primebias, name)
+        owner = sys.modules[value.__module__]
+        assert owner.__name__.startswith("primebias."), name
+        assert getattr(owner, name) is value is namespace[name], name
+    assert set(primebias.__all__) <= set(dir(primebias))
+    with pytest.raises(AttributeError):
+        primebias.no_such_name

@@ -23,6 +23,7 @@ from primebias.sieve import (
     CHUNK_SIZE,
     MAX_SIEVE_LIMIT,
     effective_workers,
+    nth_prime_lower_bound,
     nth_prime_upper_bound,
 )
 
@@ -109,10 +110,10 @@ def test_stream_primes_budget_refusal():
         list(stream_primes(MAX_SIEVE_LIMIT * 2))
 
 
-def test_nth_prime_bound_is_upper_bound():
-    ps = primes_upto(2_000_000)
-    for n in (1, 5, 6, 100, 10_000, 100_000):
-        assert int(ps[n - 1]) < nth_prime_upper_bound(n)
+def test_nth_prime_bounds_hold_below_2e7():
+    ps = primes_upto(20_000_000).tolist()
+    for n, p in enumerate(ps, start=1):
+        assert nth_prime_lower_bound(n) <= p < nth_prime_upper_bound(n), n
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 8, 10, 12])
@@ -195,7 +196,7 @@ def test_chunked_by_count_cuts_match_oracle(q, r, skip):
             at_edge - 1, at_edge, at_edge + 1]
     for n in cuts:
         want, last = windows(q, r, skip, count=n, prime_limit=100_000)
-        for size in (chunk, 7):
+        for size in (chunk, 7, CHUNK_SIZE):
             cfg = SieveConfig(q=q, r=r, skip=skip, count=n, segment_size=1024)
             (t,) = sieve._tables(cfg, None, chunk_size=size)
             assert t.counts == full_table(q, r, want), (n, size)

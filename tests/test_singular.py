@@ -8,6 +8,7 @@ import pytest
 from primebias import (
     SingularContext,
     prime_factors,
+    primes_upto,
     s0_brute,
     s0_moment_main,
     singular_pair,
@@ -192,3 +193,29 @@ def test_untruncated_pair_values_against_trial_division(q):
                 want *= (p - 1.0) / (p - 2.0)
         assert singular_pair(ctx, h) == pytest.approx(want, rel=1e-13), h
         assert vals[h] == pytest.approx(want, rel=1e-13), h
+
+
+def loop_pair_values(ctx, cutoff):
+    """pair_values as one strided product per prime, in prime order."""
+    vals = np.full(cutoff + 1, 2.0 * ctx.twin_tail if ctx.q % 2 else ctx.twin_tail)
+    vals[0] = np.nan
+    if ctx.q % 2:
+        vals[1::2] = 0.0
+    for p in primes_upto(cutoff).tolist():
+        if p > 2 and ctx.q % p:
+            above = ctx.truncation is not None and p > ctx.truncation
+            vals[p::p] *= p / (p - 1.0) if above else (p - 1.0) / (p - 2.0)
+    return vals
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 12, 30])
+@pytest.mark.parametrize("truncation", [None, 100])
+def test_pair_values_bit_identical_to_a_per_prime_loop(q, truncation):
+    # primes above isqrt(cutoff) are multiplied in by one scatter; squares
+    # put a prime at isqrt(cutoff) itself, and P = 100 runs the p/(p-1)
+    # branch at the larger cutoffs
+    for cutoff in (1, 2, 3, 4, 9, 25, 100, 12_345, 500_000):
+        ctx = SingularContext(q, truncation=truncation)
+        got = ctx.pair_values(cutoff)
+        want = loop_pair_values(ctx, cutoff)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), cutoff
