@@ -106,7 +106,8 @@ class CharacterGroup:
         for j, (g, s) in enumerate(zip(gens, orders)):
             powers = np.array([pow(g, e, m) for e in range(s)], dtype=np.intp)
             units = units * powers[dlog[:, j]] % m
-        if np.unique(units).size != self.phi:
+        # a bincount, not np.unique, which would load numpy.ma
+        if np.count_nonzero(np.bincount(units, minlength=m)) != self.phi:
             raise InternalConsistencyError(f"unit group mod {m} not covered")
         self._units = units
         self._dlog_matrix = dlog

@@ -120,7 +120,7 @@ def _cmd_count(args):
     print(f"# sieving q={cfg.q} r={cfg.r} mode={'by_x' if cfg.x else 'by_count'}"
           f" limit={cfg.x or cfg.count} threads={workers}",
           file=sys.stderr)
-    if args.checkpoints and args.x is not None:
+    if args.checkpoints:
         tables = count_patterns_series(cfg, list(args.checkpoints))
     else:
         tables = [count_patterns(cfg)]

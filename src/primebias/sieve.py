@@ -13,16 +13,18 @@ primes; a window of r primes, stepping `skip` positions between pattern
 members, is attributed to the residue tuple of those members and counted
 as a bincount over radix-phi(q) codes.
 
-The range is cut into chunks.  A chunk sieves and counts on its own: the
-windows that lie wholly inside it, plus its first and last `span` primes
-(span = (r-1)*skip) and its prime count.  A merge, run in chunk order,
-counts the windows that cross chunk boundaries from those edge primes,
-however few primes a chunk holds.  Checkpoints are chunk boundaries, so
-each checkpoint's table is a running sum; in by-count mode only the chunk
-holding the N-th window start is counted again, cut short.
+The range is cut into chunks, and each window belongs to the chunk that
+holds its first prime.  A chunk sieves and counts on its own: it counts
+the windows starting in it, sieving on past its end until the last of
+them closes (span = (r-1)*skip primes later, always within GAP_PAD *
+(span + 1) integers), and returns their counts, their number and the
+last member of the last one.  Checkpoints are chunk boundaries, so each
+checkpoint's table is a running sum in chunk order; in by-count mode
+only the chunk holding the N-th window start is counted again, cut
+short.
 
 With threads > 1 the chunks run on that many worker processes (at most
-the machine's core count), and results are merged in chunk order, so
+the machine's core count), and results are summed in chunk order, so
 counts never depend on the worker count or the chunking.  Limits are
 bounded up front: a request that would need more than ~5e10 of sieve
 range, or more than 2**24 residue patterns, is refused with a message.
@@ -33,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from bisect import bisect_left
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -195,9 +196,11 @@ def _segments(lo: int, hi: int, segment_size: int, root: int):
             if low == 1:
                 mask[0] = False
         ps = base[: np.searchsorted(base, math.isqrt(high - 1), side="right")]
-        # first odd multiple of p that is >= max(low, p*p)
-        first = np.maximum(-(-low // ps) | 1, ps) * ps
-        for p, i in zip(ps.tolist(), ((first - low) >> 1).tolist()):
+        # first odd multiple of p that is >= max(low, p*p); a short segment
+        # skips the many base primes that have none inside it
+        first = (np.maximum(-(-low // ps) | 1, ps) * ps - low) >> 1
+        hit = first < n
+        for p, i in zip(ps[hit].tolist(), first[hit].tolist()):
             mask[i::p] = False
         # numpy finds nonzero entries branch-free, about 3x faster, only
         # above a density of 1/10; primes above e**20 are sparser than that,
@@ -259,30 +262,27 @@ def _ordered(fn, jobs, workers: int):
 
 
 def _edges(end: int, chunk_size: int, cuts=()) -> list[int]:
-    """Chunk boundaries from 0 to end: multiples of chunk_size, plus cuts."""
-    return sorted(set(range(0, end, chunk_size)).union(cuts)) + [end]
+    """Chunk boundaries from 0 to end: multiples of chunk_size, plus cuts
+    (at most end)."""
+    return sorted(set(range(0, end, chunk_size)).union(cuts, [end]))
 
 
 class _Chunk(NamedTuple):
-    counts: np.ndarray  # windows wholly inside the chunk, by code
-    head: np.ndarray  # its first min(span, n) primes
-    tail: np.ndarray  # its last min(span, n) primes
-    n: int  # its primes > q
-
-
-def _class_index(mod: Modulus, dtype) -> np.ndarray:
-    """Entry a: the index of a in mod.classes, -1 when gcd(a, q) > 1."""
-    index = np.full(mod.q, -1, dtype=dtype)
-    index[list(mod.classes)] = np.arange(mod.phi)
-    return index
+    counts: np.ndarray  # windows starting in the chunk, by code
+    n: int  # how many
+    largest: int  # last member of the last one, 0 if none
 
 
 @lru_cache(maxsize=4)
 def _class_table(q: int, segment_size: int) -> np.ndarray:
-    """Entry j: the class index of the odd number 2j + 1.  Periodic with
-    period q, and long enough that a segment's entries are one slice."""
+    """Entry j: the class index of the odd number 2j + 1, -1 when it is not
+    coprime to q.  Periodic with period q, and long enough that a segment's
+    entries are one slice."""
+    mod = Modulus(q)
+    index = np.full(q, -1, dtype=np.int16)
+    index[list(mod.classes)] = np.arange(mod.phi)
     odd = 2 * np.arange(q + segment_size, dtype=np.int64) + 1
-    table = _class_index(Modulus(q), np.int16)[odd % q]
+    table = index[odd % q]
     table.flags.writeable = False
     return table
 
@@ -302,139 +302,95 @@ def _radix(phi: int, r: int) -> np.ndarray:
 
 def _count_chunk(config: SieveConfig, lo: int, hi: int, root: int,
                  cap: int | None = None) -> _Chunk:
-    """Sieve [lo, hi) and count the windows of its primes > q inside it.
+    """Count the windows starting at primes > q in [lo, hi), or at the
+    first cap of them.
 
-    With cap, the chunk is taken to end at its (cap + span)-th prime, so
-    only windows starting at its first cap primes are counted.
+    Sieving goes on past hi, by at most GAP_PAD * (span + 1) integers,
+    until the last of those windows closes.
     """
     q, r, skip = config.q, config.r, config.skip
     span = (r - 1) * skip
     phi = Modulus(q).phi
     radix = _radix(phi, r)
-    keep = None if cap is None else cap + span
     table = _class_table(q, config.segment_size)
     counts = np.zeros(phi**r, dtype=np.int64)
-    head = []
-    tail = np.empty(0, dtype=np.int64)
     cls = np.empty(0, dtype=table.dtype)  # class indices, from the last span primes on
-    n = 0
-    for low, pos in _segments(max(lo, q + 1), hi, config.segment_size, root):
-        if keep is not None:
-            pos = pos[: keep - n]
-        if not len(pos):
-            continue
+    starts = cap  # windows to count: cap, or known once a prime >= hi shows
+    n = largest = 0  # primes taken; the last member of the last window
+    for low, pos in _segments(max(lo, q + 1), hi + GAP_PAD * (span + 1),
+                              config.segment_size, root):
+        if starts is None:
+            below = int(np.searchsorted(pos, (hi - low + 1) // 2))
+            if below < len(pos):
+                starts = n + below
+        if starts == 0:
+            break
+        if starts is not None:
+            pos = pos[: starts + span - n]
         j = (low // 2) % q
         cls = np.concatenate([cls[-span:], table[j:][pos]])
         if len(cls) > span:
             counts += np.bincount(_codes(cls, radix, skip, len(cls) - span),
                                   minlength=phi**r)
-        if n < span:
-            head.append(low + 2 * pos[: span - n])
-        tail = np.concatenate([tail, low + 2 * pos[-span:]])[-span:]
         n += len(pos)
-        if n == keep:
+        if n - span == starts:
+            largest = low + 2 * int(pos[-1])
             break
-    head = np.concatenate(head) if head else np.empty(0, dtype=np.int64)
-    return _Chunk(counts, head, tail, n)
+    if n and not largest:
+        raise InternalConsistencyError("prime stream ended before the window closed")
+    return _Chunk(counts, max(n - span, 0), largest)
 
 
 def _tables(config: SieveConfig, xs: list[int] | None,
             chunk_size: int = CHUNK_SIZE) -> list[CountTable]:
     """The counting engine: one CountTable per checkpoint in xs (by_x), or
-    the single by_count table when xs is None."""
+    the single by_count table when xs is None.
+
+    Each table is the running sum, in chunk order, of the chunks below it.
+    """
     q, r, skip = config.q, config.r, config.skip
     mod = Modulus(q)
     phi, span = mod.phi, (r - 1) * skip
-    radix = _radix(phi, r)
     by_count = config.count is not None
     if by_count:
         top = nth_prime_upper_bound(config.count + span + q + 16)
-        bounds = [config.count]  # window starts per table, when known
-        cuts = set()
         # the N-th window start lies above this edge, so the chunk counted
-        # again with a cap is about as wide as the gap between the bounds;
-        # it is no checkpoint, so it stays out of cuts
-        below = {nth_prime_lower_bound(config.count)}
+        # again with a cap is about as wide as the gap between the bounds
+        cuts = {nth_prime_lower_bound(config.count)}
     else:
         top = xs[-1]
-        bounds = []
-        cuts = {x + 1 for x in xs}
-        below = set()
-    n_tables = 1 if by_count else len(xs)
-    end = top + GAP_PAD * (span + 1) + 1
-    _check_limit(end - 1)
-    edges = _edges(end, chunk_size, cuts | below)
+        cuts = {x + 1 for x in xs}  # a table is complete where its chunk ends
+    reach = top + GAP_PAD * (span + 1)  # the furthest a chunk sieves
+    _check_limit(reach)
+    edges = _edges(top + 1, chunk_size, cuts)
     chunks = list(zip(edges, edges[1:]))
-    root = math.isqrt(end - 1)
-    class_index = _class_index(mod, np.int64)
+    root = math.isqrt(reach)
     keys = list(itertools.product(mod.classes, repeat=r)) if r <= 3 else None
 
-    def table_of(starts: np.ndarray, first: int) -> np.ndarray:
-        """The table each window start belongs to (n_tables for none);
-        starts are prime values, first is the number of primes before."""
-        if by_count:
-            return (first + np.arange(len(starts)) >= config.count).astype(int)
-        return np.searchsorted(xs, starts)
-
     totals = np.zeros(phi**r, dtype=np.int64)
-    deltas: dict[int, np.ndarray] = {}  # counts of tables not yet complete
     tables: list[CountTable] = []
-    carry = np.empty(0, dtype=np.int64)  # the last min(span, seen) primes
-    seen = 0
+    seen = largest = 0
     jobs = [(config, lo, hi, root) for lo, hi in chunks]
     workers = effective_workers(config.threads)
     with closing(_ordered(_count_chunk, jobs, workers)) as results:
         for (lo, hi), res in zip(chunks, results):
-            if by_count and seen < config.count < seen + res.n - span:
+            if by_count and seen + res.n > config.count:
                 res = _count_chunk(config, lo, hi, root, cap=config.count - seen)
-            b = int(seen >= config.count) if by_count else bisect_left(xs, hi - 1)
-            if b in deltas:
-                deltas[b] += res.counts
-            elif b < n_tables:
-                deltas[b] = res.counts
-            # windows that start in earlier chunks and end in this one
-            both = np.concatenate([carry, res.head])
-            m = min(len(carry), len(both) - span)
-            if m > 0:
-                codes = _codes(class_index[both % q], radix, skip, m)
-                owners = table_of(both[:m], seen - len(carry))
-                for code, owner in zip(codes.tolist(), owners.tolist()):
-                    if owner < n_tables:
-                        if owner not in deltas:
-                            deltas[owner] = np.zeros(phi**r, dtype=np.int64)
-                        deltas[owner][code] += 1
-            carry = res.tail if res.n >= span else both[-span:]
-            before, seen = seen, seen + res.n
-            if hi in cuts:
-                bounds.append(seen)
-            # a table is complete once span primes follow its last start
-            while len(tables) < len(bounds):
-                g = bounds[len(tables)]
-                if g and seen < g + span:
-                    break
-                largest = 0
-                if g:
-                    last = g - 1 + span - before  # index in this chunk
-                    if 0 <= last < len(res.head):
-                        largest = int(res.head[last])
-                    elif res.n - len(res.tail) <= last < res.n:
-                        largest = int(res.tail[last - res.n])
-                    else:
-                        raise InternalConsistencyError(
-                            "last window member outside the chunk edges")
-                b = len(tables)
-                if b in deltas:
-                    totals += deltas.pop(b)
+            totals += res.counts
+            seen += res.n
+            largest = res.largest or largest
+            if seen == config.count if by_count else hi in cuts:
                 tables.append(CountTable(
                     q=q, r=r, skip=skip,
                     mode="by_count" if by_count else "by_x",
-                    limit=config.count if by_count else xs[b],
+                    limit=config.count if by_count else xs[len(tables)],
                     counts=_decode(totals, mod, r, keys),
-                    primes_seen=g + span if g else 0, largest_prime=largest,
+                    primes_seen=seen + span if seen else 0,
+                    largest_prime=largest,
                 ))
-            if len(tables) == n_tables:
-                return tables
-    raise InternalConsistencyError("prime stream ended before the window closed")
+                if by_count or len(tables) == len(xs):
+                    return tables
+    raise InternalConsistencyError("prime stream ended before the N-th window start")
 
 
 def _decode(counts: np.ndarray, mod: Modulus, r: int, keys) -> dict:
@@ -461,6 +417,8 @@ def count_patterns_series(config: SieveConfig, checkpoints: list[int]) -> list[C
     if config.x is None:
         raise ValueError("checkpoints need a by_x config")
     xs = sorted(set(int(c) for c in checkpoints) | {int(config.x)})
+    if xs[0] < 2:
+        raise ValueError("checkpoints must be >= 2")
     if xs[-1] != int(config.x):
         raise ValueError("checkpoints must end at x")
     return _tables(config, xs)

@@ -120,6 +120,16 @@ def test_count_requires_exactly_one_bound(capsys):
     assert code == 2
 
 
+def test_bad_checkpoints_exit_code(capsys):
+    # checkpoints need a by_x run, and follow the rule x >= 2
+    for argv in (["count", "--q", "3", "--nth-prime", "1000",
+                  "--checkpoints", "100,500"],
+                 ["count", "--q", "3", "--x", "1000", "--checkpoints", "-5"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+
+
 def test_predict_integral_and_asymptotic(capsys):
     for method in ("integral", "asymptotic"):
         code, out = run_cli(["predict", "--q", "3", "--classes", "1,2",
@@ -676,10 +686,11 @@ def test_manifest_names_an_explicit_truncation(tmp_path, capsys):
 
 def _loads(script):
     """The modules a fresh interpreter has loaded after running script:
-    numpy, the process machinery and every primebias module."""
+    numpy, numpy.ma, the process machinery and every primebias module."""
     script += (
         "\nimport json, sys\n"
-        "watched = ('numpy', 'multiprocessing', 'concurrent.futures')\n"
+        "watched = ('numpy', 'numpy.ma', 'multiprocessing',\n"
+        "           'concurrent.futures')\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m in watched or m.startswith('primebias'))))\n"
     )
@@ -695,8 +706,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     run = "from primebias import cli\nassert cli.main({}) == 0\n".format
     loaded = _loads(run(["constants", "--q", "12", "--output", out]))
     assert "primebias.constants" in loaded
-    assert not loaded & {"primebias.sieve", "primebias.predict",
+    assert not loaded & {"primebias.sieve", "primebias.predict", "numpy.ma",
                          "multiprocessing", "concurrent.futures"}, loaded
+    loaded = _loads(run(["dump-lvalues", "--q", "97", "--output", out]))
+    assert "primebias.lfun" in loaded and "numpy.ma" not in loaded, loaded
     # count, and so its spawned workers, loads only the sieve and arith
     loaded = _loads(run(["count", "--q", "12", "--x", "1e5", "--output", out]))
     assert loaded == {"numpy", "primebias", "primebias.arith",

@@ -19,6 +19,7 @@ from primebias import (
     stream_primes,
 )
 from primebias import sieve
+from primebias.arith import InternalConsistencyError
 from primebias.sieve import (
     CHUNK_SIZE,
     MAX_SIEVE_LIMIT,
@@ -204,6 +205,19 @@ def test_chunked_by_count_cuts_match_oracle(q, r, skip):
             assert t.primes_seen == n + span
 
 
+@pytest.mark.parametrize("xs,count", [([1000, 5000], None), (None, 500)])
+def test_window_that_outruns_the_gap_pad_is_an_internal_error(
+        monkeypatch, xs, count):
+    # each chunk closes its last windows within GAP_PAD * (span + 1)
+    # integers past its end; a pad shorter than the prime gaps there fails
+    # loudly instead of dropping windows
+    monkeypatch.setattr(sieve, "GAP_PAD", 1)
+    x = None if xs is None else xs[-1]
+    cfg = SieveConfig(q=3, r=3, x=x, count=count, segment_size=1024)
+    with pytest.raises(InternalConsistencyError):
+        sieve._tables(cfg, xs, chunk_size=1000)
+
+
 def test_chunked_counts_independent_of_workers():
     cases = [(SieveConfig(q=7, r=3, skip=2, x=300_000, threads=th,
                           segment_size=1024), [17, 100_000, 300_000])
@@ -263,6 +277,10 @@ def test_config_validation():
         SieveConfig(q=3, x=100, r=1)
     with pytest.raises(ValueError):
         SieveConfig(q=3, x=100, skip=0)
+    with pytest.raises(ValueError, match="checkpoints must be >= 2"):
+        count_patterns_series(SieveConfig(q=3, x=1000), [-5, 100])
+    with pytest.raises(ValueError, match="by_x"):
+        count_patterns_series(SieveConfig(q=3, count=1000), [100])
     with pytest.raises(ValueError, match="patterns exceed"):
         SieveConfig(q=100, r=6, x=10**6)  # 40**6 counts, 33 GB
     SieveConfig(q=210, r=3, x=10**6)  # 48**3 counts
