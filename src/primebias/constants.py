@@ -119,8 +119,8 @@ def s0c(q: int, v: int, truncation: int | None = None) -> float:
 
 def s0_main(q: int, v: int, H: float, truncation: int | None = None) -> float:
     """Main terms of S_0(q, v; H): the log H slope appears only for v = 0."""
-    if H <= 0:
-        raise ValueError("H must be positive")
+    if not 0 < H < math.inf:
+        raise ValueError(f"H must be positive and finite, got {H}")
     if v % q == 0:
         return -totient(q) / (2 * q) * math.log(H) + s0c(q, 0, truncation)
     return s0c(q, v, truncation)

@@ -15,8 +15,11 @@ The D_j come in two flavours: a brute truncated sum straight from the
 definitions (the oracle, O(cutoff^2) and happy about it), and a
 semianalytic form where the progression sums over e^{-h/H} are closed
 geometric series and every S_0(q, v; H) is replaced by its main terms.
-Only the semianalytic form feeds the integral; the brute form exists to
-keep it honest.
+There every D1 and D2 term is e^{-k/H} times the main terms of
+S_0(q, v0 - k; H), v0 = b - a, for an integer k <= 2q; grouped by k, D1
+and D2 of a pair are two integer weight vectors over k = 1..2q (see
+_PairDensity).  Only the semianalytic form feeds the integral; the brute
+form exists to keep it honest.
 
 All quadrature is composite 16-point Gauss-Legendre with deterministic
 interval bisection in u = log y.
@@ -63,8 +66,12 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, rel_tol: float = 1e-7,
 
     Intervals are bisected until the one-panel and two-panel answers agree
     to rel_tol of the running whole-interval estimate.  Recursion order is
-    fixed, so results are bit-reproducible.
+    fixed, so results are bit-reproducible.  rel_tol must lie in
+    [1e-15, 1): below that no panel can converge in double precision, and
+    every branch would bisect to max_depth.
     """
+    if not 1e-15 <= rel_tol < 1:
+        raise ValueError(f"rel_tol must lie in [1e-15, 1), got {rel_tol}")
     if hi <= lo:
         return 0.0, 0.0
 
@@ -139,10 +146,18 @@ def _race_scales(q: int, phi: int, y):
 class _PairDensity:
     """Vectorised semianalytic D0+D1+D2 for one pattern (a, b) mod q.
 
-    Residue bookkeeping is frozen at construction: the class lists entering
-    D1, the phi^2 pairs entering D2, their sawtooth offsets w(.) in [1, q],
-    and the constants S_0^c(q, v).  Each evaluation is then a couple of
-    small matrix products over the y array.
+    Every D1 and D2 term is e^{-k/H} times the main terms of
+    S_0(q, v0 - k; H), for an integer k in 1..2q; w(.) is the sawtooth
+    offset in [1, q].  A D1 term over class v has k = w(v0 - v).  A D2
+    term over the classes t, t' between a and b has k = k1 + k2, with
+    k1 = w(t - a) and k2 = w(b - t').  So D1 and D2 are each one integer
+    weight vector over k, fixed at construction from
+
+        after_a[k] = [gcd(a + k, q) = 1],  before_b[k] = [gcd(b - k, q) = 1]
+
+    for k = 1..q: D1 weighs k by after_a + before_b, D2 by their
+    convolution.  Each evaluation is then one exponential table of width
+    2q and one product with the two weight vectors.
     """
 
     def __init__(self, q: int, a: int, b: int, truncation: int | None = None):
@@ -154,35 +169,19 @@ class _PairDensity:
         self.slope = -self.phi / (2 * q)  # the log H coefficient at v = 0
 
         s0c_arr = s0c_vector(q, truncation)
-        w = lambda u: canonical_residue(q, u)
-
-        self.w_v0 = w(self.v0)
-
-        # D1: classes v with gcd(v + a, q) = 1, then gcd(v - b, q) = 1
-        vs = []
-        for shift in (self.a, -self.b):
-            vs.extend(v for v in range(q) if math.gcd(v + shift, q) == 1)
-        self.d1_w = np.array([w(self.v0 - v) for v in vs], dtype=float)
-        self.d1_const = s0c_arr[[v % q for v in vs]]
-        self.d1_zero = np.array([1.0 if v % q == 0 else 0.0 for v in vs])
-
-        # D2: u with gcd(u + a, q) = 1 and s with gcd(u + s + a, q) = 1
-        us, ss = [], []
-        for u in range(q):
-            if math.gcd(u + self.a, q) != 1:
-                continue
-            for s in range(q):
-                if math.gcd(u + s + self.a, q) == 1:
-                    us.append(u)
-                    ss.append(s)
-        self.d2_w = np.array(
-            [w(self.v0 - u - s) + w(u) for u, s in zip(us, ss)], dtype=float
-        )
-        self.d2_const = s0c_arr[[s % q for s in ss]]
-        self.d2_zero = np.array([1.0 if s % q == 0 else 0.0 for s in ss])
-
+        self.w_v0 = canonical_residue(q, self.v0)
         self.s0c_v0 = s0c_arr[self.v0]
         self.v0_is_zero = self.v0 == 0
+
+        self.k = np.arange(1, 2 * q + 1)
+        after_a = (np.gcd(self.a + self.k[:q], q) == 1).astype(int)
+        before_b = (np.gcd(self.b - self.k[:q], q) == 1).astype(int)
+        self.weights = np.zeros((2, 2 * q))
+        self.weights[0, :q] = after_a + before_b
+        self.weights[1, 1:] = np.convolve(after_a, before_b)  # k1 + k2 >= 2
+        cls = (self.v0 - self.k) % q  # the S_0 class each k reads
+        self.s0c_k = s0c_arr[cls]
+        self.zero_k = (cls == 0).astype(float)
 
     def terms(self, y):
         """(logy, alpha, H, D0, D1, D2) for an array (or scalar) of y."""
@@ -198,12 +197,11 @@ class _PairDensity:
 
         pref = self.q / (self.phi * alpha * logy)
 
-        e1 = np.exp(-np.outer(invH, self.d1_w))
-        sum1 = e1 @ self.d1_const + self.slope * logH * (e1 @ self.d1_zero)
+        # the S_0(q, v0 - k; H) main terms, weighted by e^{-k/H}
+        main = self.s0c_k + self.slope * np.outer(logH, self.zero_k)
+        e = np.exp(-np.outer(invH, self.k))
+        sum1, sum2 = ((e * main) @ self.weights.T).T
         d1 = -pref / denom * sum1
-
-        e2 = np.exp(-np.outer(invH, self.d2_w))
-        sum2 = e2 @ self.d2_const + self.slope * logH * (e2 @ self.d2_zero)
         d2 = (pref / denom) ** 2 * sum2
 
         return logy, alpha, H, d0, d1, d2

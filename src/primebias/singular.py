@@ -40,6 +40,11 @@ from .arith import canonical_residue, prime_factors, primes_upto, totient
 __all__ = ["SingularContext", "S0Sum", "singular_pair", "singular_pair_zero",
            "singular_zero", "s0_brute", "s0_moment_main"]
 
+# the longest pair_values table: 0.8 GB of float64 values, about 3 GB at
+# its peak while the large primes are scattered in
+MAX_PAIR_CUTOFF = 10**8
+
+
 class SingularContext:
     """q plus the twin-type product, in full or truncated at P."""
 
@@ -79,7 +84,11 @@ class SingularContext:
         return np.where(p > self.truncation, p / (p - 1.0), full)
 
     def pair_values(self, cutoff: int) -> np.ndarray:
-        """S_q({0,h}) for h = 0..cutoff (index 0 is NaN); grown as needed."""
+        """S_q({0,h}) for h = 0..cutoff (index 0 is NaN); grown as needed
+        up to MAX_PAIR_CUTOFF."""
+        if cutoff > MAX_PAIR_CUTOFF:
+            raise ValueError(f"pair cutoff {cutoff:,} exceeds the limit "
+                             f"{MAX_PAIR_CUTOFF:,} (a 0.8 GB table)")
         if self._pair_cache is not None and len(self._pair_cache) > cutoff:
             return self._pair_cache[: cutoff + 1]
         base = 2.0 * self.twin_tail if self.q % 2 else self.twin_tail
@@ -148,8 +157,8 @@ class S0Sum:
 
 def s0_brute(ctx: SingularContext, v: int, H: float, k: int = 0) -> S0Sum:
     """Truncated S_0^k(q, v; H); the tail beyond 50 H (k+1) is ~e^{-50}."""
-    if H <= 0:
-        raise ValueError("H must be positive")
+    if not 0 < H < math.inf:
+        raise ValueError(f"H must be positive and finite, got {H}")
     if k < 0:
         raise ValueError("k must be >= 0")
     cutoff = math.ceil(50.0 * H * (k + 1))

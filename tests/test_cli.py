@@ -565,6 +565,24 @@ def test_pattern_budget_exit_code(capsys):
         assert time.perf_counter() - start < 5, argv
 
 
+def test_runaway_quadrature_and_s0_exit_code(capsys):
+    # a tolerance no panel can meet would bisect every branch to max_depth,
+    # and H = 1e9 would ask pair_values for 5e10 floats: refused at once
+    runs = [[cmd, "--q", "3", "--x", x, "--rel-tol", tol] + tail
+            for tol in ("0", "-1", "nan", "1e-20")
+            for cmd, x, tail in (("predict", "1e9", ["--method", "integral"]),
+                                 ("compare", "1e5", []))]
+    s0 = ["s0", "--q", "5", "--v", "0", "--H"]
+    runs += [s0 + [H] for H in ("inf", "nan", "1e9")]
+    runs += [s0 + [H, "--method", "analytic"] for H in ("inf", "nan")]
+    for argv in runs:
+        start = time.perf_counter()
+        code, out = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert time.perf_counter() - start < 5, argv
+
+
 def test_counting_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency: no command may load scipy
     script = (

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from primebias import (
+    Modulus,
     SingularContext,
     adaptive_gauss_legendre,
     always_bias_difference,
     asymptotic_prediction,
     c1,
     c2_pair,
+    canonical_residue,
     density_terms_brute,
     density_terms_semianalytic,
     integral_lower_limit,
@@ -22,6 +24,8 @@ from primebias import (
     skip_coefficient,
     skip_prediction,
 )
+from primebias.constants import s0c_vector
+from primebias.predict import _PairDensity
 
 P_FAST = 200_000
 
@@ -111,6 +115,56 @@ def test_brute_vs_semianalytic_tight_for_q3():
     semi = density_terms_semianalytic(3, 1, 1, 1e6, truncation=10**6)
     brute = density_terms_brute(3, 1, 1, 1e6)
     assert semi.total == pytest.approx(brute.total, rel=0.01)
+
+
+def _term_by_term(q, a, b, y):
+    """D0, D1, D2 with every D1 and D2 term listed on its own.
+
+    The D1 classes v with gcd(v + a, q) = 1, then gcd(v - b, q) = 1, and
+    the D2 grid of u with gcd(u + a, q) = 1 and s with gcd(u + s + a, q) = 1,
+    each term e^{-w/H} times the main terms of S_0(q, class; H).
+    """
+    mod = Modulus(q)
+    a, b = mod.canonical(a), mod.canonical(b)
+    phi, v0 = mod.phi, (b - a) % q
+    s0c = s0c_vector(q)
+    w = lambda u: canonical_residue(q, u)
+    logy = np.log(y)
+    alpha = 1.0 - q / (phi * logy)
+    H = -(q / phi) / np.log(alpha)
+    slope_logH = -phi / (2 * q) * np.log(H)
+    denom = -np.expm1(-q / H)
+    pref = q / (phi * alpha * logy)
+
+    def main_terms(v):
+        return s0c[v % q] + (slope_logH if v % q == 0 else 0.0)
+
+    d0 = np.exp(-w(v0) / H) / denom + main_terms(v0)
+    vs = [v for shift in (a, -b) for v in range(q)
+          if math.gcd(v + shift, q) == 1]
+    sum1 = sum(np.exp(-w(v0 - v) / H) * main_terms(v) for v in vs)
+    sum2 = sum(np.exp(-(w(v0 - u - s) + w(u)) / H) * main_terms(s)
+               for u in range(q) if math.gcd(u + a, q) == 1
+               for s in range(q) if math.gcd(u + s + a, q) == 1)
+    return d0, -pref / denom * sum1, (pref / denom) ** 2 * sum2
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 12, 30, 210])
+def test_k_weights_match_term_by_term_sums(q):
+    """The weight vectors over k regroup the D1 and D2 terms exactly, so
+    they agree with the listed terms to rounding; the brute route agrees
+    only to O(H^{-1/2}) and could not see a misplaced weight."""
+    classes = Modulus(q).classes
+    # q = 210: 64 of the 2,304 pairs, 8 of them with a = b
+    spread = classes[::6] if q == 210 else classes
+    ys = np.geomspace(integral_lower_limit(q) * 1.001, 1e12, 9)
+    for a in spread:
+        for b in spread:
+            got = _PairDensity(q, a, b).terms(ys)[3:]
+            want = _term_by_term(q, a, b, ys)
+            for name, g, x in zip(("D0", "D1", "D2"), got, want):
+                np.testing.assert_allclose(g, x, rtol=1e-12, atol=0,
+                                           err_msg=f"{name} q={q} ({a}, {b})")
 
 
 def test_asymptotic_assembly_literal():

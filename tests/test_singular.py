@@ -15,6 +15,7 @@ from primebias import (
     singular_pair_zero,
     singular_zero,
 )
+from primebias.singular import MAX_PAIR_CUTOFF
 
 
 def direct_product(q, h, P):
@@ -119,6 +120,19 @@ def test_s0_brute_v0_has_log_main_term():
     s2 = s0_brute(ctx, 0, h2).value
     slope = (s2 - s1) / (math.log(h2) - math.log(h1))
     assert slope == pytest.approx(-2.0 / 6.0, abs=0.02)
+
+
+def test_s0_refuses_runaway_H():
+    ctx = SingularContext(5)
+    for H in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            s0_brute(ctx, 0, H)
+    # the limit is checked before any table is allocated
+    with pytest.raises(ValueError, match="100,000,000"):
+        ctx.pair_values(MAX_PAIR_CUTOFF + 1)
+    with pytest.raises(ValueError, match="100,000,000"):
+        s0_brute(ctx, 0, 1e9)
+    assert ctx._pair_cache is None
 
 
 def test_s0_moment_main_formula():
