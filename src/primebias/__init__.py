@@ -14,35 +14,38 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     **dict.fromkeys((
         "InternalConsistencyError", "Modulus", "ResiduePattern",
-        "canonical_residue", "epsilon_q", "pattern_epsilon", "prime_factors",
-        "primes_upto", "sawtooth_B", "totient", "von_mangoldt",
+        "canonical_residue", "epsilon_q", "prime_factors", "primes_upto",
+        "totient", "von_mangoldt",
     ), "arith"),
     **dict.fromkeys((
         "CharacterGroup", "DirichletCharacter", "character_group",
     ), "characters"),
     **dict.fromkeys((
-        "c1", "c2_general", "c2_pair", "c2_pair_forms", "c2_symmetric_sum",
-        "s0_main", "s0c", "skip_coefficient",
+        "c1", "c2_general", "c2_pair", "c2_pair_forms", "s0_main", "s0c",
+        "skip_coefficient",
     ), "constants"),
     **dict.fromkeys((
         "CTable", "CTableRow", "a_q_chi", "build_ctable", "c_q_chi",
-        "l_at_one", "l_at_zero", "reduce_c", "tail_bound",
+        "l_at_one", "l_at_zero", "tail_bound",
     ), "lfun"),
     **dict.fromkeys((
-        "DensityTerms", "PredictionRow", "adaptive_gauss_legendre",
-        "always_bias_difference", "asymptotic_prediction",
-        "density_terms_brute", "density_terms_semianalytic",
+        "PredictionRow", "adaptive_gauss_legendre", "asymptotic_prediction",
         "integral_lower_limit", "integral_prediction", "li",
-        "quad_residue_sum_prediction", "skip_prediction",
+        "skip_prediction",
     ), "predict"),
     **dict.fromkeys((
-        "CountTable", "SieveConfig", "character_sum", "count_patterns",
+        "CountTable", "SieveConfig", "count_patterns",
         "count_patterns_series", "stream_primes",
     ), "sieve"),
     **dict.fromkeys((
         "S0Sum", "SingularContext", "s0_brute", "s0_moment_main",
-        "singular_pair", "singular_pair_zero", "singular_zero",
     ), "singular"),
+    # check-only routes, which no command loads
+    **dict.fromkeys((
+        "DensityTerms", "always_bias_difference", "c2_symmetric_sum",
+        "character_sum", "density_terms_brute", "quad_residue_sum_prediction",
+        "reduce_c", "sawtooth_B", "singular_pair", "singular_zero",
+    ), "oracles"),
 }
 
 __all__ = list(_SUBMODULE)

@@ -1,20 +1,20 @@
 """Elementary arithmetic helpers shared across the package.
 
 Everything here is exact integer / rational arithmetic: totients, prime
-factorisations, the Moebius and von Mangoldt functions, the centered
-sawtooth B_q, and the coprime-count discrepancy epsilon_q that measures how
-many integers in a gap land on residues coprime to q relative to the
-expected density phi(q)/q.  These are the raw ingredients for the bias
-constants; nothing in this module knows about primes beyond trial division
-and a plain sieve.  InternalConsistencyError, raised wherever two
-independent routes disagree, lives here so every module can raise it.
+factorisations, the Moebius and von Mangoldt functions, and the
+coprime-count discrepancy epsilon_q that measures how many integers in a
+gap land on residues coprime to q relative to the expected density
+phi(q)/q.  These are the raw ingredients for the bias constants.  The
+segmented prime sieve behind every prime array in the package lives here
+too (_segments; primes_upto and sieve.stream_primes read it), as do the
+up-front input checks and InternalConsistencyError, raised wherever two
+independent routes disagree, so every module can use them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -28,15 +28,17 @@ __all__ = [
     "moebius",
     "primes_upto",
     "von_mangoldt",
-    "sawtooth_B",
     "epsilon_q",
-    "pattern_epsilon",
     "canonical_residue",
     "MAX_PATTERNS",
     "check_pattern_budget",
+    "check_rel_tol",
 ]
 
 MAX_PATTERNS = 1 << 24  # phi(q)**r: the most patterns any command enumerates
+DEFAULT_SEGMENT_SIZE = 1 << 20  # odd numbers per segment: a 1 MB mask
+TILE_PRIMES = (3, 5, 7, 11, 13, 17)
+TILE_PERIOD = 255255  # product of TILE_PRIMES, in odd numbers
 
 
 class InternalConsistencyError(AssertionError):
@@ -85,25 +87,70 @@ def moebius(n: int) -> int:
     return -1 if len(ps) % 2 else 1
 
 
+@lru_cache(maxsize=4)
+def _tile(segment_size: int) -> np.ndarray:
+    """Entry j stands for the odd number 2j + 1; multiples of TILE_PRIMES
+    (the primes themselves included) are cleared.  Long enough that any
+    segment is one slice of it."""
+    tile = np.ones(TILE_PERIOD + segment_size, dtype=bool)
+    for p in TILE_PRIMES:
+        tile[p // 2 :: p] = False
+    tile.flags.writeable = False
+    return tile
+
+
+def _segments(lo: int, hi: int, segment_size: int, root: int):
+    """Yield (low, pos) for consecutive segments covering the odd numbers in
+    [lo, hi): the primes of a segment are low + 2*pos, in order.
+
+    Each segment's mask starts as a slice of the tile, then every larger
+    base prime clears its multiples with one strided store; a 2**20-entry
+    mask stays in L2 cache while they run.  root >= isqrt(hi - 1) bounds
+    the base primes, which come from this same kernel.
+    """
+    base = primes_upto(root)
+    base = base[np.searchsorted(base, TILE_PRIMES[-1], side="right"):]
+    tile = _tile(segment_size)
+    low = lo | 1
+    while low < hi:
+        n = min(segment_size, (hi - low + 1) // 2)
+        high = low + 2 * n
+        start = (low // 2) % TILE_PERIOD
+        # the mask, then room to pad it (see below)
+        buf = np.empty(n + n // 9 + 1, dtype=bool)
+        mask = buf[:n]
+        mask[:] = tile[start : start + n]
+        if low <= TILE_PRIMES[-1]:
+            for p in TILE_PRIMES:
+                if low <= p < high:
+                    mask[(p - low) // 2] = True
+            if low == 1:
+                mask[0] = False
+        ps = base[: np.searchsorted(base, math.isqrt(high - 1), side="right")]
+        # first odd multiple of p that is >= max(low, p*p); a short segment
+        # skips the many base primes that have none inside it
+        first = (np.maximum(-(-low // ps) | 1, ps) * ps - low) >> 1
+        hit = first < n
+        for p, i in zip(ps[hit].tolist(), first[hit].tolist()):
+            mask[i::p] = False
+        # numpy finds nonzero entries branch-free, about 3x faster, only
+        # above a density of 1/10; primes above e**20 are sparser than that,
+        # so pad with set entries past the end, then drop their positions
+        k = int(np.count_nonzero(mask))
+        pad = max(0, (n - 10 * k) // 9 + 1)
+        buf[n : n + pad] = True
+        yield low, np.flatnonzero(buf[: n + pad])[:k]
+        low = high
+
+
 @lru_cache(maxsize=32)
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (odd-only plain sieve, cached).
-
-    Entry i of the mask stands for the odd number 2i + 1, except entry 0,
-    which stands for 2.
-    """
+    """All primes <= limit as an int64 array (segment kernel, cached)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    is_p = np.ones((limit + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if is_p[i]:
-            p = 2 * i + 1
-            is_p[p * p // 2 :: p] = False
-    out = np.flatnonzero(is_p)
-    out *= 2
-    out += 1
-    out[0] = 2
-    return out
+    odd = [low + 2 * pos for low, pos in
+           _segments(3, limit + 1, DEFAULT_SEGMENT_SIZE, math.isqrt(limit))]
+    return np.concatenate([np.array([2], dtype=np.int64), *odd])
 
 
 def von_mangoldt(n: int) -> float:
@@ -141,6 +188,15 @@ def check_pattern_budget(q: int, r: int) -> None:
                 f"phi({q})^{r} = {phi}^{r} patterns exceed the budget of "
                 f"{MAX_PATTERNS}"
             )
+
+
+def check_rel_tol(rel_tol: float) -> float:
+    """Return a quadrature tolerance in [1e-15, 1), or refuse it: below
+    that no panel can converge in double precision, and every branch would
+    bisect to the depth cap."""
+    if not 1e-15 <= rel_tol < 1:
+        raise ValueError(f"rel_tol must lie in [1e-15, 1), got {rel_tol}")
+    return rel_tol
 
 
 def canonical_residue(q: int, v: int) -> int:
@@ -201,9 +257,24 @@ class ResiduePattern:
         return sum(1 for x, y in zip(self.classes, self.classes[1:]) if x == y)
 
 
-def _coprime_shift_count(q: int, a: int, h: int) -> int:
-    """#{0 < t < h : gcd(t + a, q) = 1} by direct enumeration."""
-    return sum(1 for t in range(1, h) if math.gcd(t + a, q) == 1)
+@lru_cache(maxsize=64)
+def _epsilon_numerators(q: int) -> np.ndarray:
+    """q * epsilon_q(a, b) at [a mod q, b mod q], as exact integers.
+
+    With a and h0 = b - a read in [1, q] and U(n) the number of units in
+    [1, n], the count of coprime shifts is U(a + h0 - 1) - U(a); the
+    numerators taken one period later, at h0 + q, must match.
+    """
+    phi = Modulus(q).phi  # validates q >= 3
+    units = np.cumsum(np.gcd(np.arange(3 * q), q) == 1)  # U(n), n < 3q
+    a = np.r_[q, 1:q][:, None]
+    h0 = (np.arange(q) - a - 1) % q + 1
+    num = q * (units[a + h0 - 1] - units[a]) - phi * h0
+    again = q * (units[a + h0 + q - 1] - units[a]) - phi * (h0 + q)
+    if not np.array_equal(num, again):
+        raise InternalConsistencyError(f"epsilon_q not period-stable for q={q}")
+    num.flags.writeable = False
+    return num
 
 
 def epsilon_q(q: int, a: int, b: int) -> float:
@@ -214,34 +285,6 @@ def epsilon_q(q: int, a: int, b: int) -> float:
     and the left side minus the density term is independent of h.  The
     value is a rational with denominator dividing q (it is not an integer
     in general: q=3, a=1, b=2 gives -2/3).  Computed exactly at the least
-    h and re-checked one period later.
+    h and re-checked one period later, for every pair mod q at once.
     """
-    mod = Modulus(q)
-    a = mod.canonical(a)
-    h0 = canonical_residue(q, b - a)
-    phi = mod.phi
-    num0 = q * _coprime_shift_count(q, a, h0) - phi * h0
-    num1 = q * _coprime_shift_count(q, a, h0 + q) - phi * (h0 + q)
-    if num0 != num1:
-        raise InternalConsistencyError(
-            f"epsilon_q not period-stable for q={q}, a={a}, b={b}"
-        )
-    return float(Fraction(num0, q))
-
-
-def pattern_epsilon(q: int, classes: tuple[int, ...] | list[int]) -> float:
-    """Sum of epsilon_q over adjacent pairs of the pattern."""
-    pat = ResiduePattern(Modulus(q), tuple(classes))
-    cs = pat.classes
-    return sum(epsilon_q(q, cs[i], cs[i + 1]) for i in range(len(cs) - 1))
-
-
-def sawtooth_B(q: int, v: int) -> float:
-    """B_q(v) = 1/2 - v/q with v reduced to [1, q]; period q in v.
-
-    Summing over a full period gives exactly -1/2.
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    vc = canonical_residue(q, v)
-    return 0.5 - vc / q
+    return int(_epsilon_numerators(q)[a % q, b % q]) / q

@@ -38,6 +38,7 @@ from .arith import (
     Modulus,
     ResiduePattern,
     check_pattern_budget,
+    check_rel_tol,
 )
 
 __all__ = ["main"]
@@ -79,6 +80,14 @@ def _exact_int(text: str) -> int:
 def _int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers, each read by _exact_int."""
     return tuple(_exact_int(t) for t in text.split(","))
+
+
+def _rel_tol(text: str) -> float:
+    """A quadrature tolerance, refused before any work if out of range."""
+    try:
+        return check_rel_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _truncation(args):
@@ -375,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--skip", type=int, default=2)
     sp.add_argument("--truncation", type=_exact_int, default=None,
                     help=_TRUNCATION_HELP)
-    sp.add_argument("--rel-tol", type=float, default=1e-7)
+    sp.add_argument("--rel-tol", type=_rel_tol, default=1e-7)
     common(sp)
     sp.set_defaults(func=_cmd_predict)
 
@@ -410,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="worker processes, at most one per core")
     sp.add_argument("--truncation", type=_exact_int, default=None,
                     help=_TRUNCATION_HELP)
-    sp.add_argument("--rel-tol", type=float, default=1e-7)
+    sp.add_argument("--rel-tol", type=_rel_tol, default=1e-7)
     common(sp)
     sp.set_defaults(func=_cmd_compare)
 

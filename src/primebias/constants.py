@@ -38,8 +38,7 @@ from .lfun import c_q_chi
 
 __all__ = [
     "InternalConsistencyError", "s0c", "s0c_vector", "s0_main", "c1",
-    "c2_pair", "c2_pair_forms", "c2_general", "c2_symmetric_sum",
-    "skip_coefficient",
+    "c2_pair", "c2_pair_forms", "c2_general", "skip_coefficient",
 ]
 
 # forms are algebraically identical at any fixed truncation, so disagreement
@@ -65,7 +64,8 @@ def _divisors(n: int) -> list[int]:
 
 
 def _sawtooth(q: int) -> np.ndarray:
-    """B_q(v) for v = 0..q-1, with v = 0 read as q (see arith.sawtooth_B)."""
+    """The centered sawtooth B_q(v) = 1/2 - v/q for v = 0..q-1, with v = 0
+    read as q; a full period sums to -1/2."""
     return 0.5 - np.r_[q, 1:q] / q
 
 
@@ -337,21 +337,6 @@ def c2_general(
     """c2 for an r-tuple: pair constants plus lag terms (_pattern_constants)."""
     canon = ResiduePattern(q, tuple(classes)).classes
     return float(_pattern_constants(q, canon, truncation)[1])
-
-
-def c2_symmetric_sum(q: int, a: int, b: int) -> float:
-    """Closed form of c2(q;(a,b)) + c2(q;(b,a)) for a != b mod q.
-
-    Equals log 2pi - phi(q) Lambda(q/(q, b-a)) / phi(q/(q, b-a)); no
-    character data enters, which makes it a sharp cross-check.
-    """
-    mod = Modulus(q)
-    a, b = mod.canonical(a), mod.canonical(b)
-    if a == b:
-        raise ValueError("defined for distinct classes only")
-    d = math.gcd(b - a, q)
-    qd = q // d
-    return math.log(2 * math.pi) - mod.phi * von_mangoldt(qd) / totient(qd)
 
 
 def skip_coefficient(q: int, k: int, equal: bool) -> tuple[float, float]:

@@ -43,9 +43,8 @@ sum_{p > P} 4/(p-1)^2 <= 5 / (P log P) = tail_bound(P).  The
 combinations C(q, chi) = L(0,chi) L(1,chi) A(q,chi) vanish identically
 for even chi and drive all the second-order bias constants.
 
-chi may live on any modulus m dividing the ambient q (and for the
-reduction identities also on moduli coprime to parts of q); chi(p) is
-always evaluated with chi's own modulus.
+chi may live on any modulus m dividing the ambient q, and also on moduli
+coprime to parts of q; chi(p) is always evaluated with chi's own modulus.
 """
 
 from __future__ import annotations
@@ -58,12 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import (
-    InternalConsistencyError,
-    moebius,
-    prime_factors,
-    primes_upto,
-)
+from .arith import moebius, prime_factors, primes_upto
 from .characters import DirichletCharacter, character_group
 
 __all__ = [
@@ -73,7 +67,6 @@ __all__ = [
     "large_prime_log",
     "a_q_chi",
     "c_q_chi",
-    "reduce_c",
     "tail_bound",
     "CTable",
     "build_ctable",
@@ -380,46 +373,6 @@ def c_q_chi(
         return 0j
     a_val, _ = a_q_chi(q, chi, truncation)
     return l_at_zero(chi) * l_at_one(chi) * a_val
-
-
-def reduce_c(
-    q: int, chi: DirichletCharacter, truncation: int | None = None
-) -> complex:
-    """C(q, chi) via the reduction identities, cross-checked against the direct product.
-
-    Route 1 (always): through the primitive character chi* of conductor f,
-        C(q, chi) = C(q, chi*) prod_{p | m} (1 - chi*(p)).
-    Route 2 (q even, chi of odd modulus): with q0 the odd part of q,
-        C(q, chi) = (conj(chi)(2)/2) C(q0, chi).
-    Both must agree with the direct evaluation; the identities are exact
-    at any fixed truncation, so the tolerance is rounding-level.
-    """
-    direct = c_q_chi(q, chi, truncation)
-
-    chi_star = chi.primitive()
-    extra = 1.0 + 0j
-    for p in prime_factors(chi.modulus):
-        extra *= 1.0 - chi_star(p)
-    via_primitive = c_q_chi(q, chi_star, truncation) * extra
-    scale = max(abs(direct), 1.0)
-    if abs(via_primitive - direct) > 1e-9 * scale:
-        raise InternalConsistencyError(
-            f"primitive reduction mismatch for q={q}, chi={chi.name()}: "
-            f"{via_primitive} vs {direct}"
-        )
-
-    if q % 2 == 0 and chi.modulus % 2 == 1:
-        q0 = q
-        while q0 % 2 == 0:
-            q0 //= 2
-        via_dyadic = np.conj(chi(2)) / 2.0 * c_q_chi(q0, chi, truncation)
-        if abs(via_dyadic - direct) > 1e-9 * scale:
-            raise InternalConsistencyError(
-                f"dyadic reduction mismatch for q={q}, chi={chi.name()}: "
-                f"{via_dyadic} vs {direct}"
-            )
-
-    return via_primitive
 
 
 @dataclass(frozen=True)

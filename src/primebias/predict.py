@@ -11,15 +11,13 @@ Two prediction routes for the count of a pattern (a, b) mod q up to x:
   -(q/phi)/log alpha, and the D_j collect inclusion-exclusion sums of
   two-term singular series against the geometric weight e^{-h/H}.
 
-The D_j come in two flavours: a brute truncated sum straight from the
-definitions (the oracle, O(cutoff^2) and happy about it), and a
-semianalytic form where the progression sums over e^{-h/H} are closed
-geometric series and every S_0(q, v; H) is replaced by its main terms.
-There every D1 and D2 term is e^{-k/H} times the main terms of
-S_0(q, v0 - k; H), v0 = b - a, for an integer k <= 2q; grouped by k, D1
-and D2 of a pair are two integer weight vectors over k = 1..2q (see
-_PairDensity).  Only the semianalytic form feeds the integral; the brute
-form exists to keep it honest.
+The D_j are taken in semianalytic form: the progression sums over
+e^{-h/H} are closed geometric series and every S_0(q, v; H) is replaced by
+its main terms.  Then every D1 and D2 term is e^{-k/H} times the main
+terms of S_0(q, v0 - k; H), v0 = b - a, for an integer k <= 2q; grouped
+by k, D1 and D2 of a pair are two integer weight vectors over k = 1..2q
+(see _PairDensity).  The truncated sums straight from the definitions,
+quadratic in their cutoff, only check this form; no prediction runs them.
 
 All quadrature is composite 16-point Gauss-Legendre with deterministic
 interval bisection in u = log y.
@@ -36,24 +34,18 @@ from .arith import (
     Modulus,
     ResiduePattern,
     canonical_residue,
+    check_rel_tol,
     epsilon_q,
-    prime_factors,
 )
 from .constants import _pattern_constants, s0c_vector, skip_coefficient
-from .singular import SingularContext
 
 __all__ = [
     "li",
     "adaptive_gauss_legendre",
-    "DensityTerms",
-    "density_terms_brute",
-    "density_terms_semianalytic",
     "PredictionRow",
     "asymptotic_prediction",
     "integral_prediction",
     "skip_prediction",
-    "always_bias_difference",
-    "quad_residue_sum_prediction",
     "integral_lower_limit",
 ]
 
@@ -67,11 +59,9 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, rel_tol: float = 1e-7,
     Intervals are bisected until the one-panel and two-panel answers agree
     to rel_tol of the running whole-interval estimate.  Recursion order is
     fixed, so results are bit-reproducible.  rel_tol must lie in
-    [1e-15, 1): below that no panel can converge in double precision, and
-    every branch would bisect to max_depth.
+    [1e-15, 1) (arith.check_rel_tol).
     """
-    if not 1e-15 <= rel_tol < 1:
-        raise ValueError(f"rel_tol must lie in [1e-15, 1), got {rel_tol}")
+    check_rel_tol(rel_tol)
     if hi <= lo:
         return 0.0, 0.0
 
@@ -118,20 +108,6 @@ def integral_lower_limit(q: int) -> float:
 # ---------------------------------------------------------------------------
 # density terms
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityTerms:
-    y: float
-    alpha: float
-    H: float
-    d0: float
-    d1: float
-    d2: float
-
-    @property
-    def total(self) -> float:
-        return self.d0 + self.d1 + self.d2
 
 
 def _race_scales(q: int, phi: int, y):
@@ -218,70 +194,6 @@ class _PairDensity:
             * (d0 + d1 + d2)
             * y
         )
-
-
-def density_terms_semianalytic(
-    q: int, a: int, b: int, y: float, truncation: int | None = None
-) -> DensityTerms:
-    ev = _PairDensity(q, a, b, truncation)
-    logy, alpha, H, d0, d1, d2 = ev.terms(np.array([y]))
-    return DensityTerms(
-        y=y, alpha=float(alpha[0]), H=float(H[0]),
-        d0=float(d0[0]), d1=float(d1[0]), d2=float(d2[0]),
-    )
-
-
-def density_terms_brute(
-    q: int, a: int, b: int, y: float, cutoff: int | None = None,
-    ctx: SingularContext | None = None,
-) -> DensityTerms:
-    """D0, D1, D2 straight from their defining truncated sums.
-
-    Quadratic in the cutoff (default ceil(50 H), callers may raise it);
-    meant for spot checks at moderate y, not for quadrature.
-    """
-    ctx = ctx or SingularContext(q)
-    mod = Modulus(q)
-    a, b = mod.canonical(a), mod.canonical(b)
-    phi = mod.phi
-    logy, alpha, H = _race_scales(q, phi, np.array([y]))
-    logy, alpha, H = float(logy[0]), float(alpha[0]), float(H[0])
-    if cutoff is None:
-        cutoff = math.ceil(50 * H)
-    v0 = (b - a) % q
-
-    sig = ctx.pair_values(cutoff)  # sig[h] = singular series of {0, h}
-    sig0 = sig - 1.0
-    hvals = np.arange(canonical_residue(q, v0), cutoff + 1, q)
-    weights = np.exp(-hvals / H)
-
-    d0 = float(np.dot(sig[hvals], weights))
-
-    t = np.arange(cutoff + 1)
-    mask = np.array([math.gcd(int(tt + a), q) == 1 for tt in t], dtype=float)
-    mask[0] = 0.0
-    masked_sig0 = mask * sig0
-
-    pref = q / (phi * alpha * logy)
-
-    inner1 = np.empty(len(hvals))
-    for i, h in enumerate(hvals):
-        # sum_{t<h} [(t+a,q)=1] (S_{q,0}{0,t} + S_{q,0}{t,h})
-        inner1[i] = masked_sig0[1:h].sum() + float(
-            np.dot(mask[1:h], sig0[h - 1 : 0 : -1])
-        )
-    d1 = -pref * float(np.dot(weights, inner1))
-
-    # contribution[t2] = [(t2+a,q)=1] sum_{t1<t2} [(t1+a,q)=1] sig0[t2-t1]
-    contrib = np.zeros(cutoff + 1)
-    for t2 in range(2, cutoff + 1):
-        if mask[t2]:
-            contrib[t2] = float(np.dot(mask[1:t2], sig0[t2 - 1 : 0 : -1]))
-    cum = np.cumsum(contrib)
-    inner2 = cum[np.maximum(hvals - 1, 0)]
-    d2 = pref**2 * float(np.dot(weights, inner2))
-
-    return DensityTerms(y=y, alpha=alpha, H=H, d0=d0, d1=float(d1), d2=float(d2))
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +286,3 @@ def skip_prediction(
         q=q, classes=(a, b), x=x, method=f"skip{k}", value=value,
         terms={"li": li_x, "main": main, "c2_skip": c2s},
     )
-
-
-def always_bias_difference(q: int, x: float) -> float:
-    """Predicted pi(x;q,(a,-a)) - pi(x;q,(a,a)) for q in {3, 4}.
-
-    Both off-diagonal constants collapse to +-(1/2)log(2pi/q) there, so the
-    difference is class-free: x/(4 log^2 x) log(2 pi log x / q).
-    """
-    if q not in (3, 4):
-        raise ValueError("closed form only holds for q = 3 and q = 4")
-    if x < 10:
-        raise ValueError("x too small")
-    logx = math.log(x)
-    return x / (4 * logx**2) * math.log(2 * math.pi * logx / q)
-
-
-def quad_residue_sum_prediction(q: int, x: float) -> float:
-    """Predicted sum_{a,b} (a|q)(b|q) pi(x;q,(a,b)) for odd prime q."""
-    if q % 2 == 0 or prime_factors(q) != (q,):
-        raise ValueError("defined for odd prime q")
-    if x < 10:
-        raise ValueError("x too small")
-    logx = math.log(x)
-    return -x / (2 * logx**2) * math.log(2 * math.pi * logx / q)

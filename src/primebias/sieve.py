@@ -1,11 +1,9 @@
 """Exact pattern counts over consecutive primes by segmented sieve.
 
-Primes come from an odd-only segmented sieve of Eratosthenes.  Each
-segment's mask starts as a slice of a cached tile already sieved by
-3, 5, ..., 17 (the tile repeats every 3*5*7*11*13*17 = 255255 odd
-numbers); every larger base prime then clears its multiples with one
-strided store.  A segment holds 2**20 odd numbers, so its mask stays in
-L2 cache while the stores run.
+Primes come from the odd-only segmented sieve of arith._segments, the
+one prime sieve of the package: 2**20 odd numbers per segment, each mask
+a slice of a tile pre-sieved by 3..17 before the strided stores of the
+larger base primes.
 
 Window starts are the primes strictly greater than q, so every window
 member is coprime to q and consecutive sieved primes are consecutive
@@ -43,12 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (
-    InternalConsistencyError,
-    Modulus,
-    check_pattern_budget,
-    prime_factors,
-    primes_upto,
+from .arith import (  # noqa: F401  (the kernel's names resolve here too)
+    DEFAULT_SEGMENT_SIZE, TILE_PERIOD, TILE_PRIMES, InternalConsistencyError,
+    Modulus, _segments, _tile, check_pattern_budget,
 )
 
 __all__ = [
@@ -57,17 +52,13 @@ __all__ = [
     "stream_primes",
     "count_patterns",
     "count_patterns_series",
-    "character_sum",
     "nth_prime_upper_bound",
     "nth_prime_lower_bound",
     "effective_workers",
 ]
 
-DEFAULT_SEGMENT_SIZE = 1 << 20  # odd numbers per segment: a 1 MB mask
 CHUNK_SIZE = 1 << 25  # integers per chunk, the unit of work of one worker
 MAX_SIEVE_LIMIT = 50_000_000_000
-TILE_PRIMES = (3, 5, 7, 11, 13, 17)
-TILE_PERIOD = 255255  # product of TILE_PRIMES, in odd numbers
 # windows starting at primes <= x close before x + GAP_PAD * (span + 1):
 # every prime gap below MAX_SIEVE_LIMIT is far shorter than GAP_PAD
 GAP_PAD = 4096
@@ -154,62 +145,6 @@ def _check_limit(limit: int) -> None:
             f"{MAX_SIEVE_LIMIT:.1e}; raise MAX_SIEVE_LIMIT only with the "
             "memory and hours to match"
         )
-
-
-# ------------------------------------------------------------ segment kernel
-
-
-@lru_cache(maxsize=4)
-def _tile(segment_size: int) -> np.ndarray:
-    """Entry j stands for the odd number 2j + 1; multiples of TILE_PRIMES
-    (the primes themselves included) are cleared.  Long enough that any
-    segment is one slice of it."""
-    tile = np.ones(TILE_PERIOD + segment_size, dtype=bool)
-    for p in TILE_PRIMES:
-        tile[p // 2 :: p] = False
-    tile.flags.writeable = False
-    return tile
-
-
-def _segments(lo: int, hi: int, segment_size: int, root: int):
-    """Yield (low, pos) for consecutive segments covering the odd numbers in
-    [lo, hi): the primes of a segment are low + 2*pos, in order.
-
-    root >= isqrt(hi - 1) bounds the base primes.
-    """
-    base = primes_upto(root)
-    base = base[np.searchsorted(base, TILE_PRIMES[-1], side="right"):]
-    tile = _tile(segment_size)
-    low = lo | 1
-    while low < hi:
-        n = min(segment_size, (hi - low + 1) // 2)
-        high = low + 2 * n
-        start = (low // 2) % TILE_PERIOD
-        # the mask, then room to pad it (see below)
-        buf = np.empty(n + n // 9 + 1, dtype=bool)
-        mask = buf[:n]
-        mask[:] = tile[start : start + n]
-        if low <= TILE_PRIMES[-1]:
-            for p in TILE_PRIMES:
-                if low <= p < high:
-                    mask[(p - low) // 2] = True
-            if low == 1:
-                mask[0] = False
-        ps = base[: np.searchsorted(base, math.isqrt(high - 1), side="right")]
-        # first odd multiple of p that is >= max(low, p*p); a short segment
-        # skips the many base primes that have none inside it
-        first = (np.maximum(-(-low // ps) | 1, ps) * ps - low) >> 1
-        hit = first < n
-        for p, i in zip(ps[hit].tolist(), first[hit].tolist()):
-            mask[i::p] = False
-        # numpy finds nonzero entries branch-free, about 3x faster, only
-        # above a density of 1/10; primes above e**20 are sparser than that,
-        # so pad with set entries past the end, then drop their positions
-        k = int(np.count_nonzero(mask))
-        pad = max(0, (n - 10 * k) // 9 + 1)
-        buf[n : n + pad] = True
-        yield low, np.flatnonzero(buf[: n + pad])[:k]
-        low = high
 
 
 def stream_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -422,21 +357,3 @@ def count_patterns_series(config: SieveConfig, checkpoints: list[int]) -> list[C
     if xs[-1] != int(config.x):
         raise ValueError("checkpoints must end at x")
     return _tables(config, xs)
-
-
-def character_sum(table: CountTable) -> int:
-    """sum_{a,b} (a|q)(b|q) * count(a,b) for odd prime q, from an r=2 table."""
-    q = table.q
-    if q % 2 == 0 or prime_factors(q) != (q,):
-        raise ValueError("character sums are defined for an odd prime modulus")
-    if table.r != 2:
-        raise ValueError("character sums are defined for pair tables")
-    from .characters import character_group
-
-    # the Legendre symbol: the character sending the primitive root to -1;
-    # its values are exactly +-1 on units
-    chi = character_group(q).character(((q - 1) // 2,))
-    legendre = [round(z.real) for z in chi.values_table().tolist()]
-    return sum(
-        legendre[a] * legendre[b] * n for (a, b), n in table.counts.items()
-    )

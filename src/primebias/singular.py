@@ -9,10 +9,10 @@ which factors as  [2 if q odd]  *  prod_{odd p !| q} (1 - 1/(p-1)^2)
                  *  prod_{odd p | h, p !| q} (p-1)/(p-2),
 
 and vanishes for odd h when q is odd (the p = 2 factor dies).  The
-zero-mean variant is S_{q,0}({0,h}) = S_q({0,h}) - 1 on pairs, 1 on the
-empty set and 0 on singletons.  A SingularContext freezes q and the
-twin-type product over odd p !| q; the h-dependent corrections are
-applied exactly, by sieving, never by per-h full products.
+zero-mean variant on pairs is S_{q,0}({0,h}) = S_q({0,h}) - 1.  A
+SingularContext freezes q and the twin-type product over odd p !| q; the
+h-dependent corrections are applied exactly, by sieving, never by per-h
+full products.
 
 By default the twin-type product is taken in full: odd primes below
 lfun.EXACT_BOUND exactly, the rest through lfun.large_prime_log, the
@@ -35,14 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lfun
-from .arith import canonical_residue, prime_factors, primes_upto, totient
+from .arith import canonical_residue, primes_upto, totient
 
-__all__ = ["SingularContext", "S0Sum", "singular_pair", "singular_pair_zero",
-           "singular_zero", "s0_brute", "s0_moment_main"]
+__all__ = ["SingularContext", "S0Sum", "s0_brute", "s0_moment_main"]
 
-# the longest pair_values table: 0.8 GB of float64 values, about 3 GB at
-# its peak while the large primes are scattered in
+# the longest pair_values table: 0.8 GB of float64 values, 0.98 GB at its
+# peak while the large primes are scattered in (the primes cached first)
 MAX_PAIR_CUTOFF = 10**8
+SCATTER_BLOCK = 1 << 20  # the most large-prime multiples scattered at once
 
 
 class SingularContext:
@@ -56,16 +56,9 @@ class SingularContext:
         self.q = q
         self.phi = totient(q)
         self.truncation = truncation
-        if truncation is None:
-            primes = primes_upto(lfun.EXACT_BOUND - 1)
-        else:
-            primes = primes_upto(truncation)
-        odd = primes[primes > 2]
-        keep = np.ones(len(odd), dtype=bool)
-        for p in prime_factors(q):
-            if p > 2:
-                keep &= odd != p
-        odd = odd[keep]
+        primes = primes_upto(lfun.EXACT_BOUND - 1 if truncation is None
+                             else truncation)
+        odd = primes[(primes > 2) & (q % primes != 0)]
         self.twin_tail = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
         if truncation is None:
             self.twin_tail *= math.exp(lfun.large_prime_log(q).real)
@@ -102,46 +95,24 @@ class SingularContext:
         for p in ps[:small].tolist():
             vals[p::p] *= self.h_factor(p)
         # a larger prime divides an h <= cutoff at most once, as its largest
-        # prime factor, so it comes last in h's product either way: one
-        # scatter multiplies them all in, each index at most once
+        # prime factor, so it comes last in h's product either way: each
+        # scatter multiplies a block of them in, each index at most once,
+        # and a block's multiples total at most SCATTER_BLOCK
         large = ps[small:]
         n = cutoff // large
-        first = np.repeat(np.cumsum(n) - n, n)  # where each prime's run starts
-        multiples = np.repeat(large, n) * (np.arange(len(first)) - first + 1)
-        vals[multiples] *= np.repeat(self.h_factor(large), n)
+        ends = np.cumsum(n)
+        start = 0
+        while start < len(large):
+            stop = int(np.searchsorted(ends, ends[start] - n[start]
+                                       + SCATTER_BLOCK, side="right"))
+            m = n[start:stop]
+            first = np.repeat(np.cumsum(m) - m, m)  # where each run starts
+            multiples = (np.repeat(large[start:stop], m)
+                         * (np.arange(len(first)) - first + 1))
+            vals[multiples] *= np.repeat(self.h_factor(large[start:stop]), m)
+            start = stop
         self._pair_cache = vals
         return vals
-
-
-def singular_pair(ctx: SingularContext, h: int) -> float:
-    """S_q({0, h}) for a single h >= 1, by trial division of h."""
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    if ctx.q % 2 and h % 2:
-        return 0.0
-    val = 2.0 * ctx.twin_tail if ctx.q % 2 else ctx.twin_tail
-    for p in prime_factors(h):
-        if p == 2 or ctx.q % p == 0:
-            continue
-        val *= ctx.h_factor(p)
-    return val
-
-
-def singular_pair_zero(ctx: SingularContext, h: int) -> float:
-    """S_{q,0}({0, h}) = S_q({0, h}) - 1."""
-    return singular_pair(ctx, h) - 1.0
-
-
-def singular_zero(ctx: SingularContext, hs: tuple[int, ...]) -> float:
-    """S_{q,0} on a set of size <= 2 (inclusion-exclusion over subsets)."""
-    uniq = sorted(set(hs))
-    if len(uniq) == 0:
-        return 1.0
-    if len(uniq) == 1:
-        return 0.0
-    if len(uniq) == 2:
-        return singular_pair_zero(ctx, uniq[1] - uniq[0])
-    raise ValueError("only sets of size <= 2 are supported")
 
 
 @dataclass(frozen=True)

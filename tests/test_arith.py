@@ -1,5 +1,6 @@
 """Exact integer helpers: factorization, totient, epsilon, sawtooth."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from primebias import (
     ResiduePattern,
     canonical_residue,
     epsilon_q,
-    pattern_epsilon,
     prime_factors,
     primes_upto,
     sawtooth_B,
@@ -55,7 +55,14 @@ def _byte_sieve(limit):
     return np.flatnonzero(is_p)
 
 
-@pytest.mark.parametrize("limit", list(range(21)) + [10**6])
+# the segment (2**20 odd numbers, 2**21 integers) and tile (255255 odd
+# numbers) edges of the kernel behind primes_upto
+SEGMENT, TILE = 1 << 21, 2 * 255255
+
+
+@pytest.mark.parametrize("limit", list(range(21)) + [
+    10**6, SEGMENT - 2, SEGMENT - 1, SEGMENT, SEGMENT + 1, SEGMENT + 2,
+    2 * SEGMENT + 1, 3 * SEGMENT + 7, TILE - 1, TILE, TILE + 1, 10**7 + 19])
 def test_primes_upto_odd_sieve_matches_byte_sieve(limit):
     got = primes_upto(limit)
     assert got.dtype == np.int64
@@ -153,9 +160,18 @@ def test_epsilon_reflection_symmetry():
 
 
 def test_pattern_epsilon_is_pair_sum():
-    got = pattern_epsilon(5, (1, 2, 4))
-    want = epsilon_q(5, 1, 2) + epsilon_q(5, 2, 4)
-    assert got == pytest.approx(want, abs=1e-15)
+    # the coprime integers strictly inside a window, members excluded, are
+    # phi/q of its length plus the sum of epsilon_q over adjacent pairs
+    for q, pattern in ((5, (1, 2, 4)), (12, (7, 1, 1, 11)), (15, (2, 14, 8))):
+        gaps = [canonical_residue(q, b - a)
+                for a, b in zip(pattern, pattern[1:])]
+        length = sum(gaps)
+        members = set(itertools.accumulate(gaps))
+        count = sum(1 for t in range(1, length) if t not in members
+                    and math.gcd(t + pattern[0], q) == 1)
+        want = Fraction(q * count - totient(q) * length, q)
+        got = sum(epsilon_q(q, a, b) for a, b in zip(pattern, pattern[1:]))
+        assert got == pytest.approx(float(want), abs=1e-14), (q, pattern)
 
 
 def test_sawtooth_values_and_mean():

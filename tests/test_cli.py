@@ -583,6 +583,21 @@ def test_runaway_quadrature_and_s0_exit_code(capsys):
         assert time.perf_counter() - start < 5, argv
 
 
+def test_rel_tol_refused_before_sieving(monkeypatch, capsys):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved before checking --rel-tol")
+
+    monkeypatch.setattr(sieve, "_tables", no_sieve)
+    for tol in ("0", "1", "1e-16", "x"):
+        with pytest.raises(SystemExit) as exc:  # argparse refuses it
+            cli.main(["compare", "--q", "10", "--x", "1e8", "--rel-tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", tol
+        assert "argument --rel-tol" in captured.err, captured.err
+        if tol == "0":
+            assert "rel_tol must lie in [1e-15, 1), got 0.0" in captured.err
+
+
 def test_counting_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency: no command may load scipy
     script = (
@@ -732,6 +747,18 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     loaded = _loads(run(["count", "--q", "12", "--x", "1e5", "--output", out]))
     assert loaded == {"numpy", "primebias", "primebias.arith",
                       "primebias.cli", "primebias.sieve"}, loaded
+    # the check-only routes load with no command
+    commands = [
+        ["count", "--q", "3", "--x", "1e4"],
+        ["predict", "--q", "5", "--x", "1e6"],
+        ["constants", "--q", "5", "--forms"],
+        ["s0", "--q", "5", "--v", "0,1", "--H", "100"],
+        ["compare", "--q", "3", "--x", "1e4"],
+        ["dump-characters", "--q", "5"],
+        ["dump-lvalues", "--q", "5"],
+    ]
+    loaded = _loads("".join(run(argv + ["--output", out]) for argv in commands))
+    assert "primebias.oracles" not in loaded, loaded
 
 
 def test_public_names_resolve_to_their_submodules():

@@ -1,6 +1,7 @@
 """Twin-style singular series values and truncated exponential sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from primebias import (
     s0_brute,
     s0_moment_main,
     singular_pair,
-    singular_pair_zero,
     singular_zero,
 )
+from primebias import singular
 from primebias.singular import MAX_PAIR_CUTOFF
 
 
@@ -97,7 +98,7 @@ def test_random_pairs_against_tail_bound():
 def test_zero_variant_subtracts_one():
     ctx = SingularContext(3, truncation=10**6)
     for h in (2, 4, 6, 100):
-        assert singular_pair_zero(ctx, h) == pytest.approx(
+        assert singular_zero(ctx, (0, h)) == pytest.approx(
             singular_pair(ctx, h) - 1.0, rel=1e-12)
 
 
@@ -107,9 +108,9 @@ def test_zero_sets_small_cases():
     assert singular_zero(ctx, (4,)) == 0.0
     assert singular_zero(ctx, (2, 2)) == 0.0  # a set, not a multiset
     assert singular_zero(ctx, (0, 2)) == pytest.approx(
-        singular_pair_zero(ctx, 2), rel=1e-12)
+        singular_pair(ctx, 2) - 1.0, rel=1e-12)
     assert singular_zero(ctx, (3, 5)) == pytest.approx(
-        singular_pair_zero(ctx, 2), rel=1e-12)
+        singular_pair(ctx, 2) - 1.0, rel=1e-12)
 
 
 def test_s0_brute_v0_has_log_main_term():
@@ -233,3 +234,27 @@ def test_pair_values_bit_identical_to_a_per_prime_loop(q, truncation):
         got = ctx.pair_values(cutoff)
         want = loop_pair_values(ctx, cutoff)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), cutoff
+
+
+@pytest.mark.parametrize("truncation", [None, 100])
+def test_pair_values_scatter_blocks_bit_identical(monkeypatch, truncation):
+    # blocks of at most 997 large-prime multiples: hundreds of scatters
+    monkeypatch.setattr(singular, "SCATTER_BLOCK", 997)
+    for q in (5, 12):
+        ctx = SingularContext(q, truncation=truncation)
+        got = ctx.pair_values(300_000)
+        want = loop_pair_values(ctx, 300_000)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), q
+
+
+def test_pair_values_peak_memory_under_twice_the_table():
+    cutoff = 10**7
+    primes_upto(cutoff)  # cached, as every later table reads it
+    ctx = SingularContext(5)
+    tracemalloc.start()
+    try:
+        vals = ctx.pair_values(cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * vals.nbytes, peak / vals.nbytes
