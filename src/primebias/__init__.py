@@ -43,8 +43,9 @@ _SUBMODULE = {
     # check-only routes, which no command loads
     **dict.fromkeys((
         "DensityTerms", "always_bias_difference", "c2_symmetric_sum",
-        "character_sum", "density_terms_brute", "quad_residue_sum_prediction",
-        "reduce_c", "sawtooth_B", "singular_pair", "singular_zero",
+        "character_sum", "conjugate_character", "density_terms_brute",
+        "principal_character", "quad_residue_sum_prediction", "reduce_c",
+        "repeat_count", "sawtooth_B", "singular_pair", "singular_zero",
     ), "oracles"),
 }
 

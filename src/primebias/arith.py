@@ -252,10 +252,6 @@ class ResiduePattern:
     def r(self) -> int:
         return len(self.classes)
 
-    def repeat_count(self) -> int:
-        """#{i : a_i = a_{i+1}} over adjacent positions."""
-        return sum(1 for x, y in zip(self.classes, self.classes[1:]) if x == y)
-
 
 @lru_cache(maxsize=64)
 def _epsilon_numerators(q: int) -> np.ndarray:

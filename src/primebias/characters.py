@@ -127,9 +127,6 @@ class CharacterGroup:
             chi = self._characters[label] = DirichletCharacter(self, label)
         return chi
 
-    def principal(self) -> "DirichletCharacter":
-        return self.character(tuple(0 for _ in self.orders))
-
     def characters(self) -> list["DirichletCharacter"]:
         """All phi(m) characters in lexicographic label order."""
         if self._all is None:
@@ -210,11 +207,6 @@ class DirichletCharacter:
 
     def is_odd(self) -> bool:
         return self.parity() == -1
-
-    def conjugate(self) -> "DirichletCharacter":
-        return self.group.character(
-            tuple((-k) % s for k, s in zip(self.label, self.group.orders))
-        )
 
     def order(self) -> int:
         if not self.label:

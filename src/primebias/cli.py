@@ -118,7 +118,8 @@ def _pattern_axes(args):
 
 
 def _cmd_count(args):
-    from .sieve import (SieveConfig, count_patterns, count_patterns_series,
+    from .sieve import (SieveConfig, _code_classes, _listed_codes,
+                        count_patterns, count_patterns_series,
                         effective_workers)
 
     cfg = SieveConfig(
@@ -135,16 +136,19 @@ def _cmd_count(args):
         tables = [count_patterns(cfg)]
 
     def blocks():
-        # tables of r <= 3 list every pattern, so their keys are built once
-        # and shared; sparse tables build theirs when the patterns change
-        classes = keys = None
+        # the key strings are built once per set of listed codes: once for
+        # r <= 3, where every table lists every code
+        mod = Modulus(cfg.q)
+        codes = keys = None
         for t in tables:
-            order = sorted(t.counts)
-            if order != classes:
-                classes, keys = order, _pattern_keys(order, t.r)
+            listed = _listed_codes(t.array, t.r)
+            if not np.array_equal(listed, codes):
+                codes = listed
+                classes = _code_classes(codes, mod, t.r).tolist()
+                keys = _pattern_keys(zip(*classes), t.r)
             yield {"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
                    "limit": t.limit, "classes": keys,
-                   "count": [t.counts[c] for c in classes]}
+                   "count": t.array[codes].tolist()}
 
     return blocks(), {"modulus": args.q, "threads": workers}
 
@@ -263,7 +267,8 @@ def _cmd_s0(args):
 def _cmd_compare(args):
     from .constants import _pattern_constants
     from .predict import _asymptotic_terms, integral_prediction
-    from .sieve import SieveConfig, count_patterns, effective_workers
+    from .sieve import (SieveConfig, _code_classes, _listed_codes,
+                        count_patterns, effective_workers)
 
     cfg = SieveConfig(q=args.q, r=args.r, x=args.x, count=args.count,
                       threads=args.threads)
@@ -275,12 +280,15 @@ def _cmd_compare(args):
         "modulus": args.q, "x": x, "truncation": _truncation(args),
         "rel_tol": args.rel_tol, "threads": effective_workers(args.threads),
     }
-    patterns = sorted(table.counts)
-    if not patterns:  # r >= 4 lists only the patterns counted
+    codes = _listed_codes(table.array, args.r)
+    if not len(codes):  # r >= 4 lists only the patterns counted
         return [], meta
-    actual = [table.counts[c] for c in patterns]
-    c1, c2 = _pattern_constants(args.q, np.array(patterns).T, args.truncation)
-    patterns_total = Modulus(args.q).phi ** args.r
+    mod = Modulus(args.q)
+    actual = table.array[codes].tolist()
+    classes = _code_classes(codes, mod, args.r)
+    patterns = list(zip(*classes.tolist()))
+    c1, c2 = _pattern_constants(args.q, classes, args.truncation)
+    patterns_total = mod.phi ** args.r
     asym = _asymptotic_terms(c1, c2, patterns_total, x)["value"].tolist()
 
     def rel_err(values):

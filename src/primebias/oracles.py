@@ -2,7 +2,9 @@
 runtime against.  No runtime module imports this file; no command loads it.
 
 Each name recomputes what a command takes by another route, or states a
-closed form that follows from the constants: B_q(v) one value at a time;
+closed form that follows from the constants: the repeat count of a
+pattern; the conjugate and the principal character of a group, looked up
+by label; B_q(v) one value at a time;
 S_q({0, h}) by trial division of h; D0, D1 and D2 from their defining
 truncated sums, O(cutoff^2); C(q, chi) through the primitive and dyadic
 reduction identities; the character-free c2(a,b) + c2(b,a); closed-form
@@ -18,16 +20,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lfun
-from .arith import (InternalConsistencyError, Modulus, canonical_residue,
-                    prime_factors, totient, von_mangoldt)
-from .characters import DirichletCharacter, character_group
+from .arith import (InternalConsistencyError, Modulus, ResiduePattern,
+                    canonical_residue, prime_factors, totient, von_mangoldt)
+from .characters import CharacterGroup, DirichletCharacter, character_group
 from .predict import _race_scales
 from .singular import SingularContext
 
-__all__ = ["sawtooth_B", "singular_pair", "singular_zero", "DensityTerms",
+__all__ = ["repeat_count", "conjugate_character", "principal_character",
+           "sawtooth_B", "singular_pair", "singular_zero", "DensityTerms",
            "density_terms_brute", "reduce_c", "c2_symmetric_sum",
            "always_bias_difference", "quad_residue_sum_prediction",
            "character_sum"]
+
+
+def repeat_count(pattern: ResiduePattern) -> int:
+    """#{i : a_i = a_{i+1}} over adjacent positions."""
+    classes = pattern.classes
+    return sum(1 for x, y in zip(classes, classes[1:]) if x == y)
+
+
+def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
+    """The conjugate of chi: the group's shared instance of the negated
+    label."""
+    group = chi.group
+    return group.character(
+        tuple((-k) % s for k, s in zip(chi.label, group.orders))
+    )
+
+
+def principal_character(group: CharacterGroup) -> DirichletCharacter:
+    """The group's shared instance of the all-zero label."""
+    return group.character(tuple(0 for _ in group.orders))
 
 
 def sawtooth_B(q: int, v: int) -> float:

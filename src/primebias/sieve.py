@@ -35,8 +35,8 @@ import math
 import os
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -91,23 +91,54 @@ class SieveConfig:
         check_pattern_budget(self.q, self.r)  # r >= 2; one int64 per pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
+    """Window counts by pattern.
+
+    `array` holds the count of every pattern by code, read-only: entry
+    sum_j i_j * phi**(r-1-j) counts the pattern whose j-th class is
+    Modulus(q).classes[i_j], so code order is the sorted order of the
+    pattern tuples.  `counts` is derived from it on first use.
+    """
+
     q: int
     r: int
     skip: int
     mode: str
     limit: int
-    counts: dict[tuple[int, ...], int] = field(repr=False)
+    array: np.ndarray = field(repr=False, compare=False)
     primes_seen: int  # primes > q up to and including largest_prime
     largest_prime: int  # last member of the last window counted, 0 if none
 
+    def __post_init__(self):
+        self.array.flags.writeable = False
+
+    @cached_property
+    def counts(self) -> dict[tuple[int, ...], int]:
+        """{classes: count}: every pattern for r <= 3, else only the
+        patterns counted at least once."""
+        return _decode(self.array, Modulus(self.q), self.r)
+
     def count(self, classes: tuple[int, ...]) -> int:
         mod = Modulus(self.q)
-        return self.counts.get(tuple(mod.canonical(c) for c in classes), 0)
+        try:
+            index = tuple(mod.classes.index(mod.canonical(c)) for c in classes)
+        except ValueError:  # a class not coprime to q
+            return 0
+        if len(index) != self.r:
+            return 0
+        return int(self.array.reshape((mod.phi,) * self.r)[index])
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.array.sum())
+
+    def __eq__(self, other):
+        # the generated __eq__ would compare the arrays elementwise
+        if not isinstance(other, CountTable):
+            return NotImplemented
+        same = all(getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(self) if f.compare)
+        return same and np.array_equal(self.array, other.array)
 
 
 def nth_prime_upper_bound(n: int) -> int:
@@ -284,8 +315,7 @@ def _tables(config: SieveConfig, xs: list[int] | None,
     Each table is the running sum, in chunk order, of the chunks below it.
     """
     q, r, skip = config.q, config.r, config.skip
-    mod = Modulus(q)
-    phi, span = mod.phi, (r - 1) * skip
+    phi, span = Modulus(q).phi, (r - 1) * skip
     by_count = config.count is not None
     if by_count:
         top = nth_prime_upper_bound(config.count + span + q + 16)
@@ -300,7 +330,6 @@ def _tables(config: SieveConfig, xs: list[int] | None,
     edges = _edges(top + 1, chunk_size, cuts)
     chunks = list(zip(edges, edges[1:]))
     root = math.isqrt(reach)
-    keys = list(itertools.product(mod.classes, repeat=r)) if r <= 3 else None
 
     totals = np.zeros(phi**r, dtype=np.int64)
     tables: list[CountTable] = []
@@ -319,7 +348,7 @@ def _tables(config: SieveConfig, xs: list[int] | None,
                     q=q, r=r, skip=skip,
                     mode="by_count" if by_count else "by_x",
                     limit=config.count if by_count else xs[len(tables)],
-                    counts=_decode(totals, mod, r, keys),
+                    array=totals.copy(),
                     primes_seen=seen + span if seen else 0,
                     largest_prime=largest,
                 ))
@@ -328,16 +357,23 @@ def _tables(config: SieveConfig, xs: list[int] | None,
     raise InternalConsistencyError("prime stream ended before the N-th window start")
 
 
-def _decode(counts: np.ndarray, mod: Modulus, r: int, keys) -> dict:
-    """{classes: count}: every pattern when keys (all of them, in code
-    order) are given, else only the patterns counted at least once."""
-    if keys is not None:
-        return dict(zip(keys, counts.tolist()))
-    nz = np.flatnonzero(counts)
+def _listed_codes(array: np.ndarray, r: int) -> np.ndarray:
+    """The codes a table lists, in order: every code for r <= 3, else the
+    codes counted at least once."""
+    return np.arange(len(array)) if r <= 3 else np.flatnonzero(array)
+
+
+def _code_classes(codes: np.ndarray, mod: Modulus, r: int) -> np.ndarray:
+    """An (r, len(codes)) array: row j holds the j-th class of each code."""
     classes = np.array(mod.classes, dtype=np.int64)
-    digits = np.unravel_index(nz, (mod.phi,) * r)
-    return dict(zip(zip(*(classes[d].tolist() for d in digits)),
-                    counts[nz].tolist()))
+    return classes[np.stack(np.unravel_index(codes, (mod.phi,) * r))]
+
+
+def _decode(array: np.ndarray, mod: Modulus, r: int) -> dict:
+    """{classes: count} over the codes the table lists."""
+    codes = _listed_codes(array, r)
+    return dict(zip(zip(*_code_classes(codes, mod, r).tolist()),
+                    array[codes].tolist()))
 
 
 def count_patterns(config: SieveConfig) -> CountTable:

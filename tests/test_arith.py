@@ -14,6 +14,7 @@ from primebias import (
     epsilon_q,
     prime_factors,
     primes_upto,
+    repeat_count,
     sawtooth_B,
     totient,
     von_mangoldt,
@@ -116,9 +117,9 @@ def test_pattern_canonicalisation_and_coprimality():
 
 
 def test_repeat_count():
-    assert ResiduePattern(5, (1, 1, 2)).repeat_count() == 1
-    assert ResiduePattern(5, (1, 2, 1)).repeat_count() == 0
-    assert ResiduePattern(5, (3, 3, 3)).repeat_count() == 2
+    assert repeat_count(ResiduePattern(5, (1, 1, 2))) == 1
+    assert repeat_count(ResiduePattern(5, (1, 2, 1))) == 0
+    assert repeat_count(ResiduePattern(5, (3, 3, 3))) == 2
 
 
 def epsilon_oracle(q, a, b, h_mult=7):

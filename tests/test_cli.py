@@ -370,16 +370,28 @@ def _dict_row_output(rows, fmt):
      dict(q=7, r=4, x=5000, xs=[10, 300])),
     (["--q", "3", "--r", "4", "--x", "3"], dict(q=3, r=4, x=3)),  # no rows
     (["--q", "5", "--skip", "2", "--x", "1e4"], dict(q=5, skip=2, x=10**4)),
+    (["--q", "5", "--r", "3", "--skip", "2", "--x", "1e4"],
+     dict(q=5, r=3, skip=2, x=10**4)),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_count_output_matches_dict_rows(flags, config, fmt, tmp_path, capsys):
+def test_count_output_matches_dict_rows(flags, config, fmt, tmp_path, capsys,
+                                        monkeypatch):
     config = dict(config)
     xs = config.pop("xs", None)
     cfg = sieve.SieveConfig(**config)
     tables = (sieve.count_patterns_series(cfg, xs) if xs
               else [sieve.count_patterns(cfg)])
-    _check_output(["count"] + flags, _count_rows(tables), fmt, tmp_path,
-                  capsys)
+    rows = _count_rows(tables)
+    _forbid_decode(monkeypatch)
+    _check_output(["count"] + flags, rows, fmt, tmp_path, capsys)
+
+
+def _forbid_decode(monkeypatch):
+    """Make CountTable.counts raise: the commands write their rows from
+    the count arrays alone."""
+    def decode(*args):
+        raise AssertionError("a command decoded a count table")
+    monkeypatch.setattr(sieve, "_decode", decode)
 
 
 # JSON cells that must stay numbers of one kind, never strings
@@ -482,8 +494,11 @@ _TABLES = [
 
 @pytest.mark.parametrize("argv, rows", _TABLES)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_output_matches_dict_rows(argv, rows, fmt, tmp_path, capsys):
-    _check_output(argv, rows(), fmt, tmp_path, capsys)
+def test_output_matches_dict_rows(argv, rows, fmt, tmp_path, capsys,
+                                  monkeypatch):
+    rows = rows()
+    _forbid_decode(monkeypatch)
+    _check_output(argv, rows, fmt, tmp_path, capsys)
 
 
 def test_output_file_and_manifest(tmp_path, capsys):

@@ -69,4 +69,4 @@ def test_readme_library_example():
             assert got == int(want), line
         checked += 1
     assert "215873" in code and "283957" in code
-    assert checked == 3
+    assert checked == 5

@@ -1,5 +1,6 @@
 """Segmented counting engine against small hand counts and a slow oracle."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -275,6 +276,48 @@ def test_count_table_lookup_canonicalises():
     t = count_patterns(SieveConfig(q=3, x=100))
     assert t.count((4, 5)) == t.counts[(1, 2)]
     assert t.count((1, 2)) == 8
+
+
+@pytest.mark.parametrize("r, x", [(3, 20_000), (4, 20_000)])
+def test_counts_count_and_total_read_the_array(r, x):
+    t = count_patterns(SieveConfig(q=5, r=r, x=x, segment_size=1024))
+    classes = Modulus(5).classes
+    patterns = list(itertools.product(classes, repeat=r))  # code order
+    assert t.array.dtype == np.int64 and len(t.array) == len(patterns)
+    by_code = dict(zip(patterns, t.array.tolist()))
+    # r <= 3 lists every pattern, r >= 4 only those counted
+    assert t.counts == (by_code if r <= 3
+                        else {k: n for k, n in by_code.items() if n})
+    want = window_table(5, r, x=x, prime_limit=30_000)
+    assert t.counts == (full_table(5, r, want) if r <= 3 else want)
+    for pat, n in by_code.items():
+        assert t.count(pat) == n
+        assert t.count(tuple(c + 5 for c in pat)) == n
+    assert t.count((5,) * r) == 0  # not coprime to q
+    assert t.count((1,) * (r + 1)) == 0  # not an r-pattern
+    assert t.total() == int(t.array.sum()) == sum(t.counts.values())
+
+
+def test_count_table_array_is_read_only():
+    t = count_patterns(SieveConfig(q=3, x=1000))
+    assert not t.array.flags.writeable
+    with pytest.raises(ValueError):
+        t.array[0] = 0
+    # the array handed in is frozen too, so no table is built writable
+    u = dataclasses.replace(t, array=np.zeros(4, dtype=np.int64))
+    assert not u.array.flags.writeable
+
+
+def test_count_tables_compare_by_counts():
+    cfg = SieveConfig(q=3, x=1000)
+    t = count_patterns(cfg)
+    assert t == count_patterns(cfg)
+    assert t == dataclasses.replace(t, array=t.array.copy())
+    bumped = t.array.copy()
+    bumped[1] += 1
+    assert t != dataclasses.replace(t, array=bumped)
+    assert t != dataclasses.replace(t, limit=999)
+    assert t != count_patterns(SieveConfig(q=3, x=2000))
 
 
 def test_config_validation():
