@@ -43,8 +43,7 @@ print()
 # Euler product A, taken over every prime; the ambient modulus 12 owns the
 # local factor at 2.
 
-chi = next(c for c in character_group(12).characters()
-           if c.conductor() == 3).primitive()
+chi = next(c for c in character_group(3).characters() if c.is_odd())
 A = a_q_chi(12, chi)[0].real
 print(f"A_12 = {A:.6f}   (enters c2 as pi/sqrt(3) * A = {math.pi / math.sqrt(3) * A:.6f})")
 print(f"c2(12;(5,7))  = {c2_pair(12, 5, 7):+.6f}   <- largest")

@@ -44,7 +44,8 @@ _SUBMODULE = {
     **dict.fromkeys((
         "DensityTerms", "always_bias_difference", "c2_symmetric_sum",
         "character_sum", "conjugate_character", "density_terms_brute",
-        "principal_character", "quad_residue_sum_prediction", "reduce_c",
+        "primitive_character", "principal_character",
+        "quad_residue_sum_prediction", "reduce_c",
         "repeat_count", "sawtooth_B", "singular_pair", "singular_zero",
     ), "oracles"),
 }

@@ -31,11 +31,15 @@ __all__ = [
     "epsilon_q",
     "canonical_residue",
     "MAX_PATTERNS",
+    "MAX_CHARACTER_ENTRIES",
     "check_pattern_budget",
     "check_rel_tol",
 ]
 
 MAX_PATTERNS = 1 << 24  # phi(q)**r: the most patterns any command enumerates
+# phi(m) * m: the largest character table, 24 bytes an entry (3.2 GB); the
+# largest any modulus within MAX_PATTERNS needs is 77,051,520, at m = 19,110
+MAX_CHARACTER_ENTRIES = 1 << 27
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd numbers per segment: a 1 MB mask
 TILE_PRIMES = (3, 5, 7, 11, 13, 17)
 TILE_PERIOD = 255255  # product of TILE_PRIMES, in odd numbers

@@ -3,13 +3,13 @@
 The unit group mod m is decomposed into cyclic components via CRT:
 a primitive root for each odd prime power, and the {-1, 5} generators
 for powers of two.  A character is labelled by its exponent tuple on
-those generators.  Its values live in one exact integer table t over
-n = 0..m-1, with chi(n) = exp(2 pi i t[n] / E) for E the group exponent
-and t[n] = -1 on non-units; parity, conductor and primitive part are read
-from slices of that table, so they involve no rounding.  The complex
-values are built once from the same table; both tables are read-only,
-and every evaluation indexes them.  A group hands out one shared
-instance per character, so the tables are built once per character.
+those generators.  A group holds every character at once, one row each
+in label order, in two read-only matrices over n = 0..m-1: the exact
+integer exponents t, with chi(n) = exp(2 pi i t[n] / E) for E the group
+exponent and t[n] = -1 on non-units, and the complex values built from
+them.  Parity and conductor are read from the exponents, so they involve
+no rounding.  A character is its group and its row; the group hands out
+one shared instance per row, and every evaluation indexes the matrices.
 
 Moduli m = 1 and m = 2 are allowed (their groups are trivial) because
 the constant machinery walks divisors q/d of a pattern modulus.
@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .arith import InternalConsistencyError, prime_factors, totient
+from .arith import (MAX_CHARACTER_ENTRIES, InternalConsistencyError,
+                    prime_factors, totient)
 
 __all__ = ["CharacterGroup", "DirichletCharacter", "character_group"]
 
@@ -65,6 +65,11 @@ class CharacterGroup:
     orders:     their orders; the label of a character is its exponent
                 tuple against these, chi(g_i) = exp(2 pi i k_i / s_i).
     exponent:   lcm of the orders (1 for m <= 2).
+    labels:     the phi(m) labels in lexicographic order, one row each.
+    exponents:  t[i, n] for character i and n = 0..m-1, -1 on non-units.
+    values:     chi_i(n) = exp(2 pi i t[i, n] / exponent), 0 on non-units.
+    parity:     chi_i(-1) as +1 or -1.
+    All four arrays are read-only.
     """
 
     def __init__(self, m: int):
@@ -72,6 +77,11 @@ class CharacterGroup:
             raise ValueError(f"modulus must be >= 1, got {m}")
         self.m = m
         self.phi = totient(m)
+        if self.phi * m > MAX_CHARACTER_ENTRIES:
+            raise ValueError(
+                f"the characters mod {m} need phi(m) * m = {self.phi * m} "
+                f"table entries, above the budget of {MAX_CHARACTER_ENTRIES}"
+            )
         gens: list[int] = []
         orders: list[int] = []
         mm = m
@@ -97,43 +107,56 @@ class CharacterGroup:
                 orders.append(totient(pe))
         self.generators = tuple(gens)
         self.orders = tuple(orders)
-        self.exponent = math.lcm(*orders) if orders else 1
-        # every unit with its exponent row on the generators, in label
-        # order: units[i] = prod_j g_j^dlog[i, j] mod m
-        dlog = np.indices(self.orders, dtype=np.int64)
-        dlog = dlog.reshape(len(orders), self.phi).T
+        E = self.exponent = math.lcm(*orders) if orders else 1
+        # the same grid lists the units by their exponents on the
+        # generators: units[i] = prod_j g_j^labels[i, j] mod m
+        labels = np.indices(self.orders, dtype=np.int64)
+        labels = labels.reshape(len(orders), self.phi).T
         units = np.full(self.phi, 1 % m, dtype=np.intp)
         for j, (g, s) in enumerate(zip(gens, orders)):
             powers = np.array([pow(g, e, m) for e in range(s)], dtype=np.intp)
-            units = units * powers[dlog[:, j]] % m
+            units = units * powers[labels[:, j]] % m
         # a bincount, not np.unique, which would load numpy.ma
         if np.count_nonzero(np.bincount(units, minlength=m)) != self.phi:
             raise InternalConsistencyError(f"unit group mod {m} not covered")
-        self._units = units
-        self._dlog_matrix = dlog
-        self._characters: dict[tuple[int, ...], DirichletCharacter] = {}
-        self._all: tuple[DirichletCharacter, ...] | None = None
+        # chi_i(units[k]) = exp(2 pi i t / E), t = sum_j labels[i, j]
+        # labels[k, j] E / s_j
+        weights = labels * np.array([E // s for s in orders], dtype=np.int64)
+        exponents = np.full((self.phi, m), -1, dtype=np.int64)
+        exponents[:, units] = weights @ labels.T % E
+        # index -1, the non-units, reads the appended 0
+        roots = np.append(np.exp(2j * np.pi * np.arange(E) / E), 0)
+        values = roots[exponents]
+        t = exponents[:, -1]
+        bad = (t < 0) | (2 * t % E != 0)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise InternalConsistencyError(
+                f"chi(-1) is not +-1 for mod{m} row {i}: exponent {t[i]} of {E}"
+            )
+        parity = np.where(t == 0, 1, -1)
+        for array in (labels, exponents, values, parity):
+            array.flags.writeable = False
+        self.labels, self.exponents = labels, exponents
+        self.values, self.parity = values, parity
+        self._all = tuple(DirichletCharacter(self, i) for i in range(self.phi))
+
+    def rows(self, labels: np.ndarray) -> np.ndarray:
+        """The row of each label along the last axis, read modulo the
+        orders."""
+        rows = np.zeros(labels.shape[:-1], dtype=np.intp)
+        for j, s in enumerate(self.orders):
+            rows = rows * s + labels[..., j] % s
+        return rows
 
     def character(self, label: tuple[int, ...]) -> "DirichletCharacter":
         """The character with this label, one shared instance per label."""
-        chi = self._characters.get(label)  # a label already in range
-        if chi is not None:
-            return chi
         if len(label) != len(self.orders):
             raise ValueError(f"label length {len(label)} != rank {len(self.orders)}")
-        label = tuple(k % s for k, s in zip(label, self.orders))
-        chi = self._characters.get(label)
-        if chi is None:
-            chi = self._characters[label] = DirichletCharacter(self, label)
-        return chi
+        return self._all[int(self.rows(np.array(label, dtype=np.int64)))]
 
     def characters(self) -> list["DirichletCharacter"]:
         """All phi(m) characters in lexicographic label order."""
-        if self._all is None:
-            self._all = tuple(
-                self.character(exps)
-                for exps in product(*(range(s) for s in self.orders))
-            )
         return list(self._all)
 
 
@@ -142,38 +165,18 @@ def character_group(m: int) -> CharacterGroup:
     return CharacterGroup(m)
 
 
-def _tables(
-    group: CharacterGroup, label: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(t, chi(n)) for n = 0..m-1, both read-only.
-
-    chi(n) = exp(2 pi i t[n] / exponent) on units; t[n] = -1 and
-    chi(n) = 0 on non-units.
-    """
-    E = group.exponent
-    weights = np.array(
-        [k * (E // s) for k, s in zip(label, group.orders)], dtype=np.int64
-    )
-    t_units = group._dlog_matrix @ weights % E
-    t = np.full(group.m, -1, dtype=np.int64)
-    t[group._units] = t_units
-    values = np.zeros(group.m, dtype=np.complex128)
-    values[group._units] = np.exp(2j * np.pi * t_units / E)
-    t.flags.writeable = False
-    values.flags.writeable = False
-    return t, values
-
-
 @dataclass(frozen=True)
 class DirichletCharacter:
+    """Row `index` of its group's tables."""
+
     group: CharacterGroup
-    label: tuple[int, ...]
+    index: int
 
     def __post_init__(self):
-        # not fields: equality, hashing and repr see group and label only
-        t, values = _tables(self.group, self.label)
-        object.__setattr__(self, "_exponents", t)
-        object.__setattr__(self, "_values", values)
+        # row views, not fields: equality, hashing and repr see group and
+        # index only
+        object.__setattr__(self, "_exponents", self.group.exponents[self.index])
+        object.__setattr__(self, "_values", self.group.values[self.index])
 
     def __call__(self, n: int) -> complex:
         return self._values.item(n % self.group.m)
@@ -181,7 +184,7 @@ class DirichletCharacter:
     def values_table(self) -> np.ndarray:
         """chi(n) for n = 0..m-1 as complex128 (0 on non-units).
 
-        The array is cached per character and read-only; copy it before
+        A read-only row of the group's value matrix; copy it before
         writing.
         """
         return self._values
@@ -192,25 +195,21 @@ class DirichletCharacter:
     def modulus(self) -> int:
         return self.group.m
 
+    @property
+    def label(self) -> tuple[int, ...]:
+        return tuple(self.group.labels[self.index].tolist())
+
     def is_principal(self) -> bool:
-        return all(k == 0 for k in self.label)
+        return self.index == 0
 
     def parity(self) -> int:
         """chi(-1) as +1 or -1; characters with chi(-1) = -1 are odd."""
-        t = int(self._exponents[-1])
-        E = self.group.exponent
-        if t < 0 or (2 * t) % E != 0:
-            raise InternalConsistencyError(
-                f"chi(-1) is not +-1 for {self.name()}: exponent {t} of {E}"
-            )
-        return 1 if t == 0 else -1
+        return int(self.group.parity[self.index])
 
     def is_odd(self) -> bool:
         return self.parity() == -1
 
     def order(self) -> int:
-        if not self.label:
-            return 1
         return math.lcm(
             *(s // math.gcd(s, k) for k, s in zip(self.label, self.group.orders))
         )
@@ -220,8 +219,6 @@ class DirichletCharacter:
         body = ".".join(map(str, self.label)) if self.label else "0"
         return f"mod{self.group.m}:{body}"
 
-    # --- conductor / primitive character -------------------------------
-
     def conductor(self) -> int:
         """Smallest f | m with chi trivial on {n = 1 mod f, gcd(n, m) = 1}."""
         m = self.group.m
@@ -230,20 +227,3 @@ class DirichletCharacter:
         return next(
             f for f in range(1, m + 1) if m % f == 0 and (t[1::f] <= 0).all()
         )
-
-    def primitive(self) -> "DirichletCharacter":
-        """The primitive character mod conductor(chi) inducing chi."""
-        f = self.conductor()
-        sub = character_group(f)
-        E = self.group.exponent
-        label = []
-        for g, s in zip(sub.generators, sub.orders):
-            lifts = self._exponents[g::f]  # the n = g mod f
-            t = int(lifts[lifts >= 0][0])
-            # chi*(g) = exp(2 pi i t / E) must be an s-th root of unity
-            if (t * s) % E != 0:
-                raise InternalConsistencyError(
-                    f"{self.name()} is not induced from conductor {f}"
-                )
-            label.append(t * s // E)
-        return sub.character(tuple(label))

@@ -328,22 +328,23 @@ def _cmd_dump_characters(args):
 def _cmd_dump_lvalues(args):
     from .lfun import build_ctable, tail_bound
 
-    ctable = build_ctable(args.q, truncation=args.truncation)
-    rows = []
-    for r in ctable.rows:
-        rows.append({
-            "name": r.name, "conductor": r.conductor, "parity": r.parity,
-            "l0_re": r.l0.real, "l0_im": r.l0.imag,
-            "l1_re": r.l1.real, "l1_im": r.l1.imag,
-            "a_re": r.a.real, "a_im": r.a.imag,
-            "c_re": r.c.real, "c_im": r.c.imag,
-            "tail": r.tail,
-        })
+    t = build_ctable(args.q, truncation=args.truncation)
+    # the principal character, row 0, has no row
+    chars = t.group.characters()[1:]
+    l0, l1, a, c = (x[1:] for x in (t.l0, t.l1, t.a, t.c))
+    block = {
+        "name": [chi.name() for chi in chars],
+        "conductor": [chi.conductor() for chi in chars],
+        "parity": t.group.parity[1:],
+        "l0_re": l0.real, "l0_im": l0.imag, "l1_re": l1.real, "l1_im": l1.imag,
+        "a_re": a.real, "a_im": a.imag, "c_re": c.real, "c_im": c.imag,
+        "tail": t.tail,
+    }
     meta = {
         "modulus": args.q, "truncation": _truncation(args),
         "tail_bound": tail_bound(args.truncation),
     }
-    return _columns(rows), meta
+    return [block], meta
 
 
 # ------------------------------------------------------------------ plumbing

@@ -34,7 +34,7 @@ from .arith import (
     von_mangoldt,
 )
 from .characters import character_group
-from .lfun import c_q_chi
+from .lfun import _ctable
 
 __all__ = [
     "InternalConsistencyError", "s0c", "s0c_vector", "s0_main", "c1",
@@ -74,12 +74,12 @@ def _kernel(q: int, d: int, truncation: int | None) -> np.ndarray:
     """K(u) = sum over chi mod d of C(q, chi) conj(chi)(u), u = 0..d-1.
 
     Only odd characters have C(q, chi) != 0.  They come in conjugate pairs
-    with conjugate C values, so the kernel is real.
+    with conjugate C values, so the kernel is real: the real part of its
+    conjugate, conj(C) @ chi(u), which needs no conjugated copy of the
+    value matrix.
     """
-    odd = [chi for chi in character_group(d).characters() if chi.is_odd()]
-    c_vals = np.array([c_q_chi(q, chi, truncation) for chi in odd], dtype=complex)
-    values = np.array([chi.values_table() for chi in odd]).reshape(len(odd), d)
-    kernel = _real(c_vals @ values.conj(), f"K(q={q}, d={d})")
+    c = _ctable(q, d, truncation).c
+    kernel = _real(c.conj() @ character_group(d).values, f"K(q={q}, d={d})")
     kernel.flags.writeable = False
     return kernel
 

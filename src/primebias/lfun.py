@@ -45,11 +45,13 @@ for even chi and drive all the second-order bias constants.
 
 chi may live on any modulus m dividing the ambient q, and also on moduli
 coprime to parts of q; chi(p) is always evaluated with chi's own modulus.
+Every value is read from one cached table per (q, m, truncation) that
+holds L(0), L(1), A and C for all the characters mod m at once, computed
+from the group's value matrix with array operations.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import moebius, prime_factors, primes_upto
-from .characters import DirichletCharacter, character_group
+from .characters import CharacterGroup, DirichletCharacter, character_group
 
 __all__ = [
     "l_at_zero",
@@ -99,17 +101,6 @@ def tail_bound(truncation: int | None) -> float:
     return 5.0 / (truncation * math.log(truncation))
 
 
-def l_at_zero(chi: DirichletCharacter) -> complex:
-    """L(0, chi) for non-principal chi; exactly 0 for even characters."""
-    if chi.is_principal():
-        raise ValueError("L(0, chi) requires a non-principal character")
-    if not chi.is_odd():
-        return 0j
-    m = chi.modulus
-    a = np.arange(1, m + 1)
-    return complex(-(chi.values_table()[a % m] @ a) / m)
-
-
 @lru_cache(maxsize=256)
 def _digamma_at(m: int) -> np.ndarray:
     """psi(a/m) for a = 1..m-1 by Gauss's digamma theorem, read-only."""
@@ -124,14 +115,6 @@ def _digamma_at(m: int) -> np.ndarray:
     out += np.fft.fft(log_sin).real[1:]
     out.flags.writeable = False
     return out
-
-
-def l_at_one(chi: DirichletCharacter) -> complex:
-    """L(1, chi) for non-principal chi via the digamma formula."""
-    if chi.is_principal():
-        raise ValueError("L(1, chi) requires a non-principal character")
-    m = chi.modulus
-    return complex(-(chi.values_table()[1:] @ _digamma_at(m)) / m)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_12 for the Euler-Maclaurin tail
@@ -188,11 +171,21 @@ def _series_coefficients() -> np.ndarray:
 _COEFFICIENTS = _series_coefficients()
 
 
-def _label_rows(orders: tuple[int, ...], labels: np.ndarray) -> np.ndarray:
-    """Label-order index of each row of labels, read modulo the orders."""
-    rows = np.zeros(len(labels), dtype=np.intp)
-    for j, s in enumerate(orders):
-        rows = rows * s + labels[:, j] % s
+# d[k-1, l] with -((1-z)^2 w)^k / k = sum_l d[k-1, l] z^l w^k, k =
+# 1..SERIES_TERMS; the powers l <= 2 SERIES_TERMS fit in SERIES_POWERS
+_TRUNCATED_COEFFICIENTS = np.array(
+    [[-(-1) ** l * math.comb(2 * k, l) / k for l in range(SERIES_POWERS + 1)]
+     for k in range(1, SERIES_TERMS + 1)])
+_TRUNCATED_COEFFICIENTS.flags.writeable = False
+
+
+def _power_rows(group: CharacterGroup) -> np.ndarray:
+    """R[i, l], the row of chi_i^l for l = 1..SERIES_POWERS, and R[i, 0] =
+    phi(m): the sums keep their column phi(m) for the function 1, which
+    chi^0 is in the series even where chi vanishes."""
+    powers = np.arange(SERIES_POWERS + 1)[:, None]
+    rows = group.rows(group.labels[:, None, :] * powers)
+    rows[:, 0] = group.phi
     return rows
 
 
@@ -210,12 +203,7 @@ def _prime_sums(m: int, bound: int) -> np.ndarray:
     """
     K = SERIES_POWERS
     group = character_group(m)
-    chars = group.characters()
-    values = np.ones((len(chars) + 1, m), dtype=np.complex128)
-    for row, chi in zip(values, chars):
-        row[:] = chi.values_table()
-    labels = np.array([chi.label for chi in chars], dtype=np.intp)
-    labels = labels.reshape(len(chars), len(group.orders))
+    values = group.values
 
     t = np.arange(K + 1, dtype=float)[2:, None]
     start = np.arange(m, dtype=float)
@@ -223,51 +211,39 @@ def _prime_sums(m: int, bound: int) -> np.ndarray:
     start[1 % m] += m
     hurwitz = m ** -t * hurwitz_zeta(t, start / m)
     # log L_M(t, psi) for t = 2..K, one row per t
-    l_minus_1 = (values @ hurwitz.T).T
+    l_minus_1 = np.vstack([values @ hurwitz.T, hurwitz.sum(axis=1)]).T
     log_l = _log1p(l_minus_1.real, l_minus_1.imag)
     small = primes_upto(bound - 1)
-    z = values[:, small % m]
+    z = np.vstack([values[:, small % m], np.ones(len(small))])
     inv = 1.0 / small
     for i, ti in enumerate(range(2, K + 1)):
         r = -inv**ti
         log_l[i] += _log1p(z.real * r, z.imag * r).sum(axis=1)
 
-    sums = np.zeros((K + 1, len(values)), dtype=np.complex128)
+    powers = _power_rows(group)
+    sums = np.zeros((K + 1, group.phi + 1), dtype=np.complex128)
     for s in range(2, K + 1):
         for n in range(K // s, 0, -1):
             mu = moebius(n)
             if mu:
                 # psi^n; the function 1 stays 1
-                rows = np.append(_label_rows(group.orders, labels * n),
-                                 len(chars))
+                rows = np.append(powers[:, n], group.phi)
                 sums[s] += mu / n * log_l[n * s - 2, rows]
     sums.flags.writeable = False
     return sums
 
 
-def large_prime_log(q: int, chi: DirichletCharacter | None = None) -> complex:
-    """sum over primes p >= EXACT_BOUND, p !| q, of log(1 - (1-chi(p))^2/(p-1)^2).
+def large_prime_log(q: int) -> complex:
+    """sum over primes p >= EXACT_BOUND, p !| q, of log(1 - 1/(p-1)^2).
 
-    chi = None reads chi(p) as 0 at every prime, which gives the
-    twin-prime factors log(1 - 1/(p-1)^2).  Every power p^-s, s <=
+    These are the twin-prime factors.  Every power p^-s, s <=
     SERIES_POWERS, is summed over all p >= EXACT_BOUND from the prime
-    sums of chi^l; the primes dividing q are then taken out again.
+    sums of the function 1; the primes dividing q are then taken out again.
     """
-    if chi is None:
-        sums = _prime_sums(1, EXACT_BOUND)
-        out = complex(_COEFFICIENTS[:, 0] @ sums[:, -1])
-    else:
-        group = chi.group
-        sums = _prime_sums(group.m, EXACT_BOUND)
-        # chi^0 = 1 at every prime, then chi^l for l = 1..K
-        powers = np.outer(np.arange(1, SERIES_POWERS + 1),
-                          np.array(chi.label, dtype=np.intp))
-        rows = np.append(sums.shape[1] - 1, _label_rows(group.orders, powers))
-        out = complex(np.sum(_COEFFICIENTS * sums[:, rows]))
+    out = complex(_COEFFICIENTS[:, 0] @ _prime_sums(1, EXACT_BOUND)[:, -1])
     for p in prime_factors(q):
         if p >= EXACT_BOUND:
-            z = 0 if chi is None else chi(p)
-            out -= cmath.log(1 - (1 - z) ** 2 / (p - 1) ** 2)
+            out -= math.log(1 - 1 / (p - 1) ** 2)
     return out
 
 
@@ -308,73 +284,6 @@ def _residue_power_sums(m: int, base: int, truncation: int) -> np.ndarray:
     return sums.reshape(SERIES_TERMS, -1, m).sum(axis=1)
 
 
-def a_q_chi(
-    q: int, chi: DirichletCharacter, truncation: int | None = None
-) -> tuple[complex, float]:
-    """A(q, chi), in full or truncated at P, together with its tail bound.
-
-    The ambient modulus q decides which primes sit in the "p | q" factor;
-    chi keeps its own modulus.  A truncation P needs q <= P, so every
-    prime dividing q is inside the sieve range.
-
-    Primes below EXACT_BOUND and primes dividing q are multiplied factor
-    by factor.  By default every other prime enters through
-    large_prime_log.  With a truncation P, for every other p <= P the
-    logarithm of the factor, log(1 - u w_p) with u = (1 - chi(p))^2, is
-    expanded to SERIES_TERMS powers of w_p; u depends on p mod m only, so
-    the sum over those primes is a contraction of the per-residue sums of
-    w_p^k.
-    """
-    q = int(q)
-    if q < 1 or (truncation is not None and q > truncation):
-        raise ValueError(f"need 1 <= q <= truncation, got q={q}")
-    m = chi.modulus
-    vals = chi.values_table()
-
-    if truncation is None:
-        small = primes_upto(EXACT_BOUND - 1)
-    else:
-        small = primes_upto(min(truncation, EXACT_BOUND - 1))
-    z = vals[small % m]
-    factor = np.where(q % small == 0, 1.0 - z / small,
-                      1.0 - (1.0 - z) ** 2 / (small - 1.0) ** 2)
-    value = complex(np.prod(factor))
-
-    if truncation is None:
-        log_rest = large_prime_log(q, chi)
-    else:
-        u = (1.0 - vals) ** 2
-        # one pass over the primes serves every modulus dividing q
-        sums = _residue_power_sums(m, math.lcm(q, m), truncation)
-        uk = np.ones(m, dtype=np.complex128)
-        log_rest = 0j
-        for k in range(1, SERIES_TERMS + 1):
-            uk = uk * u
-            log_rest -= (uk @ sums[k - 1]) / k
-        for p in prime_factors(q):
-            if p >= EXACT_BOUND:
-                up, wp = u[p % m], 1.0 / (p - 1.0) ** 2
-                log_rest += sum((up * wp) ** k / k
-                                for k in range(1, SERIES_TERMS + 1))
-    # primes dividing q beyond the exact bound leave the series (above) for
-    # their own (1 - chi(p)/p) factor
-    for p in prime_factors(q):
-        if p >= EXACT_BOUND:
-            value *= 1.0 - vals[p % m] / p
-    return value * cmath.exp(log_rest), tail_bound(truncation)
-
-
-@lru_cache(maxsize=8192)
-def c_q_chi(
-    q: int, chi: DirichletCharacter, truncation: int | None = None
-) -> complex:
-    """C(q, chi) = L(0,chi) L(1,chi) A(q,chi); exactly 0 unless chi is odd."""
-    if chi.is_principal() or not chi.is_odd():
-        return 0j
-    a_val, _ = a_q_chi(q, chi, truncation)
-    return l_at_zero(chi) * l_at_one(chi) * a_val
-
-
 @dataclass(frozen=True)
 class CTableRow:
     name: str
@@ -387,33 +296,118 @@ class CTableRow:
     tail: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CTable:
-    """L-value summary for the non-principal characters mod q."""
+    """L(0), L(1), A(q, chi) and C(q, chi) for the characters mod m, one
+    read-only entry per row of their group, and the tail bound of A.
+
+    L reads nan at the principal character, where its formulas do not hold.
+    """
 
     q: int
     truncation: int | None
-    rows: tuple[CTableRow, ...]
+    group: CharacterGroup
+    l0: np.ndarray
+    l1: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    tail: float
+
+    @property
+    def rows(self) -> tuple[CTableRow, ...]:
+        """One row per non-principal character."""
+        columns = (x[1:].tolist() for x in (self.l0, self.l1, self.a, self.c))
+        return tuple(
+            CTableRow(chi.name(), chi.conductor(), chi.parity(), *v, self.tail)
+            for chi, *v in zip(self.group.characters()[1:], *columns))
+
+
+@lru_cache(maxsize=256)
+def _ctable(q: int, m: int, truncation: int | None) -> CTable:
+    """Every L-value, A(q, chi) and C(q, chi) for the characters mod m.
+
+    L(0) and L(1) are one matrix-vector product each.  The ambient
+    modulus q decides which primes sit in the "p | q" factor of A.  A
+    truncation P needs q <= P, so every prime dividing q is inside the
+    sieve range.
+
+    Primes below EXACT_BOUND and primes dividing q are multiplied factor
+    by factor.  For every other prime the logarithm of the factor is a
+    power series in chi(p), sum_l d[l] chi(p)^l: in p^-s by default, over
+    all p through the prime sums of chi^l; with a truncation P, in w_p =
+    1/(p-1)^2 up to P, where sum_{p = a mod m} w_p^k is one sum per
+    residue a, and sum_a chi^l(a) S_k(a) one matrix product.  Either way
+    the series of every character is one contraction of the coefficients
+    with the sums at its power rows.
+    """
+    if q < 1 or (truncation is not None and q > truncation):
+        raise ValueError(f"need 1 <= q <= truncation, got q={q}")
+    group = character_group(m)
+    values = group.values
+    odd = group.parity == -1
+
+    l0 = np.where(odd, -(values @ np.r_[m, 1:m]) / m, 0)
+    # a 0 weight at a = 0 lets the product read whole rows
+    l1 = -(values @ np.r_[0.0, _digamma_at(m)]) / m
+    l0[0] = l1[0] = np.nan
+
+    small = primes_upto(EXACT_BOUND - 1 if truncation is None
+                        else min(truncation, EXACT_BOUND - 1))
+    z = values[:, small % m]
+    a = np.prod(np.where(q % small == 0, 1.0 - z / small,
+                         1.0 - (1.0 - z) ** 2 / (small - 1.0) ** 2), axis=1)
+    if truncation is None:
+        coefficients, sums = _COEFFICIENTS, _prime_sums(m, EXACT_BOUND)
+    else:
+        coefficients = _TRUNCATED_COEFFICIENTS
+        # one pass over the primes serves every modulus dividing q
+        power_sums = _residue_power_sums(m, math.lcm(q, m), truncation)
+        sums = np.vstack([values @ power_sums.T, power_sums.sum(axis=1)]).T
+    log_rest = np.einsum("sl,sil->i", coefficients,
+                         sums[:, _power_rows(group)])
+    # primes dividing q beyond the exact bound leave the series for their
+    # own (1 - chi(p)/p) factor
+    for p in prime_factors(q):
+        if p >= EXACT_BOUND:
+            z = values[:, p % m]
+            log_rest -= np.log(1.0 - (1.0 - z) ** 2 / (p - 1.0) ** 2)
+            a *= 1.0 - z / p
+    a *= np.exp(log_rest)
+    c = np.where(odd, l0 * l1 * a, 0)
+    for array in (l0, l1, a, c):
+        array.flags.writeable = False
+    return CTable(q, truncation, group, l0, l1, a, c, tail_bound(truncation))
+
+
+def l_at_zero(chi: DirichletCharacter) -> complex:
+    """L(0, chi) for non-principal chi; exactly 0 for even characters."""
+    if chi.is_principal():
+        raise ValueError("L(0, chi) requires a non-principal character")
+    return complex(_ctable(chi.modulus, chi.modulus, None).l0[chi.index])
+
+
+def l_at_one(chi: DirichletCharacter) -> complex:
+    """L(1, chi) for non-principal chi via the digamma formula."""
+    if chi.is_principal():
+        raise ValueError("L(1, chi) requires a non-principal character")
+    return complex(_ctable(chi.modulus, chi.modulus, None).l1[chi.index])
+
+
+def a_q_chi(
+    q: int, chi: DirichletCharacter, truncation: int | None = None
+) -> tuple[complex, float]:
+    """A(q, chi), in full or truncated at P, together with its tail bound."""
+    table = _ctable(int(q), chi.modulus, truncation)
+    return complex(table.a[chi.index]), table.tail
+
+
+def c_q_chi(
+    q: int, chi: DirichletCharacter, truncation: int | None = None
+) -> complex:
+    """C(q, chi) = L(0,chi) L(1,chi) A(q,chi); exactly 0 unless chi is odd."""
+    return complex(_ctable(int(q), chi.modulus, truncation).c[chi.index])
 
 
 def build_ctable(q: int, truncation: int | None = None) -> CTable:
-    rows = []
-    for chi in character_group(int(q)).characters():
-        if chi.is_principal():
-            continue
-        a_val, tail = a_q_chi(q, chi, truncation)
-        l0 = l_at_zero(chi)
-        l1 = l_at_one(chi)
-        rows.append(
-            CTableRow(
-                name=chi.name(),
-                conductor=chi.conductor(),
-                parity=chi.parity(),
-                l0=l0,
-                l1=l1,
-                a=a_val,
-                c=l0 * l1 * a_val if chi.is_odd() else 0j,
-                tail=tail,
-            )
-        )
-    return CTable(q=int(q), truncation=truncation, rows=tuple(rows))
+    """The table of the characters mod q."""
+    return _ctable(int(q), int(q), truncation)

@@ -3,8 +3,8 @@ runtime against.  No runtime module imports this file; no command loads it.
 
 Each name recomputes what a command takes by another route, or states a
 closed form that follows from the constants: the repeat count of a
-pattern; the conjugate and the principal character of a group, looked up
-by label; B_q(v) one value at a time;
+pattern; the conjugate, the principal and the primitive character of a
+group, looked up by label; B_q(v) one value at a time;
 S_q({0, h}) by trial division of h; D0, D1 and D2 from their defining
 truncated sums, O(cutoff^2); C(q, chi) through the primitive and dyadic
 reduction identities; the character-free c2(a,b) + c2(b,a); closed-form
@@ -27,10 +27,10 @@ from .predict import _race_scales
 from .singular import SingularContext
 
 __all__ = ["repeat_count", "conjugate_character", "principal_character",
-           "sawtooth_B", "singular_pair", "singular_zero", "DensityTerms",
-           "density_terms_brute", "reduce_c", "c2_symmetric_sum",
-           "always_bias_difference", "quad_residue_sum_prediction",
-           "character_sum"]
+           "primitive_character", "sawtooth_B", "singular_pair",
+           "singular_zero", "DensityTerms", "density_terms_brute",
+           "reduce_c", "c2_symmetric_sum", "always_bias_difference",
+           "quad_residue_sum_prediction", "character_sum"]
 
 
 def repeat_count(pattern: ResiduePattern) -> int:
@@ -51,6 +51,27 @@ def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
 def principal_character(group: CharacterGroup) -> DirichletCharacter:
     """The group's shared instance of the all-zero label."""
     return group.character(tuple(0 for _ in group.orders))
+
+
+def primitive_character(chi: DirichletCharacter) -> DirichletCharacter:
+    """The primitive character mod conductor(chi) inducing chi: its
+    exponent at each generator g of the group mod f is read from chi's
+    exponents over the n = g mod f."""
+    f = chi.conductor()
+    sub = character_group(f)
+    E = chi.group.exponent
+    t_chi = chi.group.exponents[chi.index]
+    label = []
+    for g, s in zip(sub.generators, sub.orders):
+        lifts = t_chi[g::f]  # the n = g mod f
+        t = int(lifts[lifts >= 0][0])
+        # chi*(g) = exp(2 pi i t / E) must be an s-th root of unity
+        if (t * s) % E != 0:
+            raise InternalConsistencyError(
+                f"{chi.name()} is not induced from conductor {f}"
+            )
+        label.append(t * s // E)
+    return sub.character(tuple(label))
 
 
 def sawtooth_B(q: int, v: int) -> float:
@@ -169,7 +190,7 @@ def reduce_c(
     """
     direct = lfun.c_q_chi(q, chi, truncation)
 
-    chi_star = chi.primitive()
+    chi_star = primitive_character(chi)
     extra = 1.0 + 0j
     for p in prime_factors(chi.modulus):
         extra *= 1.0 - chi_star(p)

@@ -27,6 +27,7 @@ from primebias import (
     integral_prediction,
     l_at_one,
     l_at_zero,
+    primitive_character,
     reduce_c,
     s0_brute,
     s0_main,
@@ -211,8 +212,8 @@ def test_criterion_05_closed_form_constants():
 
     # the primitive odd quadratic character mod 3 drives the mod-12 entries;
     # the ambient modulus 12 supplies the (1 - chi(2)/2) factor
-    chi = next(c for c in character_group(12).characters()
-               if c.conductor() == 3).primitive()
+    chi = primitive_character(next(c for c in character_group(12).characters()
+                                   if c.conductor() == 3))
     A = a_q_chi(12, chi, P)[0]
     assert abs(A.imag) < 1e-12
     assert abs(A.real - 1.036) <= 1e-3

@@ -12,8 +12,9 @@ import time
 import pytest
 
 import primebias
-from primebias import cli, constants, lfun, sieve
-from primebias.arith import Modulus, ResiduePattern
+from primebias import characters, cli, constants, lfun, sieve
+from primebias.arith import (MAX_CHARACTER_ENTRIES, MAX_PATTERNS, Modulus,
+                             ResiduePattern, totient)
 from primebias.characters import character_group
 from primebias.constants import (
     InternalConsistencyError,
@@ -578,6 +579,24 @@ def test_pattern_budget_exit_code(capsys):
         assert code == 2, argv
         assert out == ""
         assert time.perf_counter() - start < 5, argv
+
+
+def test_character_table_budget_exit_code(monkeypatch, capsys):
+    # the real budget admits the largest table constants can ask for
+    assert totient(19110) ** 2 <= MAX_PATTERNS
+    assert totient(19110) * 19110 <= MAX_CHARACTER_ENTRIES
+    # a small budget, and a modulus no other test builds, so no cached
+    # group hides the check: 1012 * 1013 entries exceed it, 996 * 997 not
+    monkeypatch.setattr(characters, "MAX_CHARACTER_ENTRIES", 10**6)
+    assert characters.CharacterGroup(997).phi == 996
+    with pytest.raises(ValueError, match="above the budget of 1000000"):
+        characters.CharacterGroup(1013)
+    for cmd in ("dump-characters", "dump-lvalues"):
+        start = time.perf_counter()
+        code, out = run_cli([cmd, "--q", "1013"], capsys)
+        assert code == 2, cmd
+        assert out == ""
+        assert time.perf_counter() - start < 5, cmd
 
 
 def test_runaway_quadrature_and_s0_exit_code(capsys):

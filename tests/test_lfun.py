@@ -5,6 +5,8 @@ friends) pin the normalisation; an alternating / cyclotomic partial sum
 with its own tail control cross-checks a complex character.
 """
 
+import cmath
+import functools
 import math
 
 import numpy as np
@@ -371,6 +373,8 @@ def test_full_product_independent_of_exact_bound(monkeypatch):
     chis.append((12, quadratic_character(3)))
     full = [a_q_chi(q, chi)[0] for q, chi in chis]
     monkeypatch.setattr(lfun, "EXACT_BOUND", 100)
+    # a fresh table cache, so no table built at the old bound is read
+    monkeypatch.setattr(lfun, "_ctable", functools.lru_cache(lfun._ctable.__wrapped__))
     for (q, chi), want in zip(chis, full):
         got, tail = a_q_chi(q, chi)
         assert abs(got - want) <= 1e-13, (q, chi.name(), got - want)
@@ -378,13 +382,14 @@ def test_full_product_independent_of_exact_bound(monkeypatch):
 
 
 def test_large_prime_log_leaves_out_prime_divisors_of_q():
-    # 1009 is the first prime above the exact bound: q = 2018 takes it out
-    # of the series, so the two logs differ by exactly its factor
+    # 1009 is the first prime above the exact bound: q = 1009 takes it out
+    # of the series, and chi(1009) = 0 makes its own factor 1, so the two
+    # products differ by exactly its factor
     chi = character_group(1009).characters()[5]
     assert chi(1009) == 0
-    gap = lfun.large_prime_log(1009, chi) - lfun.large_prime_log(1, chi)
-    assert gap == pytest.approx(-math.log(1 - 1 / 1008**2), abs=1e-18)
-    gap = lfun.large_prime_log(2018, None) - lfun.large_prime_log(2, None)
+    ratio = a_q_chi(1009, chi)[0] / a_q_chi(1, chi)[0]
+    assert ratio == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15, abs=0)
+    gap = lfun.large_prime_log(2018) - lfun.large_prime_log(2)
     assert gap == pytest.approx(-math.log(1 - 1 / 1008**2), abs=1e-18)
 
 
@@ -399,3 +404,76 @@ def test_reduction_identities_untruncated(q):
             direct = c_q_chi(q, chi)
             routed = reduce_c(q, chi)
             assert abs(direct - routed) < 1e-9 * (1 + abs(direct))
+
+
+# ------------------------------------------------ the per-character oracle
+
+
+def oracle_l0(chi):
+    """L(0, chi) as the direct sum -(1/m) sum_{a=1}^{m} chi(a) a."""
+    if not chi.is_odd():
+        return 0j
+    m = chi.modulus
+    a = np.arange(1, m + 1)
+    return complex(-(chi.values_table()[a % m] @ a) / m)
+
+
+def oracle_l1(chi):
+    """L(1, chi) = -(1/m) sum_{a=1}^{m-1} chi(a) psi(a/m)."""
+    m = chi.modulus
+    return complex(-(chi.values_table()[1:] @ lfun._digamma_at(m)) / m)
+
+
+def oracle_a(q, chi, truncation):
+    """A(q, chi) for one character: the exact product below the exact bound
+    and at the primes dividing q, times the exponential of the series."""
+    m, group = chi.modulus, chi.group
+    vals = chi.values_table()
+    M, K, T = lfun.EXACT_BOUND, lfun.SERIES_POWERS, lfun.SERIES_TERMS
+    small = primes_upto(M - 1 if truncation is None else min(truncation, M - 1))
+    z = vals[small % m]
+    value = complex(np.prod(np.where(q % small == 0, 1.0 - z / small,
+                                     1.0 - (1.0 - z) ** 2 / (small - 1.0) ** 2)))
+    large = [p for p in primes_upto(q) if q % p == 0 and p >= M]
+    if truncation is None:
+        sums = lfun._prime_sums(m, M)
+        # chi^0 = 1 at every prime, then chi^l for l = 1..K
+        rows = [sums.shape[1] - 1] + [
+            group.character(tuple(l * k for k in chi.label)).index
+            for l in range(1, K + 1)]
+        log_rest = complex(np.sum(lfun._COEFFICIENTS * sums[:, rows]))
+        for p in large:
+            log_rest -= cmath.log(1 - (1 - chi(p)) ** 2 / (p - 1) ** 2)
+    else:
+        u = (1.0 - vals) ** 2
+        sums = lfun._residue_power_sums(m, math.lcm(q, m), truncation)
+        log_rest = -sum((u**k @ sums[k - 1]) / k for k in range(1, T + 1))
+        for p in large:
+            log_rest += sum((u[p % m] / (p - 1.0) ** 2) ** k / k
+                            for k in range(1, T + 1))
+    for p in large:
+        value *= 1.0 - vals[p % m] / p
+    return value * cmath.exp(log_rest)
+
+
+@pytest.mark.parametrize("P", [None, 10**5, 2 * 10**7])
+@pytest.mark.parametrize("q", [3, 4, 5, 12, 15, 60, 97, 210, 420, 997])
+def test_ctable_matches_per_character_oracle(q, P):
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    for m in range(1, q + 1):
+        if q % m:
+            continue
+        table = lfun._ctable(q, m, P)
+        assert table.tail == tail_bound(P)
+        for chi in character_group(m).characters():
+            a = oracle_a(q, chi, P)
+            assert close(table.a[chi.index], a), (q, P, chi.name())
+            if chi.is_principal():
+                continue
+            l0, l1 = oracle_l0(chi), oracle_l1(chi)
+            assert close(table.l0[chi.index], l0), (q, chi.name())
+            assert close(table.l1[chi.index], l1), (q, chi.name())
+            c = l0 * l1 * a if chi.is_odd() else 0j
+            assert close(table.c[chi.index], c), (q, P, chi.name())
