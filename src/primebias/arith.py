@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 MAX_PATTERNS = 1 << 24  # phi(q)**r: the most patterns any command enumerates
-# phi(m) * m: the largest character table, 24 bytes an entry (3.2 GB); the
-# largest any modulus within MAX_PATTERNS needs is 77,051,520, at m = 19,110
+# phi(m) * m of one character group, 16 bytes an entry (2.1 GB); within
+# MAX_PATTERNS at most 77,051,520, and 145,466,937 over all d | q, at 19,110
 MAX_CHARACTER_ENTRIES = 1 << 27
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd numbers per segment: a 1 MB mask
 TILE_PRIMES = (3, 5, 7, 11, 13, 17)

@@ -4,12 +4,13 @@ The unit group mod m is decomposed into cyclic components via CRT:
 a primitive root for each odd prime power, and the {-1, 5} generators
 for powers of two.  A character is labelled by its exponent tuple on
 those generators.  A group holds every character at once, one row each
-in label order, in two read-only matrices over n = 0..m-1: the exact
-integer exponents t, with chi(n) = exp(2 pi i t[n] / E) for E the group
-exponent and t[n] = -1 on non-units, and the complex values built from
-them.  Parity and conductor are read from the exponents, so they involve
-no rounding.  A character is its group and its row; the group hands out
-one shared instance per row, and every evaluation indexes the matrices.
+in label order, in one read-only matrix of complex values over
+n = 0..m-1: chi(n) = exp(2 pi i t / E) at a unit n with exact integer
+exponent t, E the group exponent, and 0 on non-units.  The exponents are
+made a block of rows at a time and never kept; the parity and conductor
+vectors are read from them, so they involve no rounding.  A character
+is its group and its row; the group hands out one shared instance per
+row, and every evaluation indexes the matrix.
 
 Moduli m = 1 and m = 2 are allowed (their groups are trivial) because
 the constant machinery walks divisors q/d of a pattern modulus.
@@ -28,22 +29,17 @@ from .arith import (MAX_CHARACTER_ENTRIES, InternalConsistencyError,
 
 __all__ = ["CharacterGroup", "DirichletCharacter", "character_group"]
 
+_BLOCK = 1 << 17  # exponents held at once: a few MB at any modulus
+
 
 def _primitive_root_mod_prime_power(p: int, e: int) -> int:
     """A generator of the cyclic unit group mod p^e, p an odd prime."""
-    # primitive root mod p first
     fac = prime_factors(p - 1)
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, (p - 1) // r, p) != 1 for r in fac):
-            g = cand
-            break
-    if g is None:
-        raise InternalConsistencyError(f"no primitive root mod {p}")
-    if e == 1:
-        return g
+    # the least primitive root mod p, which every odd prime has
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // r, p) != 1 for r in fac))
     # g stays primitive mod p^e exactly when g^(p-1) != 1 mod p^2
-    if pow(g, p - 1, p * p) == 1:
+    if e > 1 and pow(g, p - 1, p * p) == 1:
         g += p
     return g
 
@@ -66,10 +62,12 @@ class CharacterGroup:
                 tuple against these, chi(g_i) = exp(2 pi i k_i / s_i).
     exponent:   lcm of the orders (1 for m <= 2).
     labels:     the phi(m) labels in lexicographic order, one row each.
-    exponents:  t[i, n] for character i and n = 0..m-1, -1 on non-units.
-    values:     chi_i(n) = exp(2 pi i t[i, n] / exponent), 0 on non-units.
+    values:     chi_i(n) for n = 0..m-1, exp(2 pi i t / exponent) at a
+                unit with exact exponent t, 0 on non-units.
     parity:     chi_i(-1) as +1 or -1.
-    All four arrays are read-only.
+    conductor:  the conductor of chi_i.
+    All four arrays are read-only; a group holds 16 bytes per entry of
+    values and O(phi(m)) besides.
     """
 
     def __init__(self, m: int):
@@ -91,20 +89,13 @@ class CharacterGroup:
                 mm //= p
                 e += 1
             pe = p**e
-            if p == 2:
-                if e == 2:
-                    gens.append(_crt_lift(3, 4, m))
-                    orders.append(2)
-                elif e >= 3:
-                    gens.append(_crt_lift(pe - 1, pe, m))
-                    orders.append(2)
-                    gens.append(_crt_lift(5, pe, m))
-                    orders.append(2 ** (e - 2))
-                # e == 1 contributes nothing
-            else:
-                g = _primitive_root_mod_prime_power(p, e)
+            if p > 2:
+                local = [(_primitive_root_mod_prime_power(p, e), totient(pe))]
+            else:  # -1 and 5 mod 2^e; -1 alone mod 4, nothing mod 2
+                local = [(pe - 1, 2), (5, pe // 4)][:min(e - 1, 2)]
+            for g, s in local:
                 gens.append(_crt_lift(g, pe, m))
-                orders.append(totient(pe))
+                orders.append(s)
         self.generators = tuple(gens)
         self.orders = tuple(orders)
         E = self.exponent = math.lcm(*orders) if orders else 1
@@ -119,26 +110,36 @@ class CharacterGroup:
         # a bincount, not np.unique, which would load numpy.ma
         if np.count_nonzero(np.bincount(units, minlength=m)) != self.phi:
             raise InternalConsistencyError(f"unit group mod {m} not covered")
-        # chi_i(units[k]) = exp(2 pi i t / E), t = sum_j labels[i, j]
-        # labels[k, j] E / s_j
+        # chi_i(units[k]) = exp(2 pi i t / E) for the exact exponent t =
+        # sum_j labels[i, j] labels[k, j] E / s_j
         weights = labels * np.array([E // s for s in orders], dtype=np.int64)
-        exponents = np.full((self.phi, m), -1, dtype=np.int64)
-        exponents[:, units] = weights @ labels.T % E
-        # index -1, the non-units, reads the appended 0
-        roots = np.append(np.exp(2j * np.pi * np.arange(E) / E), 0)
-        values = roots[exponents]
-        t = exponents[:, -1]
-        bad = (t < 0) | (2 * t % E != 0)
+        t = weights @ labels[units.tolist().index(m - 1)] % E
+        bad = 2 * t % E != 0
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise InternalConsistencyError(
                 f"chi(-1) is not +-1 for mod{m} row {i}: exponent {t[i]} of {E}"
             )
         parity = np.where(t == 0, 1, -1)
-        for array in (labels, exponents, values, parity):
+        # conductor: the least f | m with exponent 0 at every unit n = 1 mod f;
+        # f runs down from m (the unit 1 alone), each f that holds overwriting
+        ones = [(f, np.flatnonzero(units % f == 1 % f))
+                for f in range(m, 0, -1) if m % f == 0]
+        roots = np.exp(2j * np.pi * np.arange(E) / E)
+        values = np.zeros((self.phi, m), dtype=np.complex128)
+        conductor = np.empty(self.phi, dtype=np.int64)
+        # a block of rows at a time: no phi x m integer array is ever held
+        rows = max(1, _BLOCK // self.phi)
+        for start in range(0, self.phi, rows):
+            block = slice(start, start + rows)
+            t = weights[block] @ labels.T % E
+            values[block, units] = roots[t]
+            for f, one in ones:
+                conductor[block][(t[:, one] == 0).all(axis=1)] = f
+        for array in (labels, values, parity, conductor):
             array.flags.writeable = False
-        self.labels, self.exponents = labels, exponents
-        self.values, self.parity = values, parity
+        self.labels, self.values = labels, values
+        self.parity, self.conductor = parity, conductor
         self._all = tuple(DirichletCharacter(self, i) for i in range(self.phi))
 
     def rows(self, labels: np.ndarray) -> np.ndarray:
@@ -175,7 +176,6 @@ class DirichletCharacter:
     def __post_init__(self):
         # row views, not fields: equality, hashing and repr see group and
         # index only
-        object.__setattr__(self, "_exponents", self.group.exponents[self.index])
         object.__setattr__(self, "_values", self.group.values[self.index])
 
     def __call__(self, n: int) -> complex:
@@ -221,9 +221,4 @@ class DirichletCharacter:
 
     def conductor(self) -> int:
         """Smallest f | m with chi trivial on {n = 1 mod f, gcd(n, m) = 1}."""
-        m = self.group.m
-        t = self._exponents
-        # t[1::f] runs over the n = 1 mod f; non-units read -1
-        return next(
-            f for f in range(1, m + 1) if m % f == 0 and (t[1::f] <= 0).all()
-        )
+        return int(self.group.conductor[self.index])

@@ -312,17 +312,15 @@ def _cmd_dump_characters(args):
     from .characters import character_group
 
     group = character_group(args.q)
-    rows = []
-    for chi in group.characters():
-        vals = chi.values_table()
-        rows.append({
-            "name": chi.name(), "modulus": chi.modulus,
-            "conductor": chi.conductor(), "order": chi.order(),
-            "parity": chi.parity(),
-            "values": ";".join("%.15g%+.15gj" % (z.real, z.imag)
-                               for z in vals),
-        })
-    return _columns(rows), {"modulus": args.q}
+    chars = group.characters()
+    block = {
+        "name": [chi.name() for chi in chars], "modulus": [args.q] * group.phi,
+        "conductor": group.conductor, "order": [chi.order() for chi in chars],
+        "parity": group.parity,
+        "values": [";".join("%.15g%+.15gj" % (z.real, z.imag) for z in row)
+                   for row in group.values],
+    }
+    return [block], {"modulus": args.q}
 
 
 def _cmd_dump_lvalues(args):
@@ -330,12 +328,10 @@ def _cmd_dump_lvalues(args):
 
     t = build_ctable(args.q, truncation=args.truncation)
     # the principal character, row 0, has no row
-    chars = t.group.characters()[1:]
     l0, l1, a, c = (x[1:] for x in (t.l0, t.l1, t.a, t.c))
     block = {
-        "name": [chi.name() for chi in chars],
-        "conductor": [chi.conductor() for chi in chars],
-        "parity": t.group.parity[1:],
+        "name": [chi.name() for chi in t.group.characters()[1:]],
+        "conductor": t.group.conductor[1:], "parity": t.group.parity[1:],
         "l0_re": l0.real, "l0_im": l0.imag, "l1_re": l1.real, "l1_im": l1.imag,
         "a_re": a.real, "a_im": a.imag, "c_re": c.real, "c_im": c.imag,
         "tail": t.tail,

@@ -178,19 +178,27 @@ def _reduced_form(q: int, f: np.ndarray, truncation: int | None) -> _PairForm:
     return _PairForm(f, k0, -k0)
 
 
+def _unit_sums(x: np.ndarray) -> np.ndarray:
+    """sum_n x[n] [gcd(n + s, q) = 1] for s = 0..q-1, q = len(x): one
+    circular correlation with the units, by FFT, with no q x q array."""
+    units = np.gcd(np.arange(len(x)), len(x)) == 1
+    return np.fft.irfft(np.fft.rfft(x).conj() * np.fft.rfft(units), len(x))
+
+
 def _direct_form(q: int, s0: np.ndarray) -> _PairForm:
     """Direct class sum: every S_0^c(q, v) enters with its density weight.
 
     c2 = q (S(b-a) + B(b-a) - 1/(2 phi) + D/phi^2
             - (Sh(a) + Sh(-b) + epsilon_q(a, b)) / phi),
-    with Sh(s) the sum of S(u - s) over units u, D = sum over units of Sh,
-    and epsilon_q(a, b) = (U(b - 1) - phi b/q) - (U(a) - phi a/q), with U(n)
-    the number of units in [1, n] and a, b read in [1, q].
+    with Sh(s) the sum of S(u - s) over units u, one correlation of S with
+    the units (_unit_sums), D = sum over units of Sh, and epsilon_q(a, b) =
+    (U(b - 1) - phi b/q) - (U(a) - phi a/q), with U(n) the number of units
+    in [1, n] and a, b read in [1, q].
     """
     phi = totient(q)
     units = np.array(Modulus(q).classes)
     residues = np.arange(q)
-    sh = s0[(units[None, :] - residues[:, None]) % q].sum(axis=1)
+    sh = _unit_sums(s0)
     total = sh[units].sum()
     upto = np.cumsum(np.gcd(np.arange(q + 1), q) == 1)
     canon = np.r_[q, 1:q]
@@ -207,15 +215,15 @@ def _character_form(q: int, f: np.ndarray, truncation: int | None) -> _PairForm:
 
     G(a) = -q W(a) and H(b) = -q W(-b), where
     W(s) = sum_d sum_u K_{q,d}(u) [gcd(u q/d + s, q) = 1] / (phi phi(d)).
+    The kernels are first summed into one vector k over n = u q/d, so W is
+    one correlation of k with the units (_unit_sums).
     """
     phi = totient(q)
-    residues = np.arange(q)
-    coprime = (np.gcd(residues, q) == 1).astype(float)
-    w = np.zeros(q)
+    k = np.zeros(q)
     for d in _divisors(q)[1:]:
-        shifted = np.arange(d)[:, None] * (q // d) + residues[None, :]
-        w += _kernel(q, d, truncation) @ coprime[shifted % q] / (phi * totient(d))
-    return _PairForm(f, -q * w, -q * w[(-residues) % q])
+        k[::q // d] += _kernel(q, d, truncation) / (phi * totient(d))
+    w = _unit_sums(k)
+    return _PairForm(f, -q * w, -q * w[-np.arange(q) % q])
 
 
 def _prime_form(q: int, truncation: int | None) -> _PairForm:

@@ -316,10 +316,11 @@ class CTable:
     @property
     def rows(self) -> tuple[CTableRow, ...]:
         """One row per non-principal character."""
-        columns = (x[1:].tolist() for x in (self.l0, self.l1, self.a, self.c))
-        return tuple(
-            CTableRow(chi.name(), chi.conductor(), chi.parity(), *v, self.tail)
-            for chi, *v in zip(self.group.characters()[1:], *columns))
+        group = self.group
+        columns = (x[1:].tolist() for x in (group.conductor, group.parity,
+                                            self.l0, self.l1, self.a, self.c))
+        return tuple(CTableRow(chi.name(), *v, self.tail)
+                     for chi, *v in zip(group.characters()[1:], *columns))
 
 
 @lru_cache(maxsize=256)

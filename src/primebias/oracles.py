@@ -55,16 +55,16 @@ def principal_character(group: CharacterGroup) -> DirichletCharacter:
 
 def primitive_character(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) inducing chi: its
-    exponent at each generator g of the group mod f is read from chi's
-    exponents over the n = g mod f."""
+    exponent at each generator g of the group mod f is read, rounded from
+    the angle, off chi's value at a unit n = g mod f."""
     f = chi.conductor()
     sub = character_group(f)
     E = chi.group.exponent
-    t_chi = chi.group.exponents[chi.index]
+    values = chi.values_table()
     label = []
     for g, s in zip(sub.generators, sub.orders):
-        lifts = t_chi[g::f]  # the n = g mod f
-        t = int(lifts[lifts >= 0][0])
+        lifts = values[g::f]  # the n = g mod f
+        t = round(float(np.angle(lifts[lifts != 0][0])) * E / (2 * math.pi)) % E
         # chi*(g) = exp(2 pi i t / E) must be an s-th root of unity
         if (t * s) % E != 0:
             raise InternalConsistencyError(

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import primebias
 from primebias import character_group
+from primebias.characters import CharacterGroup
 from primebias.oracles import (conjugate_character, primitive_character,
                                principal_character)
 
@@ -126,6 +128,48 @@ def test_conductor_matches_definition():
     for m in range(1, 101):
         for chi in character_group(m).characters():
             assert chi.conductor() == definition_conductor(chi), chi.name()
+
+
+def slice_search_conductors(group):
+    """Each row's conductor by the per-row search over its exponents t,
+    rounded from the values' angles (-1 on non-units): the least f | m
+    with t <= 0 on every n = 1 mod f."""
+    m, E = group.m, group.exponent
+    t = np.rint(np.angle(group.values) * E / (2 * np.pi)).astype(np.int64) % E
+    t[group.values == 0] = -1
+    return [next(f for f in range(1, m + 1)
+                 if m % f == 0 and (row[1::f] <= 0).all()) for row in t]
+
+
+def test_parity_and_conductor_vectors():
+    for m in range(1, 101):
+        group = character_group(m)
+        chars = group.characters()
+        assert group.conductor.tolist() == [definition_conductor(chi)
+                                            for chi in chars], m
+        assert group.parity.tolist() == [round(chi(-1).real)
+                                         for chi in chars], m
+    for m in (420, 4620):
+        group = character_group(m)
+        assert group.conductor.tolist() == slice_search_conductors(group), m
+        assert (group.parity == np.rint(group.values[:, m - 1].real)).all(), m
+    for array in (group.parity, group.conductor):
+        assert not array.flags.writeable
+    assert not hasattr(group, "exponents")
+
+
+def test_group_holds_only_its_value_matrix():
+    CharacterGroup(5)  # the module's own first allocations
+    tracemalloc.start()
+    try:
+        group = CharacterGroup(2003)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values = 16 * group.phi * group.m
+    assert group.values.nbytes == values
+    assert retained <= values + 1e6, retained - values
+    assert peak <= values + 8e6, peak - values
 
 
 def test_primitive_character_agrees_on_coprimes():

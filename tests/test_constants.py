@@ -1,6 +1,7 @@
 """Bias constants: closed forms, independent-formula agreement, symmetries."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,67 @@ def test_c2_table_against_per_pair_direct_form():
                 scale = max(1.0, abs(want))
                 assert abs(forms["direct"] - want) <= 1e-12 * scale, (q, a, b)
                 assert abs(forms["reduced"] - want) <= 1e-8 * scale, (q, a, b)
+
+
+def direct_form_by_gather(q, s0):
+    """The direct form with Sh(s) = sum over units u of S(u - s) gathered
+    as a q x phi array."""
+    phi = totient(q)
+    units = np.array(Modulus(q).classes)
+    residues = np.arange(q)
+    sh = s0[(units[None, :] - residues[:, None]) % q].sum(axis=1)
+    total = sh[units].sum()
+    upto = np.cumsum(np.gcd(np.arange(q + 1), q) == 1)
+    canon = np.r_[q, 1:q]
+    eps_a = upto[canon] - phi * canon / q
+    eps_b = upto[canon - 1] - phi * canon / q
+    f = q * (s0 + constants._sawtooth(q) - 1 / (2 * phi) + total / phi**2)
+    g = q * (eps_a - sh) / phi
+    h = -q * (sh[(-residues) % q] + eps_b) / phi
+    return constants._PairForm(f, g, h)
+
+
+def character_form_by_gather(q, f, truncation):
+    """The character form with W summed divisor by divisor over d x q
+    arrays of the shifted unit indicator."""
+    phi = totient(q)
+    residues = np.arange(q)
+    coprime = (np.gcd(residues, q) == 1).astype(float)
+    w = np.zeros(q)
+    for d in constants._divisors(q)[1:]:
+        shifted = np.arange(d)[:, None] * (q // d) + residues[None, :]
+        w += (constants._kernel(q, d, truncation) @ coprime[shifted % q]
+              / (phi * totient(d)))
+    return constants._PairForm(f, -q * w, -q * w[(-residues) % q])
+
+
+@pytest.mark.parametrize("q", [12, 60, 420, 997, 2310])
+def test_check_forms_match_gathered_sums(q):
+    table = constants._c2_table(q, None)
+    units = np.array(Modulus(q).classes)
+    a = units[:, None]
+    s0 = constants.s0c_vector(q, None)
+    oracles = {
+        "direct": direct_form_by_gather(q, s0),
+        "character": character_form_by_gather(q, table["character"].f, None),
+    }
+    for tag, oracle in oracles.items():
+        want = oracle.at(q, a, units)
+        got = table[tag].at(q, a, units)
+        scale = np.maximum(1.0, np.abs(want))
+        assert (np.abs(got - want) <= 1e-12 * scale).all(), (q, tag)
+
+
+def test_check_forms_hold_no_q_by_q_array():
+    # the kernels and S_0^c cached first, so only the forms are measured
+    constants._c2_table(2310, None)
+    tracemalloc.start()
+    try:
+        constants._c2_table.__wrapped__(2310, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 @pytest.mark.parametrize("builder,tag,vector,index,raises", [
