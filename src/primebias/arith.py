@@ -32,14 +32,19 @@ __all__ = [
     "canonical_residue",
     "MAX_PATTERNS",
     "MAX_CHARACTER_ENTRIES",
+    "MAX_GROUP_MODULUS",
     "check_pattern_budget",
     "check_rel_tol",
 ]
 
 MAX_PATTERNS = 1 << 24  # phi(q)**r: the most patterns any command enumerates
-# phi(m) * m of one character group, 16 bytes an entry (2.1 GB); within
-# MAX_PATTERNS at most 77,051,520, and 145,466,937 over all d | q, at 19,110
+# phi(m) * m values of a dump-characters table, every chi(n) for n < m
+# (16 bytes each were it held at once; it is written a block of rows at a
+# time); no other command builds a phi(m) x m array
 MAX_CHARACTER_ENTRIES = 1 << 27
+# the largest modulus of a character group: a group is O(m), and
+# dump-lvalues --q 524287, the largest prime admitted, peaks at 719 MiB
+MAX_GROUP_MODULUS = 1 << 19
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd numbers per segment: a 1 MB mask
 TILE_PRIMES = (3, 5, 7, 11, 13, 17)
 TILE_PERIOD = 255255  # product of TILE_PRIMES, in odd numbers

@@ -309,18 +309,27 @@ def _cmd_compare(args):
 
 
 def _cmd_dump_characters(args):
-    from .characters import character_group
+    from .characters import character_group, check_table_budget
 
-    group = character_group(args.q)
+    q = args.q
+    check_table_budget(q)
+    group = character_group(q)
     chars = group.characters()
-    block = {
-        "name": [chi.name() for chi in chars], "modulus": [args.q] * group.phi,
-        "conductor": group.conductor, "order": [chi.order() for chi in chars],
-        "parity": group.parity,
-        "values": [";".join("%.15g%+.15gj" % (z.real, z.imag) for z in row)
-                   for row in group.values],
-    }
-    return [block], {"modulus": args.q}
+
+    def blocks():
+        # the values of a block of rows at every n = 0..q-1 at a time
+        for rows, values in group.value_blocks(np.arange(q)):
+            yield {
+                "name": [chi.name() for chi in chars[rows]],
+                "modulus": [q] * len(values),
+                "conductor": group.conductor[rows],
+                "order": [chi.order() for chi in chars[rows]],
+                "parity": group.parity[rows],
+                "values": [";".join("%.15g%+.15gj" % (z.real, z.imag)
+                                    for z in row) for row in values.tolist()],
+            }
+
+    return blocks(), {"modulus": q}
 
 
 def _cmd_dump_lvalues(args):

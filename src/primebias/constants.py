@@ -74,12 +74,14 @@ def _kernel(q: int, d: int, truncation: int | None) -> np.ndarray:
     """K(u) = sum over chi mod d of C(q, chi) conj(chi)(u), u = 0..d-1.
 
     Only odd characters have C(q, chi) != 0.  They come in conjugate pairs
-    with conjugate C values, so the kernel is real: the real part of its
-    conjugate, conj(C) @ chi(u), which needs no conjugated copy of the
-    value matrix.
+    with conjugate C values, so the kernel is real.  At the units it is one
+    transform of conj(C) over the unit group (CharacterGroup.transform),
+    scattered back to the residues; it is 0 on the non-units.
     """
+    group = character_group(d)
     c = _ctable(q, d, truncation).c
-    kernel = _real(c.conj() @ character_group(d).values, f"K(q={q}, d={d})")
+    kernel = np.zeros(d)
+    kernel[group.units] = _real(group.transform(c.conj()), f"K(q={q}, d={d})")
     kernel.flags.writeable = False
     return kernel
 
@@ -245,6 +247,9 @@ def _c2_diagonal(q: int) -> float:
 _ON_DIAGONAL = {"diagonal": True, "prime_q": False}
 
 _CHECK_BLOCK = 1 << 18  # pairs compared at once: a few MB at any q
+# phi(q)^2, the pairs every c2 table is checked on (16,257,024 at q =
+# 19,110); above it the check, not the characters, would take hours
+MAX_CHECKED_PAIRS = 1 << 27
 
 
 def _check_forms(q: int, forms: Mapping[str, _PairForm]) -> None:
@@ -270,7 +275,16 @@ def _check_forms(q: int, forms: Mapping[str, _PairForm]) -> None:
 
 @lru_cache(maxsize=16)
 def _c2_table(q: int, truncation: int | None) -> Mapping[str, _PairForm]:
-    """Every closed form of c2 mod q by method tag, checked entry by entry."""
+    """Every closed form of c2 mod q by method tag, checked entry by entry.
+
+    Refused up front when the check would exceed MAX_CHECKED_PAIRS pairs.
+    """
+    pairs = totient(q) ** 2
+    if pairs > MAX_CHECKED_PAIRS:
+        raise ValueError(
+            f"the c2 forms mod {q} are checked on phi(q)^2 = {pairs} pairs, "
+            f"above the budget of {MAX_CHECKED_PAIRS}"
+        )
     s0 = s0c_vector(q, truncation)
     f = math.log(2 * math.pi) / 2 + q * (s0 + _sawtooth(q))
     zeros = np.zeros(q)

@@ -46,8 +46,13 @@ for even chi and drive all the second-order bias constants.
 chi may live on any modulus m dividing the ambient q, and also on moduli
 coprime to parts of q; chi(p) is always evaluated with chi's own modulus.
 Every value is read from one cached table per (q, m, truncation) that
-holds L(0), L(1), A and C for all the characters mod m at once, computed
-from the group's value matrix with array operations.
+holds L(0), L(1), A and C for all the characters mod m at once.  Each
+sum over a, sum_a chi(a) f(a) for every chi mod m, is one unnormalised
+inverse DFT over the unit group (CharacterGroup.transform; D. J. Platt,
+Math. Comp. 85, 2016, takes the L-values of a modulus the same way):
+L(0), L(1), the Hurwitz rows of log L and the truncated power sums.  The
+values chi(p) at the primes multiplied exactly are read from the labels
+a block of characters at a time.  No phi(m) x m array is ever built.
 """
 
 from __future__ import annotations
@@ -198,12 +203,11 @@ def _prime_sums(m: int, bound: int) -> np.ndarray:
     is zeta; rows 0 and 1 are 0.  Read-only.  One Hurwitz table serves
     every character and every t: for each residue r mod m it holds
     m^-t zeta(t, a_r/m), a_r the least positive member of r, except that
-    the class of 1 starts at 1 + m, so one matrix product gives
-    L(t, psi) - 1 for every psi and log L stays accurate when it is small.
+    the class of 1 starts at 1 + m, so one transform gives L(t, psi) - 1
+    for every psi and log L stays accurate when it is small.
     """
     K = SERIES_POWERS
     group = character_group(m)
-    values = group.values
 
     t = np.arange(K + 1, dtype=float)[2:, None]
     start = np.arange(m, dtype=float)
@@ -211,14 +215,15 @@ def _prime_sums(m: int, bound: int) -> np.ndarray:
     start[1 % m] += m
     hurwitz = m ** -t * hurwitz_zeta(t, start / m)
     # log L_M(t, psi) for t = 2..K, one row per t
-    l_minus_1 = np.vstack([values @ hurwitz.T, hurwitz.sum(axis=1)]).T
+    l_minus_1 = np.hstack([group.transform(hurwitz[:, group.units]),
+                           hurwitz.sum(axis=1, keepdims=True)])
     log_l = _log1p(l_minus_1.real, l_minus_1.imag)
     small = primes_upto(bound - 1)
-    z = np.vstack([values[:, small % m], np.ones(len(small))])
-    inv = 1.0 / small
-    for i, ti in enumerate(range(2, K + 1)):
-        r = -inv**ti
-        log_l[i] += _log1p(z.real * r, z.imag * r).sum(axis=1)
+    r = -(1.0 / small) ** t
+    log_l[:, -1] += _log1p(r, 0.0 * r).sum(axis=1)  # the function 1
+    for rows, z in group.value_blocks(small):
+        for i in range(K - 1):
+            log_l[i, rows] += _log1p(z.real * r[i], z.imag * r[i]).sum(axis=1)
 
     powers = _power_rows(group)
     sums = np.zeros((K + 1, group.phi + 1), dtype=np.complex128)
@@ -327,52 +332,62 @@ class CTable:
 def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     """Every L-value, A(q, chi) and C(q, chi) for the characters mod m.
 
-    L(0) and L(1) are one matrix-vector product each.  The ambient
-    modulus q decides which primes sit in the "p | q" factor of A.  A
-    truncation P needs q <= P, so every prime dividing q is inside the
+    L(0) and L(1) are one transform over the unit group each.  The
+    ambient modulus q decides which primes sit in the "p | q" factor of A.
+    A truncation P needs q <= P, so every prime dividing q is inside the
     sieve range.
 
     Primes below EXACT_BOUND and primes dividing q are multiplied factor
-    by factor.  For every other prime the logarithm of the factor is a
-    power series in chi(p), sum_l d[l] chi(p)^l: in p^-s by default, over
-    all p through the prime sums of chi^l; with a truncation P, in w_p =
-    1/(p-1)^2 up to P, where sum_{p = a mod m} w_p^k is one sum per
-    residue a, and sum_a chi^l(a) S_k(a) one matrix product.  Either way
-    the series of every character is one contraction of the coefficients
-    with the sums at its power rows.
+    by factor, from chi(p) read a block of characters at a time.  For
+    every other prime the logarithm of the factor is a power series in
+    chi(p), sum_l d[l] chi(p)^l: in p^-s by default, over all p through
+    the prime sums of chi^l; with a truncation P, in w_p = 1/(p-1)^2 up
+    to P, where sum_{p = a mod m} w_p^k is one sum per residue a, and
+    sum_a chi^l(a) S_k(a) one transform.  Either way the coefficients are
+    first contracted with the sums, one vector per power l, and the series
+    of every character is the sum of those vectors at the rows of chi^l.
     """
     if q < 1 or (truncation is not None and q > truncation):
         raise ValueError(f"need 1 <= q <= truncation, got q={q}")
     group = character_group(m)
-    values = group.values
     odd = group.parity == -1
 
-    l0 = np.where(odd, -(values @ np.r_[m, 1:m]) / m, 0)
-    # a 0 weight at a = 0 lets the product read whole rows
-    l1 = -(values @ np.r_[0.0, _digamma_at(m)]) / m
+    # the weights at a = 0..m-1, read at the units
+    weights = np.vstack([np.r_[m, 1:m], np.r_[0.0, _digamma_at(m)]])
+    l0, l1 = group.transform(weights[:, group.units])
+    l0 = np.where(odd, -l0 / m, 0)
+    l1 = -l1 / m
     l0[0] = l1[0] = np.nan
 
-    small = primes_upto(EXACT_BOUND - 1 if truncation is None
-                        else min(truncation, EXACT_BOUND - 1))
-    z = values[:, small % m]
-    a = np.prod(np.where(q % small == 0, 1.0 - z / small,
-                         1.0 - (1.0 - z) ** 2 / (small - 1.0) ** 2), axis=1)
     if truncation is None:
         coefficients, sums = _COEFFICIENTS, _prime_sums(m, EXACT_BOUND)
     else:
         coefficients = _TRUNCATED_COEFFICIENTS
         # one pass over the primes serves every modulus dividing q
         power_sums = _residue_power_sums(m, math.lcm(q, m), truncation)
-        sums = np.vstack([values @ power_sums.T, power_sums.sum(axis=1)]).T
-    log_rest = np.einsum("sl,sil->i", coefficients,
-                         sums[:, _power_rows(group)])
+        sums = np.hstack([group.transform(power_sums[:, group.units]),
+                          power_sums.sum(axis=1, keepdims=True)])
+    # v[l] = sum_s c[s, l] sums[s], then one gather of v[l] per power
+    v = coefficients.T @ sums
+    rows = _power_rows(group)
+    log_rest = sum(v[l, rows[:, l]] for l in range(SERIES_POWERS + 1))
+
+    small = primes_upto(EXACT_BOUND - 1 if truncation is None
+                        else min(truncation, EXACT_BOUND - 1))
     # primes dividing q beyond the exact bound leave the series for their
     # own (1 - chi(p)/p) factor
-    for p in prime_factors(q):
-        if p >= EXACT_BOUND:
-            z = values[:, p % m]
-            log_rest -= np.log(1.0 - (1.0 - z) ** 2 / (p - 1.0) ** 2)
-            a *= 1.0 - z / p
+    large = np.array([p for p in prime_factors(q) if p >= EXACT_BOUND],
+                     dtype=np.int64)
+    exact = np.r_[small, large]
+    divides = q % exact == 0
+    a = np.empty(group.phi, dtype=np.complex128)
+    for block, z in group.value_blocks(exact):
+        a[block] = np.prod(np.where(divides, 1.0 - z / exact,
+                                    1.0 - (1.0 - z) ** 2 / (exact - 1.0) ** 2),
+                           axis=1)
+        z = z[:, len(small):]
+        log_rest[block] -= np.log(1.0 - (1.0 - z) ** 2
+                                  / (large - 1.0) ** 2).sum(axis=1)
     a *= np.exp(log_rest)
     c = np.where(odd, l0 * l1 * a, 0)
     for array in (l0, l1, a, c):

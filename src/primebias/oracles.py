@@ -3,8 +3,10 @@ runtime against.  No runtime module imports this file; no command loads it.
 
 Each name recomputes what a command takes by another route, or states a
 closed form that follows from the constants: the repeat count of a
-pattern; the conjugate, the principal and the primitive character of a
-group, looked up by label; B_q(v) one value at a time;
+pattern; the value matrix of a character group, and L(0), L(1), A and C
+from products with its rows; the conjugate, the principal and the
+primitive character of a group, looked up by label; B_q(v) one value at
+a time;
 S_q({0, h}) by trial division of h; D0, D1 and D2 from their defining
 truncated sums, O(cutoff^2); C(q, chi) through the primitive and dyadic
 reduction identities; the character-free c2(a,b) + c2(b,a); closed-form
@@ -16,17 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import lfun
 from .arith import (InternalConsistencyError, Modulus, ResiduePattern,
-                    canonical_residue, prime_factors, totient, von_mangoldt)
+                    canonical_residue, moebius, prime_factors, primes_upto,
+                    totient, von_mangoldt)
 from .characters import CharacterGroup, DirichletCharacter, character_group
 from .predict import _race_scales
 from .singular import SingularContext
 
-__all__ = ["repeat_count", "conjugate_character", "principal_character",
+__all__ = ["repeat_count", "value_rows", "value_matrix", "ctable_by_matrix",
+           "conjugate_character", "principal_character",
            "primitive_character", "sawtooth_B", "singular_pair",
            "singular_zero", "DensityTerms", "density_terms_brute",
            "reduce_c", "c2_symmetric_sum", "always_bias_difference",
@@ -37,6 +42,114 @@ def repeat_count(pattern: ResiduePattern) -> int:
     """#{i : a_i = a_{i+1}} over adjacent positions."""
     classes = pattern.classes
     return sum(1 for x, y in zip(classes, classes[1:]) if x == y)
+
+
+def value_rows(group: CharacterGroup, rows) -> np.ndarray:
+    """chi_i(n) for the characters i in rows and n = 0..m-1, one row each:
+    exp(2 pi i t / E) at a unit with exact exponent t, 0 on non-units."""
+    E = group.exponent
+    steps = np.array([E // s for s in group.orders], dtype=np.int64)
+    t = (group.labels[rows] * steps) @ group.labels.T % E
+    out = np.zeros((len(t), group.m), dtype=np.complex128)
+    out[:, group.units] = np.exp(2j * np.pi * np.arange(E) / E)[t]
+    return out
+
+
+@lru_cache(maxsize=4)
+def value_matrix(group: CharacterGroup) -> np.ndarray:
+    """The phi(m) x m matrix of value_rows for every character, built once
+    per group, read-only."""
+    out = value_rows(group, slice(None))
+    out.flags.writeable = False
+    return out
+
+
+def ctable_by_matrix(q: int, m: int, truncation: int | None = None,
+                     rows=None, chunk: int = 32):
+    """L(0), L(1), A(q, chi) and C(q, chi) for the characters mod m in rows
+    (default all), each character sum a product with rows of values.
+
+    The route lfun._ctable took before its sums became transforms: L(0),
+    L(1), the Hurwitz rows of log L, the truncated power sums and the
+    exact prime factors are products with value_rows, `chunk` rows at a
+    time, for exactly the powers chi^k that the rows need.  Returns four
+    arrays, one entry per row; L reads nan at the principal character.
+    """
+    group = character_group(m)
+    rows = np.arange(group.phi) if rows is None else np.asarray(rows)
+    K, M = lfun.SERIES_POWERS, lfun.EXACT_BOUND
+
+    def by_rows(which, fn):
+        """fn of value_rows(which), chunk by chunk, stacked."""
+        return np.concatenate([fn(value_rows(group, which[i:i + chunk]))
+                               for i in range(0, len(which), chunk)])
+
+    small = primes_upto(M - 1 if truncation is None else min(truncation, M - 1))
+    large = np.array([p for p in prime_factors(q) if p >= M], dtype=np.int64)
+    exact = np.r_[small, large]
+    weights = np.vstack([np.r_[m, 1:m], np.r_[0.0, lfun._digamma_at(m)]])
+    l0, l1 = -by_rows(rows, lambda v: v @ weights.T).T / m
+    z = by_rows(rows, lambda v: v[:, exact % m])
+
+    # the row of chi_i^k, k = 1..K (K // 2), and each needed row once
+    ks = np.arange(1, K * (K // 2) + 1)
+    power = group.rows(group.labels[rows][:, None, :] * ks[:, None])
+    needed = sorted(set(power.ravel().tolist()))
+    at = np.zeros(group.phi, dtype=np.intp)
+    at[needed] = np.arange(len(needed))
+    power = at[power]
+    # sums[i, l, s]: the prime sum of power s of chi_i^l; l = 0 is the
+    # function 1 at every prime
+    if truncation is None:
+        coefficients = lfun._COEFFICIENTS
+        t = np.arange(K + 1, dtype=float)[2:, None]
+        start = np.arange(m, dtype=float)
+        start[0] = m
+        start[1 % m] += m
+        hurwitz = m ** -t * lfun.hurwitz_zeta(t, start / m)
+        r = -(1.0 / small) ** t
+
+        def log_l(v):
+            """log L_M(t, psi) for t = 2..K, one column each."""
+            out = v @ hurwitz.T
+            out = lfun._log1p(out.real, out.imag)
+            zs = v[:, small % m]
+            for i in range(K - 1):
+                out[:, i] += lfun._log1p(zs.real * r[i], zs.imag * r[i]).sum(axis=1)
+            return out
+
+        logs = by_rows(needed, log_l)
+        one = hurwitz.sum(axis=1)
+        one = lfun._log1p(one, 0 * one) + lfun._log1p(r, 0 * r).sum(axis=1)
+        sums = np.zeros((len(rows), K + 1, K + 1), dtype=np.complex128)
+        for s in range(2, K + 1):
+            for n in range(1, K // s + 1):
+                mu = moebius(n)
+                if mu:
+                    sums[:, 0, s] += mu / n * one[n * s - 2]
+                    for l in range(1, K + 1):
+                        sums[:, l, s] += mu / n * logs[power[:, l * n - 1], n * s - 2]
+    else:
+        coefficients = lfun._TRUNCATED_COEFFICIENTS
+        power_sums = lfun._residue_power_sums(m, math.lcm(q, m), truncation)
+        per_row = by_rows(needed, lambda v: v @ power_sums.T)
+        sums = np.zeros((len(rows), K + 1, lfun.SERIES_TERMS),
+                        dtype=np.complex128)
+        sums[:, 0] = power_sums.sum(axis=1)
+        for l in range(1, K + 1):
+            sums[:, l] = per_row[power[:, l - 1]]
+    log_rest = np.einsum("sl,ils->i", coefficients, sums)
+
+    a = np.prod(np.where(q % exact == 0, 1.0 - z / exact,
+                         1.0 - (1.0 - z) ** 2 / (exact - 1.0) ** 2), axis=1)
+    z = z[:, len(small):]
+    log_rest -= np.log(1.0 - (1.0 - z) ** 2 / (large - 1.0) ** 2).sum(axis=1)
+    a = a * np.exp(log_rest)
+    odd = group.parity[rows] == -1
+    l0 = np.where(odd, l0, 0)
+    l0[rows == 0] = l1[rows == 0] = np.nan
+    c = np.where(odd, l0 * l1 * a, 0)
+    return l0, l1, a, c
 
 
 def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
@@ -60,7 +173,7 @@ def primitive_character(chi: DirichletCharacter) -> DirichletCharacter:
     f = chi.conductor()
     sub = character_group(f)
     E = chi.group.exponent
-    values = chi.values_table()
+    values = value_rows(chi.group, [chi.index])[0]
     label = []
     for g, s in zip(sub.generators, sub.orders):
         lifts = values[g::f]  # the n = g mod f
@@ -266,7 +379,7 @@ def character_sum(table) -> int:
     # the Legendre symbol: the character sending the primitive root to -1;
     # its values are exactly +-1 on units
     chi = character_group(q).character(((q - 1) // 2,))
-    legendre = [round(z.real) for z in chi.values_table().tolist()]
+    legendre = [round(chi(n).real) for n in range(q)]
     return sum(
         legendre[a] * legendre[b] * n for (a, b), n in table.counts.items()
     )

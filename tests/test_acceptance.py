@@ -36,6 +36,7 @@ from primebias import (
 from primebias import cli
 from primebias.arith import Modulus
 from primebias.lfun import a_q_chi
+from primebias.oracles import value_matrix
 from primebias.predict import _PairDensity
 from primebias.singular import SingularContext
 
@@ -328,7 +329,7 @@ def test_criterion_08_character_l_value_suite():
     failures = []
     for q in range(3, 101):
         group = character_group(q)
-        V = np.array([chi.values_table() for chi in group.characters()])
+        V = value_matrix(group)
         gram = V @ V.conj().T
         if np.max(np.abs(gram - group.phi * np.eye(len(V)))) > 1e-12 * group.phi:
             failures.append(("orthogonality", q))

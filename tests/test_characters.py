@@ -13,7 +13,7 @@ import primebias
 from primebias import character_group
 from primebias.characters import CharacterGroup
 from primebias.oracles import (conjugate_character, primitive_character,
-                               principal_character)
+                               principal_character, value_matrix)
 
 
 def test_group_sizes():
@@ -69,10 +69,12 @@ def test_column_orthogonality(m):
 
 def test_values_table_matches_call():
     for m in (5, 12, 16):
-        for chi in character_group(m).characters():
-            table = chi.values_table()
+        group = character_group(m)
+        matrix = value_matrix(group)
+        assert value_matrix(group) is matrix  # built once, shared
+        for chi in group.characters():
+            table = matrix[chi.index]
             assert len(table) == m
-            assert chi.values_table() is table  # built once, shared
             with pytest.raises(ValueError):
                 table[1] = 0  # read-only
             for n in range(1, m + 1):
@@ -135,8 +137,9 @@ def slice_search_conductors(group):
     rounded from the values' angles (-1 on non-units): the least f | m
     with t <= 0 on every n = 1 mod f."""
     m, E = group.m, group.exponent
-    t = np.rint(np.angle(group.values) * E / (2 * np.pi)).astype(np.int64) % E
-    t[group.values == 0] = -1
+    values = value_matrix(group)
+    t = np.rint(np.angle(values) * E / (2 * np.pi)).astype(np.int64) % E
+    t[values == 0] = -1
     return [next(f for f in range(1, m + 1)
                  if m % f == 0 and (row[1::f] <= 0).all()) for row in t]
 
@@ -152,24 +155,28 @@ def test_parity_and_conductor_vectors():
     for m in (420, 4620):
         group = character_group(m)
         assert group.conductor.tolist() == slice_search_conductors(group), m
-        assert (group.parity == np.rint(group.values[:, m - 1].real)).all(), m
+        assert (group.parity == np.rint(value_matrix(group)[:, m - 1].real)).all(), m
     for array in (group.parity, group.conductor):
         assert not array.flags.writeable
     assert not hasattr(group, "exponents")
+    assert not hasattr(group, "values")
 
 
-def test_group_holds_only_its_value_matrix():
+@pytest.mark.parametrize("m", [2003, 99_991])
+def test_group_holds_o_of_m_integers(m):
+    # a prime modulus: labels, units, grid index, parity, conductor and
+    # the E roots of unity are 56 bytes per residue; no phi x m array
     CharacterGroup(5)  # the module's own first allocations
     tracemalloc.start()
     try:
-        group = CharacterGroup(2003)
+        group = CharacterGroup(m)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    values = 16 * group.phi * group.m
-    assert group.values.nbytes == values
-    assert retained <= values + 1e6, retained - values
-    assert peak <= values + 8e6, peak - values
+    assert group.phi == m - 1
+    assert not hasattr(group, "values")
+    assert retained <= 64 * m + 1e5, retained / m
+    assert peak <= 128 * m + 1e6, peak / m
 
 
 def test_primitive_character_agrees_on_coprimes():
@@ -180,8 +187,8 @@ def test_primitive_character_agrees_on_coprimes():
             f = chi.conductor()
             assert star.modulus == f
             assert star.conductor() == f  # primitive: its own conductor
-            got = star.values_table()[np.array(units) % f]
-            want = chi.values_table()[units]
+            got = value_matrix(star.group)[star.index][np.array(units) % f]
+            want = value_matrix(chi.group)[chi.index][units]
             assert np.abs(got - want).max() < 1e-12, chi.name()
 
 
@@ -216,7 +223,10 @@ def test_characters_are_shared_instances():
 
 
 def test_constants_build_each_character_once(tmp_path):
-    # in a fresh interpreter, so every character is built during the run
+    # in a fresh interpreter, so every character is built during the run;
+    # constants reads the groups through their transforms and builds no
+    # character; dump-lvalues and dump-characters then name every
+    # character mod 60, the second from the instances the first made
     script = (
         "import sys\n"
         "from primebias import characters, cli\n"
@@ -227,6 +237,8 @@ def test_constants_build_each_character_once(tmp_path):
         "    init(self)\n"
         "characters.DirichletCharacter.__post_init__ = recording\n"
         "assert cli.main(['constants', '--q', '60', '--output', sys.argv[1]]) == 0\n"
+        "assert cli.main(['dump-lvalues', '--q', '60', '--output', sys.argv[1]]) == 0\n"
+        "assert cli.main(['dump-characters', '--q', '60', '--output', sys.argv[1]]) == 0\n"
         "assert built, 'no character built'\n"
         "assert len(built) == len(set(built)), len(built) - len(set(built))\n"
     )

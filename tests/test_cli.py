@@ -13,8 +13,8 @@ import pytest
 
 import primebias
 from primebias import characters, cli, constants, lfun, sieve
-from primebias.arith import (MAX_CHARACTER_ENTRIES, MAX_PATTERNS, Modulus,
-                             ResiduePattern, totient)
+from primebias.arith import (MAX_CHARACTER_ENTRIES, MAX_GROUP_MODULUS,
+                             MAX_PATTERNS, Modulus, ResiduePattern, totient)
 from primebias.characters import character_group
 from primebias.constants import (
     InternalConsistencyError,
@@ -24,6 +24,7 @@ from primebias.constants import (
     s0_main,
 )
 from primebias.lfun import build_ctable
+from primebias.oracles import value_matrix
 from primebias.predict import (
     asymptotic_prediction,
     integral_prediction,
@@ -330,7 +331,7 @@ def _character_rows(q):
              "conductor": chi.conductor(), "order": chi.order(),
              "parity": chi.parity(),
              "values": ";".join("%.15g%+.15gj" % (z.real, z.imag)
-                                for z in chi.values_table())}
+                                for z in value_matrix(chi.group)[chi.index])}
             for chi in character_group(q).characters()]
 
 
@@ -582,21 +583,39 @@ def test_pattern_budget_exit_code(capsys):
 
 
 def test_character_table_budget_exit_code(monkeypatch, capsys):
-    # the real budget admits the largest table constants can ask for
+    # the real budgets admit the largest tables constants can ask for
     assert totient(19110) ** 2 <= MAX_PATTERNS
+    assert totient(19110) ** 2 <= constants.MAX_CHECKED_PAIRS
     assert totient(19110) * 19110 <= MAX_CHARACTER_ENTRIES
-    # a small budget, and a modulus no other test builds, so no cached
-    # group hides the check: 1012 * 1013 entries exceed it, 996 * 997 not
+    assert 19110 <= MAX_GROUP_MODULUS
+    # every refusal exits 2 at once with nothing written: the c2 check of
+    # phi(q)^2 pairs, a group above the modulus bound, and a character
+    # table of more than phi(m) * m entries
+    runs = [["constants", "--q", "99991", "--classes", "1,1"],
+            ["predict", "--q", "99991", "--classes", "1,2", "--x", "1e9",
+             "--method", "asymptotic"],
+            ["dump-lvalues", "--q", str(MAX_GROUP_MODULUS + 1)],
+            ["s0", "--q", str(MAX_GROUP_MODULUS + 1), "--v", "1", "--H", "1e3",
+             "--method", "analytic"],
+            ["dump-characters", "--q", "99991"]]
+    # small budgets, and a modulus no other test builds, so no cached
+    # group hides the check: 1012 * 1013 entries exceed the table budget,
+    # 996 * 997 not, and 1013 is above the modulus bound, 997 not
     monkeypatch.setattr(characters, "MAX_CHARACTER_ENTRIES", 10**6)
-    assert characters.CharacterGroup(997).phi == 996
+    characters.check_table_budget(997)
     with pytest.raises(ValueError, match="above the budget of 1000000"):
+        characters.check_table_budget(1013)
+    monkeypatch.setattr(characters, "MAX_GROUP_MODULUS", 1000)
+    assert characters.CharacterGroup(997).phi == 996
+    with pytest.raises(ValueError, match="above the bound of 1000"):
         characters.CharacterGroup(1013)
-    for cmd in ("dump-characters", "dump-lvalues"):
+    runs += [[cmd, "--q", "1013"] for cmd in ("dump-characters", "dump-lvalues")]
+    for argv in runs:
         start = time.perf_counter()
-        code, out = run_cli([cmd, "--q", "1013"], capsys)
-        assert code == 2, cmd
+        code, out = run_cli(argv, capsys)
+        assert code == 2, argv
         assert out == ""
-        assert time.perf_counter() - start < 5, cmd
+        assert time.perf_counter() - start < 5, argv
 
 
 def test_runaway_quadrature_and_s0_exit_code(capsys):

@@ -26,7 +26,13 @@ from primebias import (
     reduce_c,
     tail_bound,
 )
-from primebias import lfun
+from primebias import constants, lfun
+from primebias.oracles import ctable_by_matrix, value_matrix
+
+
+def values(chi):
+    """chi(n) for n = 0..m-1, a row of the oracle's value matrix."""
+    return value_matrix(chi.group)[chi.index]
 
 
 def quadratic_character(m):
@@ -113,7 +119,7 @@ def test_l_one_partial_sum_oracle():
             if chi.is_principal():
                 continue
             n = np.arange(1, 200_001)
-            vals = chi.values_table()[n % m]
+            vals = values(chi)[n % m]
             partial = np.sum(vals / n)
             assert abs(l_at_one(chi) - partial) < 1e-4
 
@@ -202,7 +208,7 @@ def test_a_factor_per_prime_product_oracle(q):
         residues = primes % m
         # index 0 is the principal character
         for chi in character_group(m).characters()[1::stride]:
-            z = chi.values_table()[residues]
+            z = values(chi)[residues]
             factor = np.where(divides, 1.0 - z / primes, 1.0 - (1.0 - z) ** 2 * w)
             want = complex(np.prod(factor))
             got, _ = a_q_chi(q, chi, truncation=P)
@@ -415,20 +421,20 @@ def oracle_l0(chi):
         return 0j
     m = chi.modulus
     a = np.arange(1, m + 1)
-    return complex(-(chi.values_table()[a % m] @ a) / m)
+    return complex(-(values(chi)[a % m] @ a) / m)
 
 
 def oracle_l1(chi):
     """L(1, chi) = -(1/m) sum_{a=1}^{m-1} chi(a) psi(a/m)."""
     m = chi.modulus
-    return complex(-(chi.values_table()[1:] @ lfun._digamma_at(m)) / m)
+    return complex(-(values(chi)[1:] @ lfun._digamma_at(m)) / m)
 
 
 def oracle_a(q, chi, truncation):
     """A(q, chi) for one character: the exact product below the exact bound
     and at the primes dividing q, times the exponential of the series."""
     m, group = chi.modulus, chi.group
-    vals = chi.values_table()
+    vals = values(chi)
     M, K, T = lfun.EXACT_BOUND, lfun.SERIES_POWERS, lfun.SERIES_TERMS
     small = primes_upto(M - 1 if truncation is None else min(truncation, M - 1))
     z = vals[small % m]
@@ -477,3 +483,50 @@ def test_ctable_matches_per_character_oracle(q, P):
             assert close(table.l1[chi.index], l1), (q, chi.name())
             c = l0 * l1 * a if chi.is_odd() else 0j
             assert close(table.c[chi.index], c), (q, P, chi.name())
+
+
+# ------------------------------------------- the transform against the matrix
+
+
+def _close(got, want, scale=None):
+    """Entrywise within 1e-12 of max(1, |want|), or of `scale`; nan only
+    where the oracle reads nan."""
+    assert (np.isnan(got) == np.isnan(want)).all()
+    ok = ~np.isnan(want)
+    bound = 1e-12 * (np.maximum(1.0, np.abs(want[ok])) if scale is None
+                     else scale)
+    return np.all(np.abs(got[ok] - want[ok]) <= bound)
+
+
+@pytest.mark.parametrize("moduli", [range(1, 201), [420], [997], [2003],
+                                    [4620]], ids=["m<=200", "420", "997",
+                                                  "2003", "4620"])
+def test_transform_route_matches_value_matrix(moduli):
+    # L(0), L(1), A and C from lfun's transforms over the unit group, and
+    # the c2 kernel from constants', against products with the value
+    # matrix; truncated too where the product reaches past EXACT_BOUND
+    for m in moduli:
+        for q, P in [(m, None), (2 * m, None)] + [(m, 10**5)] * (m > 200):
+            table = lfun._ctable(q, m, P)
+            want = ctable_by_matrix(q, m, P)
+            for name, got, w in zip(("l0", "l1", "a", "c"),
+                                    (table.l0, table.l1, table.a, table.c),
+                                    want):
+                assert _close(got, w), (q, m, P, name)
+            assert (table.c[table.group.parity == 1] == 0).all()
+            kernel = np.real(want[3].conj() @ value_matrix(table.group))
+            got = constants._kernel(q, m, P)
+            assert _close(got, kernel, max(1.0, np.abs(kernel).max())), (q, m, P)
+
+
+def test_ctable_rows_at_99991_match_value_rows():
+    # phi = 99,990: the transform table, against the matrix route built
+    # for 16 of its rows (and the powers of them that the series reads)
+    q = 99_991
+    table = build_ctable(q)
+    rows = np.r_[0, 1, 2, q // 2, q - 2,
+                 np.random.default_rng(7).choice(q - 1, 11, replace=False)]
+    want = ctable_by_matrix(q, q, None, rows)
+    for name, got, w in zip(("l0", "l1", "a", "c"),
+                            (table.l0, table.l1, table.a, table.c), want):
+        assert _close(got[rows], w), name
