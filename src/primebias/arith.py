@@ -120,13 +120,13 @@ def _segments(lo: int, hi: int, segment_size: int, root: int):
     base = primes_upto(root)
     base = base[np.searchsorted(base, TILE_PRIMES[-1], side="right"):]
     tile = _tile(segment_size)
+    # every segment's mask, then room to pad it (see below), in one buffer
+    buf = np.empty(segment_size + segment_size // 9 + 1, dtype=bool)
     low = lo | 1
     while low < hi:
         n = min(segment_size, (hi - low + 1) // 2)
         high = low + 2 * n
         start = (low // 2) % TILE_PERIOD
-        # the mask, then room to pad it (see below)
-        buf = np.empty(n + n // 9 + 1, dtype=bool)
         mask = buf[:n]
         mask[:] = tile[start : start + n]
         if low <= TILE_PRIMES[-1]:

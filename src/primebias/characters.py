@@ -203,6 +203,20 @@ class CharacterGroup:
             values[:, k < 0] = 0
             yield rows, values
 
+    def names(self, rows) -> list[str]:
+        """The name of each character in rows, formatted from its label
+        as DirichletCharacter.name() formats it, with no character made."""
+        # rank 0 (m <= 2) names its one character mod{m}:0
+        template = f"mod{self.m}:" + (".".join(["%d"] * len(self.orders)) or "0")
+        return [template % tuple(k) for k in self.labels[rows].tolist()]
+
+    def character_orders(self, rows) -> np.ndarray:
+        """The order of each character in rows: the lcm, over its label,
+        of s // gcd(s, k)."""
+        orders = np.array(self.orders, dtype=np.int64)
+        return np.lcm.reduce(orders // np.gcd(self.labels[rows], orders),
+                             axis=-1, initial=1)
+
     def rows(self, labels: np.ndarray) -> np.ndarray:
         """The row of each label along the last axis, read modulo the
         orders."""

@@ -12,7 +12,8 @@ or array, one cell per row; a block has at least one) or to the one value
 its rows share, such as count's q and limit.  Blocks are written one at a
 time, so a run holds one block's text at once; constants and asymptotic
 predict make one block per leading class from arrays over all their
-patterns.  Every computation that can fail ends before the first byte is
+patterns, and the dumps one per block of characters, named from their
+labels.  Every computation that can fail ends before the first byte is
 written.
 
 Exit codes: 0 on success, 2 on invalid arguments, 3 when an internal
@@ -42,6 +43,8 @@ from .arith import (
 )
 
 __all__ = ["main"]
+
+DUMP_BLOCK_ROWS = 1 << 14  # dump-lvalues rows formatted at once: a few MB of text
 
 
 def _fmt(value):
@@ -314,16 +317,15 @@ def _cmd_dump_characters(args):
     q = args.q
     check_table_budget(q)
     group = character_group(q)
-    chars = group.characters()
 
     def blocks():
         # the values of a block of rows at every n = 0..q-1 at a time
         for rows, values in group.value_blocks(np.arange(q)):
             yield {
-                "name": [chi.name() for chi in chars[rows]],
+                "name": group.names(rows),
                 "modulus": [q] * len(values),
                 "conductor": group.conductor[rows],
-                "order": [chi.order() for chi in chars[rows]],
+                "order": group.character_orders(rows),
                 "parity": group.parity[rows],
                 "values": [";".join("%.15g%+.15gj" % (z.real, z.imag)
                                     for z in row) for row in values.tolist()],
@@ -336,20 +338,27 @@ def _cmd_dump_lvalues(args):
     from .lfun import build_ctable, tail_bound
 
     t = build_ctable(args.q, truncation=args.truncation)
-    # the principal character, row 0, has no row
-    l0, l1, a, c = (x[1:] for x in (t.l0, t.l1, t.a, t.c))
-    block = {
-        "name": [chi.name() for chi in t.group.characters()[1:]],
-        "conductor": t.group.conductor[1:], "parity": t.group.parity[1:],
-        "l0_re": l0.real, "l0_im": l0.imag, "l1_re": l1.real, "l1_im": l1.imag,
-        "a_re": a.real, "a_im": a.imag, "c_re": c.real, "c_im": c.imag,
-        "tail": t.tail,
-    }
+    group = t.group
+
+    def blocks():
+        # the principal character, row 0, has no row
+        for start in range(1, group.phi, DUMP_BLOCK_ROWS):
+            rows = slice(start, start + DUMP_BLOCK_ROWS)
+            l0, l1, a, c = (x[rows] for x in (t.l0, t.l1, t.a, t.c))
+            yield {
+                "name": group.names(rows),
+                "conductor": group.conductor[rows], "parity": group.parity[rows],
+                "l0_re": l0.real, "l0_im": l0.imag,
+                "l1_re": l1.real, "l1_im": l1.imag,
+                "a_re": a.real, "a_im": a.imag, "c_re": c.real, "c_im": c.imag,
+                "tail": t.tail,
+            }
+
     meta = {
         "modulus": args.q, "truncation": _truncation(args),
         "tail_bound": tail_bound(args.truncation),
     }
-    return [block], meta
+    return blocks(), meta
 
 
 # ------------------------------------------------------------------ plumbing

@@ -9,7 +9,12 @@ Window starts are the primes strictly greater than q, so every window
 member is coprime to q and consecutive sieved primes are consecutive
 primes; a window of r primes, stepping `skip` positions between pattern
 members, is attributed to the residue tuple of those members and counted
-as a bincount over radix-phi(q) codes.
+by its radix-phi(q) code.  A process holds one int16 class table, q +
+segment_size entries built from one period, and one count array per
+chunk; a segment adds its windows to that array by one bincount, or in
+place when the code space outnumbers them, so no segment allocates an
+array of phi(q)**r counts.  The chunks' arrays are summed into the
+first one, which the last table takes without a copy.
 
 The range is cut into chunks, and each window belongs to the chunk that
 holds its first prime.  A chunk sieves and counts on its own: it counts
@@ -22,10 +27,11 @@ only the chunk holding the N-th window start is counted again, cut
 short.
 
 With threads > 1 the chunks run on that many worker processes (at most
-the machine's core count), and results are summed in chunk order, so
-counts never depend on the worker count or the chunking.  Limits are
-bounded up front: a request that would need more than ~5e10 of sieve
-range, or more than 2**24 residue patterns, is refused with a message.
+one per core the process may run on), and results are summed in chunk
+order, so counts never depend on the worker count or the chunking.
+Limits are bounded up front: a request that would need more than ~5e10
+of sieve range, or more than 2**24 residue patterns, is refused with a
+message.
 """
 
 from __future__ import annotations
@@ -160,12 +166,16 @@ def nth_prime_lower_bound(n: int) -> int:
 
 
 def effective_workers(threads: int, cpus: int | None = None) -> int:
-    """The worker processes a run with `threads` uses: at most one per core.
+    """The worker processes a run with `threads` uses: at most one per core
+    this process may run on.
 
-    cpus defaults to os.cpu_count().
+    cpus defaults to the size of the process's CPU affinity mask, so a run
+    pinned to one core (taskset, a cpuset) counts one; os.cpu_count() where
+    the platform has no such mask.
     """
     if cpus is None:
-        cpus = os.cpu_count() or 1
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     return max(1, min(threads, cpus))
 
 
@@ -243,27 +253,52 @@ class _Chunk(NamedTuple):
 def _class_table(q: int, segment_size: int) -> np.ndarray:
     """Entry j: the class index of the odd number 2j + 1, -1 when it is not
     coprime to q.  Periodic with period q, and long enough that a segment's
-    entries are one slice."""
+    entries are one slice.
+
+    One period is laid down and copied forward by doubling, all in int16,
+    so the build holds little beyond the table itself.
+    """
     mod = Modulus(q)
     index = np.full(q, -1, dtype=np.int16)
-    index[list(mod.classes)] = np.arange(mod.phi)
-    odd = 2 * np.arange(q + segment_size, dtype=np.int64) + 1
-    table = index[odd % q]
+    index[np.array(mod.classes)] = np.arange(mod.phi, dtype=np.int16)
+    table = np.empty(q + segment_size, dtype=np.int16)
+    # 2j + 1 runs over the odd residues below q, then on past q over the
+    # even ones when q is odd, or over the odd ones again when q is even
+    half = q // 2
+    table[:half] = index[1::2]
+    table[half:q] = index[(q + 1) % 2::2]
+    n = q
+    while n < len(table):  # n is a multiple of q until the last copy
+        k = min(n, len(table) - n)
+        table[n:n + k] = table[:k]
+        n += k
     table.flags.writeable = False
     return table
 
 
-def _codes(cls: np.ndarray, radix: np.ndarray, skip: int, m: int) -> np.ndarray:
-    """Radix-phi code of each of the m windows starting at cls[0..m-1]."""
-    codes = np.multiply(cls[:m], radix[0], dtype=np.int64)
-    for i in range(1, len(radix)):
-        codes += np.multiply(cls[i * skip : i * skip + m], radix[i],
-                             dtype=np.int64)
-    return codes
+def _codes(cls: np.ndarray, phi: int, r: int, skip: int,
+           out: np.ndarray) -> np.ndarray:
+    """Radix-phi code of each of the len(out) windows starting at cls[0],
+    cls[1], ..., by Horner's rule in out."""
+    m = len(out)
+    out[:] = cls[:m]
+    for i in range(1, r):
+        out *= phi
+        out += cls[i * skip : i * skip + m]
+    return out
 
 
-def _radix(phi: int, r: int) -> np.ndarray:
-    return phi ** np.arange(r - 1, -1, -1, dtype=np.int64)
+def _tally(counts: np.ndarray, codes: np.ndarray) -> None:
+    """Add one to counts[c] for each code c.
+
+    With fewer codes than counts a dense bincount would cost more than the
+    windows, so those are added in place; otherwise one bincount is
+    cheaper.
+    """
+    if len(codes) < len(counts):
+        np.add.at(counts, codes, 1)
+    else:
+        counts += np.bincount(codes, minlength=len(counts))
 
 
 def _count_chunk(config: SieveConfig, lo: int, hi: int, root: int,
@@ -277,10 +312,14 @@ def _count_chunk(config: SieveConfig, lo: int, hi: int, root: int,
     q, r, skip = config.q, config.r, config.skip
     span = (r - 1) * skip
     phi = Modulus(q).phi
-    radix = _radix(phi, r)
     table = _class_table(q, config.segment_size)
     counts = np.zeros(phi**r, dtype=np.int64)
-    cls = np.empty(0, dtype=table.dtype)  # class indices, from the last span primes on
+    # one buffer each for the class indices, those of the last span primes
+    # first, and for the codes of the windows they start: a segment adds
+    # no array of its size to the sieve's but a small code space's bincount
+    cls = np.empty(span + config.segment_size, dtype=table.dtype)
+    codes = np.empty(config.segment_size, dtype=np.int64)
+    held = 0  # class indices in cls
     starts = cap  # windows to count: cap, or known once a prime >= hi shows
     n = largest = 0  # primes taken; the last member of the last window
     for low, pos in _segments(max(lo, q + 1), hi + GAP_PAD * (span + 1),
@@ -294,10 +333,13 @@ def _count_chunk(config: SieveConfig, lo: int, hi: int, root: int,
         if starts is not None:
             pos = pos[: starts + span - n]
         j = (low // 2) % q
-        cls = np.concatenate([cls[-span:], table[j:][pos]])
-        if len(cls) > span:
-            counts += np.bincount(_codes(cls, radix, skip, len(cls) - span),
-                                  minlength=phi**r)
+        np.take(table[j:], pos, out=cls[held:held + len(pos)])
+        held += len(pos)
+        if held > span:
+            m = held - span
+            _tally(counts, _codes(cls, phi, r, skip, codes[:m]))
+            cls[:span] = cls[m:held]  # the members of the next windows
+            held = span
         n += len(pos)
         if n - span == starts:
             largest = low + 2 * int(pos[-1])
@@ -315,7 +357,7 @@ def _tables(config: SieveConfig, xs: list[int] | None,
     Each table is the running sum, in chunk order, of the chunks below it.
     """
     q, r, skip = config.q, config.r, config.skip
-    phi, span = Modulus(q).phi, (r - 1) * skip
+    span = (r - 1) * skip
     by_count = config.count is not None
     if by_count:
         top = nth_prime_upper_bound(config.count + span + q + 16)
@@ -331,7 +373,7 @@ def _tables(config: SieveConfig, xs: list[int] | None,
     chunks = list(zip(edges, edges[1:]))
     root = math.isqrt(reach)
 
-    totals = np.zeros(phi**r, dtype=np.int64)
+    totals = None  # the first chunk's counts, then the running sum in place
     tables: list[CountTable] = []
     seen = largest = 0
     jobs = [(config, lo, hi, root) for lo, hi in chunks]
@@ -340,19 +382,24 @@ def _tables(config: SieveConfig, xs: list[int] | None,
         for (lo, hi), res in zip(chunks, results):
             if by_count and seen + res.n > config.count:
                 res = _count_chunk(config, lo, hi, root, cap=config.count - seen)
-            totals += res.counts
+            if totals is None:
+                totals = res.counts
+            else:
+                totals += res.counts
             seen += res.n
             largest = res.largest or largest
             if seen == config.count if by_count else hi in cuts:
+                last = by_count or len(tables) + 1 == len(xs)
                 tables.append(CountTable(
                     q=q, r=r, skip=skip,
                     mode="by_count" if by_count else "by_x",
                     limit=config.count if by_count else xs[len(tables)],
-                    array=totals.copy(),
+                    # the last table takes the running sum itself
+                    array=totals if last else totals.copy(),
                     primes_seen=seen + span if seen else 0,
                     largest_prime=largest,
                 ))
-                if by_count or len(tables) == len(xs):
+                if last:
                     return tables
     raise InternalConsistencyError("prime stream ended before the N-th window start")
 

@@ -223,10 +223,10 @@ def test_characters_are_shared_instances():
 
 
 def test_constants_build_each_character_once(tmp_path):
-    # in a fresh interpreter, so every character is built during the run;
-    # constants reads the groups through their transforms and builds no
-    # character; dump-lvalues and dump-characters then name every
-    # character mod 60, the second from the instances the first made
+    # in a fresh interpreter, so every character would be built during the
+    # run; constants reads the groups through their transforms, and
+    # dump-lvalues and dump-characters name every character mod 60 from
+    # its label, so none of them builds a character
     script = (
         "import sys\n"
         "from primebias import characters, cli\n"
@@ -239,8 +239,7 @@ def test_constants_build_each_character_once(tmp_path):
         "assert cli.main(['constants', '--q', '60', '--output', sys.argv[1]]) == 0\n"
         "assert cli.main(['dump-lvalues', '--q', '60', '--output', sys.argv[1]]) == 0\n"
         "assert cli.main(['dump-characters', '--q', '60', '--output', sys.argv[1]]) == 0\n"
-        "assert built, 'no character built'\n"
-        "assert len(built) == len(set(built)), len(built) - len(set(built))\n"
+        "assert not built, built[:5]\n"
     )
     src = os.path.dirname(os.path.dirname(primebias.__file__))
     proc = subprocess.run([sys.executable, "-c", script,

@@ -503,6 +503,25 @@ def test_output_matches_dict_rows(argv, rows, fmt, tmp_path, capsys,
     _check_output(argv, rows, fmt, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["dump-characters", "--q", "97"], lambda: _character_rows(97)),
+    (["dump-lvalues", "--q", "97"], lambda: _lvalue_rows(97)),
+], ids=["dump-characters", "dump-lvalues"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dumps_write_row_blocks_named_from_labels(argv, rows, fmt, tmp_path,
+                                                  capsys, monkeypatch):
+    rows = rows()
+    # blocks of 7 rows, the last one short; no character object named
+    monkeypatch.setattr(cli, "DUMP_BLOCK_ROWS", 7)
+    monkeypatch.setattr(characters, "GATHER_ENTRIES", 7 * 97)
+
+    def refuse(*args):
+        raise AssertionError("a dump made a character to name a row")
+    for method in ("name", "order"):
+        monkeypatch.setattr(characters.DirichletCharacter, method, refuse)
+    _check_output(argv, rows, fmt, tmp_path, capsys)
+
+
 def test_output_file_and_manifest(tmp_path, capsys):
     target = tmp_path / "counts.csv"
     code, out = run_cli(["count", "--q", "3", "--x", "1000",

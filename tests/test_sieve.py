@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,7 +257,64 @@ def test_worker_count_is_capped_at_cores():
     assert effective_workers(1, cpus=8) == 1
     assert effective_workers(64, cpus=2) == 2
     assert effective_workers(3, cpus=3) == 3
-    assert effective_workers(5) == min(5, os.cpu_count() or 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    assert effective_workers(5) == min(5, usable)
+
+
+def test_worker_count_reads_the_affinity_mask(monkeypatch):
+    # a run pinned to one core of many spawns one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert effective_workers(8) == 1
+    # a platform without affinity masks falls back to the core count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert effective_workers(8) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert effective_workers(8) == 1
+
+
+@pytest.mark.parametrize("segment_size", [1024, 1 << 20])
+@pytest.mark.parametrize("q", [3, 10, 210, 9240])
+def test_class_table_is_one_period_tiled(q, segment_size):
+    mod = Modulus(q)  # its classes are cached, and shared by every build
+    index = np.full(q, -1, dtype=np.int16)
+    index[list(mod.classes)] = np.arange(mod.phi)
+    want = index[(2 * np.arange(q + segment_size, dtype=np.int64) + 1) % q]
+    sieve._class_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = sieve._class_table(q, segment_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int16 and not table.flags.writeable
+    assert np.array_equal(table, want)
+    # the old build held two int64 arrays of the table's length
+    assert peak <= 2 * table.nbytes, peak / table.nbytes
+
+
+def test_code_space_of_2_to_the_24_counts_in_place():
+    # phi(60)**6 = 2**24 codes, far more than any segment's windows
+    x = 300_000
+    want, last = windows(60, r=6, x=x, prime_limit=400_000)
+    for threads in (1, 2):
+        t = count_patterns(SieveConfig(q=60, r=6, x=x, threads=threads,
+                                       segment_size=1 << 14))
+        assert len(t.array) == 1 << 24
+        assert t.counts == want and t.largest_prime == last, threads
+    cfg = SieveConfig(q=60, r=6, x=x, segment_size=1 << 14)
+    job = (cfg, 0, x + 1, math.isqrt(x + sieve.GAP_PAD * 6))
+    sieve._count_chunk(*job)  # the class table and tile are cached
+    tracemalloc.start()
+    try:
+        chunk = sieve._count_chunk(*job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(chunk.counts, t.array)
+    # a dense bincount per segment would hold a second array of counts
+    assert peak < 1.1 * chunk.counts.nbytes, peak / chunk.counts.nbytes
 
 
 def test_thread_determinism_small():
