@@ -204,8 +204,8 @@ class CharacterGroup:
             yield rows, values
 
     def names(self, rows) -> list[str]:
-        """The name of each character in rows, formatted from its label
-        as DirichletCharacter.name() formats it, with no character made."""
+        """The name of each character in rows, such as 'mod12:1.0',
+        formatted from its label with no character made."""
         # rank 0 (m <= 2) names its one character mod{m}:0
         template = f"mod{self.m}:" + (".".join(["%d"] * len(self.orders)) or "0")
         return [template % tuple(k) for k in self.labels[rows].tolist()]
@@ -287,14 +287,11 @@ class DirichletCharacter:
         return self.parity() == -1
 
     def order(self) -> int:
-        return math.lcm(
-            *(s // math.gcd(s, k) for k, s in zip(self.label, self.group.orders))
-        )
+        return int(self.group.character_orders(self.index))
 
     def name(self) -> str:
         """Stable text label, e.g. 'mod12:1.0'."""
-        body = ".".join(map(str, self.label)) if self.label else "0"
-        return f"mod{self.group.m}:{body}"
+        return self.group.names([self.index])[0]
 
     def conductor(self) -> int:
         """Smallest f | m with chi trivial on {n = 1 mod f, gcd(n, m) = 1}."""

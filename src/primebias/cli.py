@@ -10,11 +10,11 @@ Every command returns its table as blocks for one writer.  A block is a
 run of rows: a dict, in field order, from each field to a column (a list
 or array, one cell per row; a block has at least one) or to the one value
 its rows share, such as count's q and limit.  Blocks are written one at a
-time, so a run holds one block's text at once; constants and asymptotic
-predict make one block per leading class from arrays over all their
-patterns, and the dumps one per block of characters, named from their
-labels.  Every computation that can fail ends before the first byte is
-written.
+time, so a run holds one block's text at once; count makes one block per
+BLOCK_ROWS rows of each table, constants and asymptotic predict one per
+leading class from arrays over all their patterns, and the dumps one per
+block of characters, named from their labels.  Every computation that
+can fail ends before the first byte is written.
 
 Exit codes: 0 on success, 2 on invalid arguments, 3 when an internal
 cross-check fails (two formulas for the same constant disagreeing is a
@@ -44,7 +44,7 @@ from .arith import (
 
 __all__ = ["main"]
 
-DUMP_BLOCK_ROWS = 1 << 14  # dump-lvalues rows formatted at once: a few MB of text
+BLOCK_ROWS = 1 << 14  # count and dump-lvalues rows formatted at once
 
 
 def _fmt(value):
@@ -121,8 +121,7 @@ def _pattern_axes(args):
 
 
 def _cmd_count(args):
-    from .sieve import (SieveConfig, _code_classes, _listed_codes,
-                        count_patterns, count_patterns_series,
+    from .sieve import (SieveConfig, count_patterns, count_patterns_series,
                         effective_workers)
 
     cfg = SieveConfig(
@@ -139,19 +138,20 @@ def _cmd_count(args):
         tables = [count_patterns(cfg)]
 
     def blocks():
-        # the key strings are built once per set of listed codes: once for
-        # r <= 3, where every table lists every code
-        mod = Modulus(cfg.q)
-        codes = keys = None
+        # for r <= 3 every table lists every code, so each block's key
+        # strings are built for the first table only
+        shared = []
         for t in tables:
-            listed = _listed_codes(t.array, t.r)
-            if not np.array_equal(listed, codes):
-                codes = listed
-                classes = _code_classes(codes, mod, t.r).tolist()
-                keys = _pattern_keys(zip(*classes), t.r)
-            yield {"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
-                   "limit": t.limit, "classes": keys,
-                   "count": t.array[codes].tolist()}
+            for i, (codes, classes) in enumerate(t.listing(BLOCK_ROWS)):
+                if i < len(shared):
+                    keys = shared[i]
+                else:
+                    keys = _pattern_keys(zip(*classes.tolist()), t.r)
+                    if t.r <= 3:
+                        shared.append(keys)
+                yield {"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
+                       "limit": t.limit, "classes": keys,
+                       "count": t.array[codes].tolist()}
 
     return blocks(), {"modulus": args.q, "threads": workers}
 
@@ -270,8 +270,7 @@ def _cmd_s0(args):
 def _cmd_compare(args):
     from .constants import _pattern_constants
     from .predict import _asymptotic_terms, integral_prediction
-    from .sieve import (SieveConfig, _code_classes, _listed_codes,
-                        count_patterns, effective_workers)
+    from .sieve import SieveConfig, count_patterns, effective_workers
 
     cfg = SieveConfig(q=args.q, r=args.r, x=args.x, count=args.count,
                       threads=args.threads)
@@ -283,16 +282,15 @@ def _cmd_compare(args):
         "modulus": args.q, "x": x, "truncation": _truncation(args),
         "rel_tol": args.rel_tol, "threads": effective_workers(args.threads),
     }
-    codes = _listed_codes(table.array, args.r)
-    if not len(codes):  # r >= 4 lists only the patterns counted
+    # one block, so every prediction is made before the first row is written
+    listed = next(table.listing(len(table.array)), None)
+    if listed is None:  # r >= 4 lists only the patterns counted
         return [], meta
-    mod = Modulus(args.q)
+    codes, classes = listed
     actual = table.array[codes].tolist()
-    classes = _code_classes(codes, mod, args.r)
     patterns = list(zip(*classes.tolist()))
     c1, c2 = _pattern_constants(args.q, classes, args.truncation)
-    patterns_total = mod.phi ** args.r
-    asym = _asymptotic_terms(c1, c2, patterns_total, x)["value"].tolist()
+    asym = _asymptotic_terms(c1, c2, len(table.array), x)["value"].tolist()
 
     def rel_err(values):
         return [v / n - 1 if n else "" for v, n in zip(values, actual)]
@@ -342,8 +340,8 @@ def _cmd_dump_lvalues(args):
 
     def blocks():
         # the principal character, row 0, has no row
-        for start in range(1, group.phi, DUMP_BLOCK_ROWS):
-            rows = slice(start, start + DUMP_BLOCK_ROWS)
+        for start in range(1, group.phi, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
             l0, l1, a, c = (x[rows] for x in (t.l0, t.l1, t.a, t.c))
             yield {
                 "name": group.names(rows),

@@ -13,18 +13,19 @@ by its radix-phi(q) code.  A process holds one int16 class table, q +
 segment_size entries built from one period, and one count array per
 chunk; a segment adds its windows to that array by one bincount, or in
 place when the code space outnumbers them, so no segment allocates an
-array of phi(q)**r counts.  The chunks' arrays are summed into the
-first one, which the last table takes without a copy.
+array of phi(q)**r counts.  A chunk returns only the codes it counted
+and their counts, which are added into one running sum that the last
+table takes without a copy.
 
 The range is cut into chunks, and each window belongs to the chunk that
 holds its first prime.  A chunk sieves and counts on its own: it counts
 the windows starting in it, sieving on past its end until the last of
 them closes (span = (r-1)*skip primes later, always within GAP_PAD *
-(span + 1) integers), and returns their counts, their number and the
-last member of the last one.  Checkpoints are chunk boundaries, so each
-checkpoint's table is a running sum in chunk order; in by-count mode
-only the chunk holding the N-th window start is counted again, cut
-short.
+(span + 1) integers), and returns the codes counted with their counts,
+the number of windows and the last member of the last one.  Checkpoints
+are chunk boundaries, so each checkpoint's table is a running sum in
+chunk order; in by-count mode only the chunk holding the N-th window
+start is counted again, cut short.
 
 With threads > 1 the chunks run on that many worker processes (at most
 one per core the process may run on), and results are summed in chunk
@@ -104,7 +105,8 @@ class CountTable:
     `array` holds the count of every pattern by code, read-only: entry
     sum_j i_j * phi**(r-1-j) counts the pattern whose j-th class is
     Modulus(q).classes[i_j], so code order is the sorted order of the
-    pattern tuples.  `counts` is derived from it on first use.
+    pattern tuples.  `listing` reads the codes a table lists and their
+    classes from it, and `counts` is derived from that on first use.
     """
 
     q: int
@@ -119,11 +121,27 @@ class CountTable:
     def __post_init__(self):
         self.array.flags.writeable = False
 
+    def listing(self, rows: int):
+        """Yield (codes, classes) for the codes the table lists, in code
+        order, `rows` codes at a time: every code for r <= 3, else the
+        codes counted at least once.  classes is an (r, len(codes)) array
+        whose row j holds the j-th class of each code."""
+        mod = Modulus(self.q)
+        codes = (np.arange(len(self.array)) if self.r <= 3
+                 else np.flatnonzero(self.array))
+        classes = np.array(mod.classes, dtype=np.int64)
+        for start in range(0, len(codes), rows):
+            block = codes[start:start + rows]
+            yield block, classes[np.stack(
+                np.unravel_index(block, (mod.phi,) * self.r))]
+
     @cached_property
     def counts(self) -> dict[tuple[int, ...], int]:
-        """{classes: count}: every pattern for r <= 3, else only the
-        patterns counted at least once."""
-        return _decode(self.array, Modulus(self.q), self.r)
+        """{classes: count} over the patterns the table lists."""
+        return {pattern: n
+                for codes, classes in self.listing(len(self.array))
+                for pattern, n in zip(zip(*classes.tolist()),
+                                      self.array[codes].tolist())}
 
     def count(self, classes: tuple[int, ...]) -> int:
         mod = Modulus(self.q)
@@ -244,8 +262,9 @@ def _edges(end: int, chunk_size: int, cuts=()) -> list[int]:
 
 
 class _Chunk(NamedTuple):
-    counts: np.ndarray  # windows starting in the chunk, by code
-    n: int  # how many
+    codes: np.ndarray  # the codes of the windows starting in the chunk
+    counts: np.ndarray  # how many start there with each code, all > 0
+    n: int  # how many windows in all
     largest: int  # last member of the last one, 0 if none
 
 
@@ -346,7 +365,9 @@ def _count_chunk(config: SieveConfig, lo: int, hi: int, root: int,
             break
     if n and not largest:
         raise InternalConsistencyError("prime stream ended before the window closed")
-    return _Chunk(counts, max(n - span, 0), largest)
+    # only what was counted goes back: few of a large code space's entries
+    codes = np.flatnonzero(counts)
+    return _Chunk(codes, counts[codes], max(n - span, 0), largest)
 
 
 def _tables(config: SieveConfig, xs: list[int] | None,
@@ -373,7 +394,7 @@ def _tables(config: SieveConfig, xs: list[int] | None,
     chunks = list(zip(edges, edges[1:]))
     root = math.isqrt(reach)
 
-    totals = None  # the first chunk's counts, then the running sum in place
+    totals = np.zeros(Modulus(q).phi ** r, dtype=np.int64)
     tables: list[CountTable] = []
     seen = largest = 0
     jobs = [(config, lo, hi, root) for lo, hi in chunks]
@@ -382,10 +403,7 @@ def _tables(config: SieveConfig, xs: list[int] | None,
         for (lo, hi), res in zip(chunks, results):
             if by_count and seen + res.n > config.count:
                 res = _count_chunk(config, lo, hi, root, cap=config.count - seen)
-            if totals is None:
-                totals = res.counts
-            else:
-                totals += res.counts
+            totals[res.codes] += res.counts
             seen += res.n
             largest = res.largest or largest
             if seen == config.count if by_count else hi in cuts:
@@ -402,25 +420,6 @@ def _tables(config: SieveConfig, xs: list[int] | None,
                 if last:
                     return tables
     raise InternalConsistencyError("prime stream ended before the N-th window start")
-
-
-def _listed_codes(array: np.ndarray, r: int) -> np.ndarray:
-    """The codes a table lists, in order: every code for r <= 3, else the
-    codes counted at least once."""
-    return np.arange(len(array)) if r <= 3 else np.flatnonzero(array)
-
-
-def _code_classes(codes: np.ndarray, mod: Modulus, r: int) -> np.ndarray:
-    """An (r, len(codes)) array: row j holds the j-th class of each code."""
-    classes = np.array(mod.classes, dtype=np.int64)
-    return classes[np.stack(np.unravel_index(codes, (mod.phi,) * r))]
-
-
-def _decode(array: np.ndarray, mod: Modulus, r: int) -> dict:
-    """{classes: count} over the codes the table lists."""
-    codes = _listed_codes(array, r)
-    return dict(zip(zip(*_code_classes(codes, mod, r).tolist()),
-                    array[codes].tolist()))
 
 
 def count_patterns(config: SieveConfig) -> CountTable:

@@ -390,10 +390,36 @@ def test_count_output_matches_dict_rows(flags, config, fmt, tmp_path, capsys,
 
 def _forbid_decode(monkeypatch):
     """Make CountTable.counts raise: the commands write their rows from
-    the count arrays alone."""
+    the tables' listings, never from a dict of every row."""
     def decode(*args):
         raise AssertionError("a command decoded a count table")
-    monkeypatch.setattr(sieve, "_decode", decode)
+    monkeypatch.setattr(sieve.CountTable, "counts", property(decode))
+
+
+@pytest.mark.parametrize("block_rows", [7, cli.BLOCK_ROWS])
+@pytest.mark.parametrize("flags, config", [
+    # every table lists every code: keys built for the first table's blocks
+    (["--q", "5", "--r", "3", "--x", "1e4", "--checkpoints", "100"],
+     dict(q=5, r=3, x=10**4, xs=[100])),
+    # the counted codes only, a different set at each checkpoint
+    (["--q", "7", "--r", "4", "--x", "2e4", "--checkpoints", "5000"],
+     dict(q=7, r=4, x=2 * 10**4, xs=[5000])),
+    (["--q", "7", "--r", "6", "--x", "2e4"], dict(q=7, r=6, x=2 * 10**4)),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_count_writes_the_same_bytes_in_blocks(block_rows, flags, config,
+                                               fmt, tmp_path, capsys,
+                                               monkeypatch):
+    config = dict(config)
+    xs = config.pop("xs", None)
+    cfg = sieve.SieveConfig(**config)
+    tables = (sieve.count_patterns_series(cfg, xs) if xs
+              else [sieve.count_patterns(cfg)])
+    rows = _count_rows(tables)
+    assert len(rows) > 7 * len(tables)  # several blocks per table
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    _forbid_decode(monkeypatch)
+    _check_output(["count"] + flags, rows, fmt, tmp_path, capsys)
 
 
 # JSON cells that must stay numbers of one kind, never strings
@@ -512,7 +538,7 @@ def test_dumps_write_row_blocks_named_from_labels(argv, rows, fmt, tmp_path,
                                                   capsys, monkeypatch):
     rows = rows()
     # blocks of 7 rows, the last one short; no character object named
-    monkeypatch.setattr(cli, "DUMP_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
     monkeypatch.setattr(characters, "GATHER_ENTRIES", 7 * 97)
 
     def refuse(*args):
@@ -725,6 +751,19 @@ def test_bad_classes_exit_code(capsys):
 def _package_env():
     src = os.path.dirname(os.path.dirname(primebias.__file__))
     return dict(os.environ, PYTHONPATH=src)
+
+
+def test_sparse_count_json_peak_rss_stays_bounded():
+    # phi(60)**6 = 2**24 codes: 128 MiB of counts in the main process and
+    # in its chunk, and 401,240 rows written BLOCK_ROWS at a time; with
+    # each table written as one block the run peaked at 937 MiB
+    helper = os.path.join(os.path.dirname(__file__), "peak_rss.py")
+    proc = subprocess.run(
+        [sys.executable, helper, "400", sys.executable, "-m", "primebias",
+         "count", "--q", "60", "--r", "6", "--x", "1e7", "--format", "json"],
+        env=_package_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("module", ["primebias", "primebias.cli"])

@@ -246,6 +246,18 @@ def test_chunked_counts_independent_of_workers():
     assert got[0][-1][:2] == (full_table(7, 3, want), last)
 
 
+def test_tables_independent_of_chunk_size_and_workers():
+    # sparse results through the worker pipe, added into one running sum
+    cfg = SieveConfig(q=7, r=4, x=300_000, segment_size=1024)
+    xs = [17, 100_000, 300_000]
+    want = sieve._tables(cfg, xs)
+    for chunk_size in (997, 4099, 65_536):
+        for threads in (1, 2):
+            got = sieve._tables(dataclasses.replace(cfg, threads=threads), xs,
+                                chunk_size=chunk_size)
+            assert got == want, (chunk_size, threads)
+
+
 def test_four_prime_windows_list_only_counted_patterns():
     t = count_patterns(SieveConfig(q=5, r=4, x=50_000, segment_size=1024))
     want, last = windows(5, r=4, x=50_000, prime_limit=100_000)
@@ -312,9 +324,52 @@ def test_code_space_of_2_to_the_24_counts_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(chunk.counts, t.array)
+    dense = np.zeros_like(t.array)
+    dense[chunk.codes] = chunk.counts
+    assert np.array_equal(dense, t.array)
     # a dense bincount per segment would hold a second array of counts
-    assert peak < 1.1 * chunk.counts.nbytes, peak / chunk.counts.nbytes
+    assert peak < 1.1 * t.array.nbytes, peak / t.array.nbytes
+
+
+@pytest.mark.parametrize("q,r,skip,x", [
+    (7, 2, 1, 10**5), (5, 3, 2, 10**5), (7, 4, 1, 10**5), (7, 6, 1, 10**5),
+    (23, 2, 1, 20),  # no window starts in [6, 10): no code
+])
+def test_chunk_returns_only_the_codes_it_counted(q, r, skip, x):
+    cfg = SieveConfig(q=q, r=r, skip=skip, x=x, segment_size=1024)
+    root = math.isqrt(x + sieve.GAP_PAD * (r * skip))
+    lo, hi = x // 3, x // 2
+    # the windows starting in [lo, hi): those by hi - 1 less those by lo - 1
+    below, by_hi = count_patterns_series(
+        dataclasses.replace(cfg, x=hi - 1), [lo - 1])
+    chunk = sieve._count_chunk(cfg, lo, hi, root)
+    assert chunk.codes.dtype == chunk.counts.dtype == np.int64
+    assert np.all(np.diff(chunk.codes) > 0) and np.all(chunk.counts > 0)
+    assert int(chunk.counts.sum()) == chunk.n == by_hi.total() - below.total()
+    array = np.zeros_like(by_hi.array)
+    array[chunk.codes] = chunk.counts
+    assert np.array_equal(array, by_hi.array - below.array)
+
+
+@pytest.mark.parametrize("q,r,skip", [(10, 2, 1), (7, 3, 2), (5, 4, 1),
+                                      (7, 6, 1)])
+def test_listing_blocks_join_to_counts(q, r, skip):
+    x = 20_000
+    t = count_patterns(SieveConfig(q=q, r=r, skip=skip, x=x,
+                                   segment_size=1024))
+    want = window_table(q, r, skip, x=x, prime_limit=30_000)
+    want = full_table(q, r, want) if r <= 3 else want
+    assert t.counts == want
+    for rows in (1, 7, 1 << 14):
+        blocks = list(t.listing(rows))
+        assert all(len(codes) == rows for codes, _ in blocks[:-1])
+        assert 0 < len(blocks[-1][0]) <= rows
+        codes = np.concatenate([codes for codes, _ in blocks])
+        classes = np.concatenate([classes for _, classes in blocks], axis=1)
+        assert classes.shape == (r, len(codes))
+        got = dict(zip(zip(*classes.tolist()), t.array[codes].tolist()))
+        assert got == want, rows
+        assert list(got) == sorted(want), rows  # code order
 
 
 def test_thread_determinism_small():
