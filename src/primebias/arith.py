@@ -288,8 +288,8 @@ def epsilon_q(q: int, a: int, b: int) -> float:
     For any h > 0 with h = b - a (mod q),
         #{0 < t < h : gcd(t+a, q) = 1} = phi(q) h / q + epsilon_q(a, b),
     and the left side minus the density term is independent of h.  The
-    value is a rational with denominator dividing q (it is not an integer
-    in general: q=3, a=1, b=2 gives -2/3).  Computed exactly at the least
-    h and re-checked one period later, for every pair mod q at once.
+    value is a rational with denominator dividing q (q=3, a=1, b=2 gives
+    -2/3).  Computed exactly at the least h and re-checked one period
+    later, for every pair mod q at once; a and b may be arrays.
     """
-    return int(_epsilon_numerators(q)[a % q, b % q]) / q
+    return _epsilon_numerators(q)[a % q, b % q] / q

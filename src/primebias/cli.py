@@ -11,7 +11,7 @@ run of rows: a dict, in field order, from each field to a column (a list
 or array, one cell per row; a block has at least one) or to the one value
 its rows share, such as count's q and limit.  Blocks are written one at a
 time, so a run holds one block's text at once; count makes one block per
-BLOCK_ROWS rows of each table, constants and asymptotic predict one per
+BLOCK_ROWS rows of each table, constants and predict one per
 leading class from arrays over all their patterns, and the dumps one per
 block of characters, named from their labels.  Every computation that
 can fail ends before the first byte is written.
@@ -157,35 +157,37 @@ def _cmd_count(args):
 
 
 def _cmd_predict(args):
-    from .constants import _pattern_constants
+    from .constants import _pattern_constants, skip_coefficient
     from .lfun import tail_bound
-    from .predict import _asymptotic_terms, integral_prediction, skip_prediction
+    from .predict import _asymptotic_terms, _row_integral
 
     q, xs = args.q, args.x
     axes = _pattern_axes(args)
-    if args.method == "asymptotic":
+    if args.method != "asymptotic" and len(axes) != 2:
+        raise ValueError(f"{args.method} predictions are defined for pairs")
+    method, errors = args.method, None
+    if method == "integral":
+        rows = [[_row_integral(q, a, x, args.truncation, args.rel_tol)
+                 for x in xs] for a in axes[0]]
+        cols = np.searchsorted(Modulus(q).classes, axes[1])
+        values, errors = np.transpose(rows, (2, 0, 3, 1))[:, :, cols]
+    elif method == "skip":  # (c1, c2) for a = b, then for a != b
+        coeffs = np.array([skip_coefficient(q, args.skip, equal=e)
+                           for e in (True, False)])
+        c1, c2 = np.where(np.equal.outer(*axes), *coeffs[..., None, None])
+        method = f"skip{args.skip}"
+    else:
         c1, c2 = _pattern_constants(q, np.ix_(*axes), args.truncation)
+    if method != "integral":  # the two-term asymptotic, skip coefficients too
         patterns = Modulus(q).phi ** len(axes)
         values = np.stack([_asymptotic_terms(c1, c2, patterns, x)["value"]
                            for x in xs], axis=-1)
-        method, errors = "asymptotic", None
-    elif len(axes) != 2:
-        raise ValueError(f"{args.method} predictions are defined for pairs")
-    else:
-        rows = [integral_prediction(q, a, b, x, truncation=args.truncation,
-                                    rel_tol=args.rel_tol)
-                if args.method == "integral"
-                else skip_prediction(q, a, b, args.skip, x)
-                for a in axes[0] for b in axes[1] for x in xs]
-        method = rows[0].method
-        values = np.array([r.value for r in rows]).reshape(len(axes[0]), -1)
-        errors = np.array([r.quadrature_error for r in rows]).reshape(values.shape)
     # one block per leading class; rows run pattern by pattern, then by x
     tail = _pattern_keys(itertools.product(*axes[1:]), len(axes) - 1)
     blocks = ({"pattern": [f"{a};{k}" for k in tail for _ in xs],
                "x": list(xs) * len(tail), "value": values[i].ravel(),
                "method": method,
-               "error_estimate": None if errors is None else errors[i]}
+               "error_estimate": None if errors is None else errors[i].ravel()}
               for i, a in enumerate(axes[0]))
     meta = {
         "modulus": q, "truncation": _truncation(args),
@@ -269,7 +271,7 @@ def _cmd_s0(args):
 
 def _cmd_compare(args):
     from .constants import _pattern_constants
-    from .predict import _asymptotic_terms, integral_prediction
+    from .predict import _asymptotic_terms, _row_integral
     from .sieve import SieveConfig, count_patterns, effective_workers
 
     cfg = SieveConfig(q=args.q, r=args.r, x=args.x, count=args.count,
@@ -297,9 +299,9 @@ def _cmd_compare(args):
 
     integ = rel_integ = [""] * len(patterns)
     if args.r == 2:
-        integ = [integral_prediction(args.q, a, b, x, truncation=args.truncation,
-                                     rel_tol=args.rel_tol).value
-                 for a, b in patterns]
+        values = [_row_integral(args.q, a, x, args.truncation, args.rel_tol)[0]
+                  for a in Modulus(args.q).classes]
+        integ = np.ravel(values)[codes].tolist()  # code = index of (a, b)
         rel_integ = rel_err(integ)
     block = {
         "pattern": _pattern_keys(patterns, args.r), "actual": actual,

@@ -26,6 +26,7 @@ from primebias.constants import (
 from primebias.lfun import build_ctable
 from primebias.oracles import value_matrix
 from primebias.predict import (
+    _row_integral,
     asymptotic_prediction,
     integral_prediction,
     skip_prediction,
@@ -219,6 +220,30 @@ def test_compare_columns(capsys):
                 "rel_err_asymptotic"} <= set(r)
         assert abs(float(r["rel_err_integral"])) < 0.15
         assert r["actual"] == int(r["actual"])
+
+
+@pytest.mark.parametrize("q", [5, 30])
+def test_integral_pair_same_bits_alone_and_in_table(q, capsys):
+    """integral_prediction, predict --classes a,b and the full predict
+    table give each pair the same bits, each computed afresh."""
+    units = Modulus(q).classes
+    want = {}
+    for a, b in itertools.product(units, repeat=2):
+        _row_integral.cache_clear()
+        want[f"{a};{b}"] = integral_prediction(q, a, b, 1e9).value
+    _row_integral.cache_clear()
+    code, out = run_cli(["predict", "--q", str(q), "--x", "1e9",
+                         "--format", "json"], capsys)
+    assert code == 0
+    assert {r["pattern"]: r["value"] for r in json.loads(out)} == want
+    for a, b in ((units[0], units[-1]), (units[-1], units[-1]),
+                 (units[1], units[0])):
+        _row_integral.cache_clear()
+        code, out = run_cli(["predict", "--q", str(q), "--classes",
+                             f"{a},{b}", "--x", "1e9", "--format", "json"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)[0]["value"] == want[f"{a};{b}"]
 
 
 def test_dump_characters(capsys):
@@ -495,6 +520,13 @@ _TABLES = [
                  lambda: _predict_rows(5, (10**9, 10**12), "skip",
                                        classes=(1, 4), skip=3),
                  id="predict-skip"),
+    pytest.param(["predict", "--q", "5", "--x", "1e6,1e9"],
+                 lambda: _predict_rows(5, (10**6, 10**9), "integral"),
+                 id="predict-integral-table"),
+    pytest.param(["predict", "--q", "5", "--method", "skip", "--x",
+                  "1e9,1e12"],
+                 lambda: _predict_rows(5, (10**9, 10**12), "skip"),
+                 id="predict-skip-table"),
 ] + [
     pytest.param(["s0", "--q", "5", "--v", "0,1,3", "--H", "100", "--k", k,
                   "--method", method, "--truncation", "2e5"],
