@@ -262,26 +262,6 @@ class ResiduePattern:
         return len(self.classes)
 
 
-@lru_cache(maxsize=64)
-def _epsilon_numerators(q: int) -> np.ndarray:
-    """q * epsilon_q(a, b) at [a mod q, b mod q], as exact integers.
-
-    With a and h0 = b - a read in [1, q] and U(n) the number of units in
-    [1, n], the count of coprime shifts is U(a + h0 - 1) - U(a); the
-    numerators taken one period later, at h0 + q, must match.
-    """
-    phi = Modulus(q).phi  # validates q >= 3
-    units = np.cumsum(np.gcd(np.arange(3 * q), q) == 1)  # U(n), n < 3q
-    a = np.r_[q, 1:q][:, None]
-    h0 = (np.arange(q) - a - 1) % q + 1
-    num = q * (units[a + h0 - 1] - units[a]) - phi * h0
-    again = q * (units[a + h0 + q - 1] - units[a]) - phi * (h0 + q)
-    if not np.array_equal(num, again):
-        raise InternalConsistencyError(f"epsilon_q not period-stable for q={q}")
-    num.flags.writeable = False
-    return num
-
-
 def epsilon_q(q: int, a: int, b: int) -> float:
     """Discrepancy in the count of coprime shifts across a gap from a to b.
 
@@ -289,7 +269,17 @@ def epsilon_q(q: int, a: int, b: int) -> float:
         #{0 < t < h : gcd(t+a, q) = 1} = phi(q) h / q + epsilon_q(a, b),
     and the left side minus the density term is independent of h.  The
     value is a rational with denominator dividing q (q=3, a=1, b=2 gives
-    -2/3).  Computed exactly at the least h and re-checked one period
-    later, for every pair mod q at once; a and b may be arrays.
+    -2/3).  With a and h0 = b - a read in [1, q] and U(n) the number of
+    units in [1, n], the count is U(a + h0 - 1) - U(a); it is taken exactly
+    at h0 and re-checked one period later.  a and b may be arrays; the cost
+    is O(q) plus O(1) per pair.
     """
-    return _epsilon_numerators(q)[a % q, b % q] / q
+    phi = Modulus(q).phi  # validates q >= 3
+    units = np.cumsum(np.gcd(np.arange(3 * q), q) == 1)  # U(n), n < 3q
+    a = (np.asarray(a) - 1) % q + 1
+    h0 = (np.asarray(b) - a - 1) % q + 1
+    num = q * (units[a + h0 - 1] - units[a]) - phi * h0
+    again = q * (units[a + h0 + q - 1] - units[a]) - phi * (h0 + q)
+    if not np.array_equal(num, again):
+        raise InternalConsistencyError(f"epsilon_q not period-stable for q={q}")
+    return num / q

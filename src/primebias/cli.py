@@ -159,26 +159,26 @@ def _cmd_count(args):
 def _cmd_predict(args):
     from .constants import _pattern_constants, skip_coefficient
     from .lfun import tail_bound
-    from .predict import _asymptotic_terms, _row_integral
+    from .predict import _RowDensity, _asymptotic_terms, _skip_terms
 
     q, xs = args.q, args.x
     axes = _pattern_axes(args)
     if args.method != "asymptotic" and len(axes) != 2:
         raise ValueError(f"{args.method} predictions are defined for pairs")
     method, errors = args.method, None
-    if method == "integral":
-        rows = [[_row_integral(q, a, x, args.truncation, args.rel_tol)
-                 for x in xs] for a in axes[0]]
-        cols = np.searchsorted(Modulus(q).classes, axes[1])
-        values, errors = np.transpose(rows, (2, 0, 3, 1))[:, :, cols]
-    elif method == "skip":  # (c1, c2) for a = b, then for a != b
-        coeffs = np.array([skip_coefficient(q, args.skip, equal=e)
-                           for e in (True, False)])
-        c1, c2 = np.where(np.equal.outer(*axes), *coeffs[..., None, None])
+    if method == "integral":  # a row per leading class, one at a time
+        rows = (_RowDensity(q, a, axes[1], args.truncation) for a in axes[0])
+        values, errors = np.transpose(
+            [[row.integral(x, args.rel_tol) for x in xs] for row in rows],
+            (2, 0, 3, 1))
+    elif method == "skip":  # c2 for a = b, then for a != b
+        c2 = np.where(np.equal.outer(*axes), *(
+            skip_coefficient(q, args.skip, e)[1] for e in (True, False)))
+        values = np.stack([_skip_terms(c2, Modulus(q).phi**2, x)["value"]
+                           for x in xs], axis=-1)
         method = f"skip{args.skip}"
     else:
         c1, c2 = _pattern_constants(q, np.ix_(*axes), args.truncation)
-    if method != "integral":  # the two-term asymptotic, skip coefficients too
         patterns = Modulus(q).phi ** len(axes)
         values = np.stack([_asymptotic_terms(c1, c2, patterns, x)["value"]
                            for x in xs], axis=-1)
@@ -271,7 +271,7 @@ def _cmd_s0(args):
 
 def _cmd_compare(args):
     from .constants import _pattern_constants
-    from .predict import _asymptotic_terms, _row_integral
+    from .predict import _RowDensity, _asymptotic_terms
     from .sieve import SieveConfig, count_patterns, effective_workers
 
     cfg = SieveConfig(q=args.q, r=args.r, x=args.x, count=args.count,
@@ -299,8 +299,8 @@ def _cmd_compare(args):
 
     integ = rel_integ = [""] * len(patterns)
     if args.r == 2:
-        values = [_row_integral(args.q, a, x, args.truncation, args.rel_tol)[0]
-                  for a in Modulus(args.q).classes]
+        values = [_RowDensity(args.q, a, None, args.truncation).integral(
+            x, args.rel_tol)[0] for a in Modulus(args.q).classes]
         integ = np.ravel(values)[codes].tolist()  # code = index of (a, b)
         rel_integ = rel_err(integ)
     block = {

@@ -27,6 +27,7 @@ from .arith import (InternalConsistencyError, Modulus, ResiduePattern,
                     canonical_residue, moebius, prime_factors, primes_upto,
                     totient, von_mangoldt)
 from .characters import CharacterGroup, DirichletCharacter, character_group
+from .predict import _race_scales
 from .singular import SingularContext
 
 __all__ = ["repeat_count", "value_rows", "value_matrix", "ctable_by_matrix",
@@ -248,11 +249,8 @@ def density_terms_brute(
     mod = Modulus(q)
     a, b = mod.canonical(a), mod.canonical(b)
     phi = mod.phi
-    logy = float(np.log(y))
-    alpha = 1.0 - q / (phi * logy)
-    if alpha <= 0:
-        raise ValueError("y below the point where alpha(y) > 0")
-    H = -(q / phi) / float(np.log(alpha))
+    logy, alpha, H = _race_scales(q, phi, np.array([y]))
+    logy, alpha, H = float(logy[0]), float(alpha[0]), float(H[0])
     if cutoff is None:
         cutoff = math.ceil(50 * H)
     v0 = (b - a) % q

@@ -15,20 +15,20 @@ The D_j are taken in semianalytic form: the progression sums over
 e^{-h/H} are closed geometric series and every S_0(q, v; H) is replaced by
 its main terms.  Then every D1 and D2 term is e^{-k/H} times the main
 terms of S_0(q, v0 - k; H), v0 = b - a, for an integer k <= 2q.  The unit
-of work is a row, the phi pairs (a, .) of one leading class, integrated
-together (_RowDensity, _row_integral): one product per quadrature panel,
-each pair refining as it would alone.  All quadrature is composite
-16-point Gauss-Legendre with deterministic interval bisection in u = log y.
-On a 2-core x86 host, predict --q 210 --x 1e9 (48 rows) takes 0.6-0.7 s and
-predict --q 420 (96 rows) 1.5-1.7 s.  The truncated sums straight from the
-definitions only check this form; no prediction runs them.
+of work is a row, the pairs (a, b) of one a and the b asked for
+(_RowDensity): one product per panel, each pair refining as it would
+alone, with the same bits in any row.  All quadrature is composite
+16-point Gauss-Legendre with deterministic interval bisection in
+u = log y.  On a 2-core x86 host, predict --q 210 --x 1e9 (48 rows)
+takes 0.6-0.7 s and predict --q 420 (96 rows) 1.3-1.7 s.  The truncated
+sums straight from the definitions only check this form; no prediction
+runs them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,7 +75,11 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, rel_tol: float = 1e-7,
 
 def _panel(f, a: float, b: float):
     half = 0.5 * (b - a)
-    return half * (_GL_WEIGHTS @ f(0.5 * (a + b) + half * _GL_NODES))
+    values = f(0.5 * (a + b) + half * _GL_NODES)
+    if values.ndim == 1:
+        return half * (_GL_WEIGHTS @ values)
+    # node by node: a column's sum is the same bits however many columns
+    return half * sum(w * v for w, v in zip(_GL_WEIGHTS, values))
 
 
 def _refine(f, a: float, b: float, whole, tol, depth_left: int, open_):
@@ -116,21 +120,32 @@ def integral_lower_limit(q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _race_scales(q: int, phi: int, y):
+    logy = np.log(np.asarray(y, dtype=float))
+    alpha = 1.0 - q / (phi * logy)
+    if np.any(alpha <= 0):
+        raise ValueError("y below the point where alpha(y) > 0")
+    H = -(q / phi) / np.log(alpha)
+    return logy, alpha, H
+
+
 class _RowDensity:
     """Semianalytic D0, D1, D2 of (a, b) mod q for one a, b on the last axis.
 
-    With w(.) the sawtooth offset in [1, q], a D1 term over class v has
-    k = w(v0 - v), and a D2 term over the classes t, t' between a and b has
-    k = w(t - a) + w(b - t').  So with after_a[k] = [gcd(a + k, q) = 1] and
-    before_b[k] = [gcd(b - k, q) = 1] for k = 1..q, D1 weighs k by
-    after_a + before_b and D2 by their convolution.  Each evaluation is one
-    table of e^{-k/H} times the weights and S_0 main terms fixed here.
+    b runs over bs, every class by default; each b's column is computed
+    alone, so it has the same bits in any row.  With w(.) the sawtooth
+    offset in [1, q], a D1 term over class v has k = w(v0 - v), and a D2
+    term over the classes t, t' between a and b has k = w(t - a) + w(b - t').
+    So with after_a[k] = [gcd(a + k, q) = 1] and before_b[k] =
+    [gcd(b - k, q) = 1] for k = 1..q, D1 weighs k by after_a + before_b
+    and D2 by their convolution.  Each evaluation is one table of e^{-k/H}
+    times the weights and S_0 main terms fixed here.
     """
 
-    def __init__(self, q: int, a: int, truncation: int | None = None):
+    def __init__(self, q: int, a: int, bs=None, truncation: int | None = None):
         mod = Modulus(q)
         self.q, self.phi = q, mod.phi
-        b = np.array(mod.classes)
+        b = np.array(mod.classes if bs is None else bs)
         a %= q
         self.eps = epsilon_q(q, a, b)
         v0 = (b - a) % q
@@ -143,7 +158,7 @@ class _RowDensity:
         back = (b[:, None] - self.k) % q  # b - k; v0 - k is back - a
         after_a = unit[(a + self.k[:q]) % q].astype(int)
         before_b = unit[back[:, :q]].astype(int)
-        weights = np.zeros((2, self.phi, n))
+        weights = np.zeros((2, len(b), n))
         weights[0, :, :q] = after_a + before_b
         # k1 + k2 >= 2; a convolution of 0/1 vectors, exact once rounded
         weights[1, :, 1:] = np.rint(np.fft.irfft(
@@ -152,15 +167,11 @@ class _RowDensity:
         self.table = (weights * np.roll(s0c, a)[back]).reshape(-1, n)
         # the log H term, at v0 - k = 0: k = w(v0) and w(v0) + q
         self.at_v0 = canonical_residue(q, v0) - 1 + np.array([[0], [q]])
-        self.log_weights = weights[:, np.arange(self.phi), self.at_v0]
+        self.log_weights = weights[:, np.arange(len(b)), self.at_v0]
 
     def terms(self, y):
         """(logy, alpha, H, D0, D1, D2) for an array (or scalar) of y."""
-        logy = np.log(np.asarray(y, dtype=float))
-        alpha = 1.0 - self.q / (self.phi * logy)
-        if np.any(alpha <= 0):
-            raise ValueError("y below the point where alpha(y) > 0")
-        H = -(self.q / self.phi) / np.log(alpha)
+        logy, alpha, H = _race_scales(self.q, self.phi, y)
         invH = 1.0 / H
         denom = -np.expm1(-self.q * invH)
         slope_logH = (-self.phi / (2 * self.q) * np.log(H))[..., None]
@@ -180,23 +191,19 @@ class _RowDensity:
         """The maineqn integrand in u = log y, including the e^u Jacobian."""
         y = np.exp(np.asarray(u, dtype=float))
         logy, alpha, _, d0, d1, d2 = self.terms(y)
-        return (self.q / self.phi**2 * alpha[..., None]**self.eps
+        # alpha^eps as exp of a contiguous array: power's loops, and their
+        # bits, vary with the shapes broadcast against each other
+        alpha_eps = np.exp(np.log(alpha)[..., None] * self.eps)
+        return (self.q / self.phi**2 * alpha_eps
                 / logy[..., None]**2 * (d0 + d1 + d2) * y[..., None])
 
-
-@lru_cache(maxsize=1024)
-def _row_integral(q: int, a: int, x: float, truncation: int | None = None,
-                  rel_tol: float = 1e-7):
-    """Read-only (values, errors) of the density integral from y_min to x
-    in u = log y of (a, b), for every class b."""
-    y_min = integral_lower_limit(q)
-    if x <= y_min:
-        raise ValueError(f"x must exceed the lower limit {y_min:.3f}")
-    row = _RowDensity(q, a, truncation)
-    values, errors = adaptive_gauss_legendre(
-        row.integrand_u, math.log(y_min), math.log(x), rel_tol)
-    values.flags.writeable = errors.flags.writeable = False
-    return values, errors
+    def integral(self, x: float, rel_tol: float = 1e-7):
+        """(values, errors) of the integral from y_min to x, one per b."""
+        y_min = integral_lower_limit(self.q)
+        if x <= y_min:
+            raise ValueError(f"x must exceed the lower limit {y_min:.3f}")
+        return adaptive_gauss_legendre(
+            self.integrand_u, math.log(y_min), math.log(x), rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +259,37 @@ def asymptotic_prediction(
     )
 
 
-def integral_prediction(
-    q: int,
-    a: int,
-    b: int,
-    x: float,
-    truncation: int | None = None,
-    rel_tol: float = 1e-7,
-) -> PredictionRow:
-    """The density integral from y_min = exp(2q/phi) to x, from a's row."""
-    pat = ResiduePattern(q, (a, b))
-    (a, b), j = pat.classes, pat.modulus.classes.index(pat.classes[1])
-    values, errors = _row_integral(q, a, x, truncation, rel_tol)
+def integral_prediction(q: int, a: int, b: int, x: float,
+                        truncation: int | None = None,
+                        rel_tol: float = 1e-7) -> PredictionRow:
+    """The density integral from y_min = exp(2q/phi) to x in u = log y."""
+    (a, b) = ResiduePattern(q, (a, b)).classes
+    row = _RowDensity(q, a, [b], truncation)
+    (value,), (err,) = row.integral(x, rel_tol)
     return PredictionRow(
-        q=q, classes=(a, b), x=x, method="integral", value=float(values[j]),
-        terms=dict(y_min=integral_lower_limit(q), epsilon=epsilon_q(q, a, b)),
-        quadrature_error=float(errors[j]),
+        q=q, classes=(a, b), x=x, method="integral", value=float(value),
+        terms={"y_min": integral_lower_limit(q), "epsilon": float(row.eps[0])},
+        quadrature_error=float(err),
     )
+
+
+def _skip_terms(c2, patterns: int, x: float) -> dict:
+    """li(x)/patterns (1 + c2/log x) with its terms; c2 may be an array,
+    li(x) is taken once for all of them."""
+    li_x = li(x)
+    main = li_x / patterns
+    return {"li": li_x, "main": main, "c2_skip": c2,
+            "value": main * (1.0 + c2 / math.log(x))}
 
 
 def skip_prediction(
     q: int, a: int, b: int, k: int, x: float
 ) -> PredictionRow:
-    """Expected count of primes k apart in the sequence landing on (a, b):
-    the two-term asymptotic with skip_coefficient's (c1, c2)."""
+    """Expected count of primes k apart in the sequence landing on (a, b)."""
     mod = Modulus(q)
     a, b = mod.canonical(a), mod.canonical(b)
-    terms = _asymptotic_terms(*skip_coefficient(q, k, equal=(a == b)),
-                              mod.phi**2, x)
+    _, c2s = skip_coefficient(q, k, equal=(a == b))
+    terms = _skip_terms(c2s, mod.phi**2, x)
     return PredictionRow(
         q=q, classes=(a, b), x=x, method=f"skip{k}",
         value=terms.pop("value"), terms=terms,

@@ -26,7 +26,6 @@ from primebias.constants import (
 from primebias.lfun import build_ctable
 from primebias.oracles import value_matrix
 from primebias.predict import (
-    _row_integral,
     asymptotic_prediction,
     integral_prediction,
     skip_prediction,
@@ -224,21 +223,18 @@ def test_compare_columns(capsys):
 
 @pytest.mark.parametrize("q", [5, 30])
 def test_integral_pair_same_bits_alone_and_in_table(q, capsys):
-    """integral_prediction, predict --classes a,b and the full predict
-    table give each pair the same bits, each computed afresh."""
+    """integral_prediction (a one-column row), predict --classes a,b and
+    the full predict table give each pair the same bits."""
     units = Modulus(q).classes
     want = {}
     for a, b in itertools.product(units, repeat=2):
-        _row_integral.cache_clear()
         want[f"{a};{b}"] = integral_prediction(q, a, b, 1e9).value
-    _row_integral.cache_clear()
     code, out = run_cli(["predict", "--q", str(q), "--x", "1e9",
                          "--format", "json"], capsys)
     assert code == 0
     assert {r["pattern"]: r["value"] for r in json.loads(out)} == want
     for a, b in ((units[0], units[-1]), (units[-1], units[-1]),
                  (units[1], units[0])):
-        _row_integral.cache_clear()
         code, out = run_cli(["predict", "--q", str(q), "--classes",
                              f"{a},{b}", "--x", "1e9", "--format", "json"],
                             capsys)
@@ -793,6 +789,20 @@ def test_sparse_count_json_peak_rss_stays_bounded():
     proc = subprocess.run(
         [sys.executable, helper, "400", sys.executable, "-m", "primebias",
          "count", "--q", "60", "--r", "6", "--x", "1e7", "--format", "json"],
+        env=_package_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_integral_pair_at_large_modulus_peak_rss_stays_bounded():
+    # one pair is a one-column row: O(q) arrays at q = 19110 (phi = 4032),
+    # where a whole row's weights alone would take 2.5 GB and a q x q
+    # epsilon table 2.9 GB; the run peaked at 55 MiB on one x86 host
+    helper = os.path.join(os.path.dirname(__file__), "peak_rss.py")
+    proc = subprocess.run(
+        [sys.executable, helper, "120", sys.executable, "-m", "primebias",
+         "predict", "--q", "19110", "--classes", "1,1", "--x", "1e9",
+         "--method", "integral"],
         env=_package_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
