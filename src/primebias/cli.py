@@ -110,11 +110,16 @@ def _columns(rows):
 
 
 def _pattern_axes(args):
-    """The classes each position runs over: --classes, or every class."""
+    """The classes each position runs over: --classes, which a --r must
+    match, or every class at each of --r positions, 2 by default."""
     if args.classes is not None:
+        if args.r not in (None, len(args.classes)):
+            raise ValueError(f"--r {args.r} disagrees with the "
+                             f"{len(args.classes)} classes of --classes")
         return [(a,) for a in ResiduePattern(args.q, args.classes).classes]
-    check_pattern_budget(args.q, args.r)
-    return [Modulus(args.q).classes] * args.r
+    r = 2 if args.r is None else args.r
+    check_pattern_budget(args.q, r)
+    return [Modulus(args.q).classes] * r
 
 
 # ---------------------------------------------------------------- commands
@@ -399,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("predict", help="predicted pattern counts")
     sp.add_argument("--x", type=_int_list, required=True)
-    sp.add_argument("--r", type=int, default=2)
+    sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--method", choices=("integral", "asymptotic", "skip"),
                     default="integral")
     sp.add_argument("--classes", type=_classes_arg, default=None,
@@ -412,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_predict)
 
     sp = sub.add_parser("constants", help="bias constants per pattern")
-    sp.add_argument("--r", type=int, default=2)
+    sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
     sp.add_argument("--truncation", type=_exact_int, default=None,

@@ -37,10 +37,12 @@ constants", 1998; P. Moree, Manuscripta Math. 101, 2000):
 with the Hurwitz zeta function from a short direct sum and an
 Euler-Maclaurin tail.  log L_M(t, psi) is of size M^(1-t), so n stops at
 ns <= K; tail_bound(None) bounds the dropped powers s > K (~3e-22).  An
-explicit truncation P stops the product at P instead, as before: its
-log-tail is dominated by
-sum_{p > P} 4/(p-1)^2 <= 5 / (P log P) = tail_bound(P).  The
-combinations C(q, chi) = L(0,chi) L(1,chi) A(q,chi) vanish identically
+explicit truncation P keeps the series and takes its prime sums over
+M <= p <= P, one per residue mod m; its log-tail is dominated by
+sum_{p > P} 4/(p-1)^2 <= 5 / (P log P) = tail_bound(P).  At chi(p) = 0
+the series is that of the twin-prime factors 1 - 1/(p-1)^2, which the
+singular series reads through large_prime_log, in full or truncated.
+The combinations C(q, chi) = L(0,chi) L(1,chi) A(q,chi) vanish identically
 for even chi and drive all the second-order bias constants.
 
 chi may live on any modulus m dividing the ambient q, and also on moduli
@@ -50,7 +52,7 @@ holds L(0), L(1), A and C for all the characters mod m at once.  Each
 sum over a, sum_a chi(a) f(a) for every chi mod m, is one unnormalised
 inverse DFT over the unit group (CharacterGroup.transform; D. J. Platt,
 Math. Comp. 85, 2016, takes the L-values of a modulus the same way):
-L(0), L(1), the Hurwitz rows of log L and the truncated power sums.  The
+L(0), L(1), the Hurwitz rows of log L and the truncated prime sums.  The
 values chi(p) at the primes multiplied exactly are read from the labels
 a block of characters at a time.  No phi(m) x m array is ever built.
 """
@@ -79,14 +81,10 @@ __all__ = [
     "build_ctable",
 ]
 
-# Primes below EXACT_BOUND are multiplied exactly.  The untruncated
-# product expands the other factors to p^-SERIES_POWERS; a truncated one
-# expands log(1 - u w_p), |u| <= 4, w_p = 1/(p-1)^2, to SERIES_TERMS
-# powers of w_p, which drops at most sum_{p >= EXACT_BOUND}
-# (4 w_p)^4 / (4 (1 - 4 w_p)) ~ 1e-21, far below double rounding.
+# Primes below EXACT_BOUND are multiplied exactly; the product expands
+# the other factors, in full or up to a truncation, to p^-SERIES_POWERS.
 EXACT_BOUND = 1000
 SERIES_POWERS = 8
-SERIES_TERMS = 3
 
 
 def tail_bound(truncation: int | None) -> float:
@@ -176,14 +174,6 @@ def _series_coefficients() -> np.ndarray:
 _COEFFICIENTS = _series_coefficients()
 
 
-# d[k-1, l] with -((1-z)^2 w)^k / k = sum_l d[k-1, l] z^l w^k, k =
-# 1..SERIES_TERMS; the powers l <= 2 SERIES_TERMS fit in SERIES_POWERS
-_TRUNCATED_COEFFICIENTS = np.array(
-    [[-(-1) ** l * math.comb(2 * k, l) / k for l in range(SERIES_POWERS + 1)]
-     for k in range(1, SERIES_TERMS + 1)])
-_TRUNCATED_COEFFICIENTS.flags.writeable = False
-
-
 def _power_rows(group: CharacterGroup) -> np.ndarray:
     """R[i, l], the row of chi_i^l for l = 1..SERIES_POWERS, and R[i, 0] =
     phi(m): the sums keep their column phi(m) for the function 1, which
@@ -238,20 +228,6 @@ def _prime_sums(m: int, bound: int) -> np.ndarray:
     return sums
 
 
-def large_prime_log(q: int) -> complex:
-    """sum over primes p >= EXACT_BOUND, p !| q, of log(1 - 1/(p-1)^2).
-
-    These are the twin-prime factors.  Every power p^-s, s <=
-    SERIES_POWERS, is summed over all p >= EXACT_BOUND from the prime
-    sums of the function 1; the primes dividing q are then taken out again.
-    """
-    out = complex(_COEFFICIENTS[:, 0] @ _prime_sums(1, EXACT_BOUND)[:, -1])
-    for p in prime_factors(q):
-        if p >= EXACT_BOUND:
-            out -= math.log(1 - 1 / (p - 1) ** 2)
-    return out
-
-
 # passes over the primes kept for later folds: (modulus, truncation) ->
 # sums, oldest dropped first
 _passes: dict[tuple[int, int], np.ndarray] = {}
@@ -259,14 +235,14 @@ MAX_PASSES = 64
 
 
 def _residue_power_sums(m: int, base: int, truncation: int) -> np.ndarray:
-    """S[k-1, a] = sum of w_p^k over EXACT_BOUND <= p <= P, p = a mod m.
+    """S[s, a] = sum of p^-s over EXACT_BOUND <= p <= P, p = a mod m.
 
-    w_p = 1/(p-1)^2 and k = 1..SERIES_TERMS; shape (SERIES_TERMS, m).
-    The sums mod m are folded from a pass over the primes mod a multiple
-    of m: a kept pass when there is one, else a new pass mod `base`
-    (itself a multiple of m), kept for later calls.  So one pass per
-    truncation serves every modulus dividing one passed before, and a
-    call then costs one fold, O(SERIES_TERMS b) for a pass mod b.
+    Rows s = 2..SERIES_POWERS as in _prime_sums; rows 0 and 1 are 0.  The
+    sums mod m are folded from a pass over the primes mod a multiple of
+    m: a kept pass when there is one, else a new pass mod `base` (itself
+    a multiple of m), kept for later calls.  So one pass per truncation
+    serves every modulus dividing one passed before, and a call then
+    costs one fold, O(SERIES_POWERS b) for a pass mod b.
     """
     sums = next((s for (b, t), s in _passes.items()
                  if t == truncation and b % m == 0), None)
@@ -274,19 +250,36 @@ def _residue_power_sums(m: int, base: int, truncation: int) -> np.ndarray:
         primes = primes_upto(truncation)
         primes = primes[np.searchsorted(primes, EXACT_BOUND):]
         residues = primes % base
-        w = primes - 1.0
-        w *= w
-        np.reciprocal(w, out=w)
-        sums = np.empty((SERIES_TERMS, base))
-        wk = w
-        for k in range(SERIES_TERMS):
-            sums[k] = np.bincount(residues, weights=wk, minlength=base)
-            wk = wk * w
+        power = inverse = 1.0 / primes
+        sums = np.zeros((SERIES_POWERS + 1, base))
+        for s in range(2, SERIES_POWERS + 1):
+            power = power * inverse
+            sums[s] = np.bincount(residues, weights=power, minlength=base)
         sums.flags.writeable = False
         if len(_passes) >= MAX_PASSES:
             del _passes[next(iter(_passes))]
         _passes[base, truncation] = sums
-    return sums.reshape(SERIES_TERMS, -1, m).sum(axis=1)
+    return sums.reshape(SERIES_POWERS + 1, -1, m).sum(axis=1)
+
+
+def large_prime_log(q: int, truncation: int | None = None) -> complex:
+    """sum over primes p >= EXACT_BOUND, p <= P if given, p !| q, of
+    log(1 - 1/(p-1)^2).
+
+    These are the twin-prime factors, the series of A(q, chi) read at
+    chi(p) = 0: every power p^-s, s <= SERIES_POWERS, is summed over the
+    range from the sums of the function 1, and the primes dividing q are
+    then taken out again.
+    """
+    if truncation is None:
+        sums = _prime_sums(1, EXACT_BOUND)[:, -1]
+    else:
+        sums = _residue_power_sums(1, 1, truncation)[:, 0]
+    out = complex(_COEFFICIENTS[:, 0] @ sums)
+    for p in prime_factors(q):
+        if p >= EXACT_BOUND and (truncation is None or p <= truncation):
+            out -= math.log(1 - 1 / (p - 1) ** 2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -339,13 +332,14 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
 
     Primes below EXACT_BOUND and primes dividing q are multiplied factor
     by factor, from chi(p) read a block of characters at a time.  For
-    every other prime the logarithm of the factor is a power series in
-    chi(p), sum_l d[l] chi(p)^l: in p^-s by default, over all p through
-    the prime sums of chi^l; with a truncation P, in w_p = 1/(p-1)^2 up
-    to P, where sum_{p = a mod m} w_p^k is one sum per residue a, and
-    sum_a chi^l(a) S_k(a) one transform.  Either way the coefficients are
-    first contracted with the sums, one vector per power l, and the series
-    of every character is the sum of those vectors at the rows of chi^l.
+    every other prime the logarithm of the factor is the power series
+    sum_{s,l} c[s, l] chi(p)^l p^-s, and only its prime range depends on
+    the truncation: over all p >= EXACT_BOUND through the prime sums of
+    chi^l by default; up to P, where sum_{p = a mod m} p^-s is one sum
+    per residue a, and sum_a chi^l(a) S_s(a) one transform.  Either way
+    the coefficients are first contracted with the sums, one vector per
+    power l, and the series of every character is the sum of those
+    vectors at the rows of chi^l.
     """
     if q < 1 or (truncation is not None and q > truncation):
         raise ValueError(f"need 1 <= q <= truncation, got q={q}")
@@ -360,20 +354,18 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     l0[0] = l1[0] = np.nan
 
     if truncation is None:
-        coefficients, sums = _COEFFICIENTS, _prime_sums(m, EXACT_BOUND)
+        sums = _prime_sums(m, EXACT_BOUND)
     else:
-        coefficients = _TRUNCATED_COEFFICIENTS
         # one pass over the primes serves every modulus dividing q
         power_sums = _residue_power_sums(m, math.lcm(q, m), truncation)
         sums = np.hstack([group.transform(power_sums[:, group.units]),
                           power_sums.sum(axis=1, keepdims=True)])
     # v[l] = sum_s c[s, l] sums[s], then one gather of v[l] per power
-    v = coefficients.T @ sums
+    v = _COEFFICIENTS.T @ sums
     rows = _power_rows(group)
     log_rest = sum(v[l, rows[:, l]] for l in range(SERIES_POWERS + 1))
 
-    small = primes_upto(EXACT_BOUND - 1 if truncation is None
-                        else min(truncation, EXACT_BOUND - 1))
+    small = primes_upto(min(EXACT_BOUND - 1, truncation or math.inf))
     # primes dividing q beyond the exact bound leave the series for their
     # own (1 - chi(p)/p) factor
     large = np.array([p for p in prime_factors(q) if p >= EXACT_BOUND],

@@ -70,7 +70,7 @@ def ctable_by_matrix(q: int, m: int, truncation: int | None = None,
     (default all), each character sum a product with rows of values.
 
     The route lfun._ctable took before its sums became transforms: L(0),
-    L(1), the Hurwitz rows of log L, the truncated power sums and the
+    L(1), the Hurwitz rows of log L, the truncated prime sums and the
     exact prime factors are products with value_rows, `chunk` rows at a
     time, for exactly the powers chi^k that the rows need.  Returns four
     arrays, one entry per row; L reads nan at the principal character.
@@ -100,8 +100,8 @@ def ctable_by_matrix(q: int, m: int, truncation: int | None = None,
     power = at[power]
     # sums[i, l, s]: the prime sum of power s of chi_i^l; l = 0 is the
     # function 1 at every prime
+    sums = np.zeros((len(rows), K + 1, K + 1), dtype=np.complex128)
     if truncation is None:
-        coefficients = lfun._COEFFICIENTS
         t = np.arange(K + 1, dtype=float)[2:, None]
         start = np.arange(m, dtype=float)
         start[0] = m
@@ -121,7 +121,6 @@ def ctable_by_matrix(q: int, m: int, truncation: int | None = None,
         logs = by_rows(needed, log_l)
         one = hurwitz.sum(axis=1)
         one = lfun._log1p(one, 0 * one) + lfun._log1p(r, 0 * r).sum(axis=1)
-        sums = np.zeros((len(rows), K + 1, K + 1), dtype=np.complex128)
         for s in range(2, K + 1):
             for n in range(1, K // s + 1):
                 mu = moebius(n)
@@ -130,15 +129,12 @@ def ctable_by_matrix(q: int, m: int, truncation: int | None = None,
                     for l in range(1, K + 1):
                         sums[:, l, s] += mu / n * logs[power[:, l * n - 1], n * s - 2]
     else:
-        coefficients = lfun._TRUNCATED_COEFFICIENTS
         power_sums = lfun._residue_power_sums(m, math.lcm(q, m), truncation)
         per_row = by_rows(needed, lambda v: v @ power_sums.T)
-        sums = np.zeros((len(rows), K + 1, lfun.SERIES_TERMS),
-                        dtype=np.complex128)
         sums[:, 0] = power_sums.sum(axis=1)
         for l in range(1, K + 1):
             sums[:, l] = per_row[power[:, l - 1]]
-    log_rest = np.einsum("sl,ils->i", coefficients, sums)
+    log_rest = np.einsum("sl,ils->i", lfun._COEFFICIENTS, sums)
 
     a = np.prod(np.where(q % exact == 0, 1.0 - z / exact,
                          1.0 - (1.0 - z) ** 2 / (exact - 1.0) ** 2), axis=1)

@@ -14,14 +14,14 @@ SingularContext freezes q and the twin-type product over odd p !| q; the
 h-dependent corrections are applied exactly, by sieving, never by per-h
 full products.
 
-By default the twin-type product is taken in full: odd primes below
-lfun.EXACT_BOUND exactly, the rest through lfun.large_prime_log, the
-series of the Euler products A(q, chi) read with chi(p) = 0.  Every odd
-prime p !| q dividing h then multiplies by (p-1)/(p-2).  An explicit
-truncation P stops the product at P, as before, and an odd p | h above P
-multiplies by p/(p-1) instead: that is (p-1)/(p-2) times the factor
-1 - 1/(p-1)^2 the truncated product leaves out, so the primes dividing h
-are exact at any P.
+The twin-type product takes its odd primes below lfun.EXACT_BOUND
+exactly and the rest through lfun.large_prime_log, the series of the
+Euler products A(q, chi) read with chi(p) = 0: by default over every
+prime, with an explicit truncation P over the primes up to P.  Every odd
+prime p !| q dividing h then multiplies by (p-1)/(p-2).  An odd p | h
+above a truncation P multiplies by p/(p-1) instead: that is (p-1)/(p-2)
+times the factor 1 - 1/(p-1)^2 the truncated product leaves out, so the
+primes dividing h are exact at any P.
 
 s0_brute computes S_0^k(q, v; H) = sum over h = v mod q of
 h^k S_{q,0}({0,h}) e^{-h/H}, truncated where the weight is ~e^{-50}.
@@ -56,12 +56,11 @@ class SingularContext:
         self.q = q
         self.phi = totient(q)
         self.truncation = truncation
-        primes = primes_upto(lfun.EXACT_BOUND - 1 if truncation is None
-                             else truncation)
+        primes = primes_upto(min(lfun.EXACT_BOUND - 1, truncation or math.inf))
         odd = primes[(primes > 2) & (q % primes != 0)]
         self.twin_tail = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
+        self.twin_tail *= math.exp(lfun.large_prime_log(q, truncation).real)
         if truncation is None:
-            self.twin_tail *= math.exp(lfun.large_prime_log(q).real)
             self.tail_bound = lfun.tail_bound(None)
         else:
             # dropped log-product mass ~ sum_{p>P} 1/(p-1)^2 ~ 1/(P log P)

@@ -776,6 +776,32 @@ def test_bad_classes_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants", "--q", "12", "--classes", "1,5", "--r", "3"],
+    ["predict", "--q", "3", "--classes", "1,2", "--r", "3",
+     "--method", "asymptotic", "--x", "1e9"],
+])
+def test_r_disagreeing_with_classes_exit_code(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "--r 3 disagrees with the 2 classes" in captured.err
+
+
+@pytest.mark.parametrize("command, tail", [
+    ("constants", []),
+    ("predict", ["--method", "asymptotic", "--x", "1e9"]),
+])
+def test_classes_alone_set_r(command, tail, capsys):
+    # three classes mean r = 3, with or without an agreeing --r
+    argv = [command, "--q", "3", "--classes", "1,2,1"] + tail
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["pattern"] for row in rows] == ["1;2;1"]
+    assert run_cli(argv + ["--r", "3"], capsys) == (0, out)
+
+
 def _package_env():
     src = os.path.dirname(os.path.dirname(primebias.__file__))
     return dict(os.environ, PYTHONPATH=src)

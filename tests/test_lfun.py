@@ -215,19 +215,6 @@ def test_a_factor_per_prime_product_oracle(q):
             assert abs(got - want) <= 1e-12 * abs(want), (chi.name(), got, want)
 
 
-def test_a_factor_series_remainder_below_rounding():
-    # the first dropped term of log(1 - u w_p), |u| <= 4, times the
-    # geometric factor 1/(1 - 4 w_p) bounds the whole dropped part; primes
-    # up to 10^6 are summed, the rest bounded by an integral over all t
-    primes = primes_upto(10**6)
-    primes = primes[primes >= lfun.EXACT_BOUND]
-    x = 4.0 / (primes - 1.0) ** 2
-    k = lfun.SERIES_TERMS + 1
-    dropped = np.sum(x**k / k / (1.0 - x))
-    dropped += 4.0**k / (k * (2 * k - 1)) * (10**6 - 1.0) ** (1 - 2 * k)
-    assert dropped < 1e-17
-
-
 def test_power_sums_folded_from_a_multiple_match_a_direct_pass(monkeypatch):
     P = 200_000
     direct = {}
@@ -435,29 +422,27 @@ def oracle_a(q, chi, truncation):
     and at the primes dividing q, times the exponential of the series."""
     m, group = chi.modulus, chi.group
     vals = values(chi)
-    M, K, T = lfun.EXACT_BOUND, lfun.SERIES_POWERS, lfun.SERIES_TERMS
+    M, K = lfun.EXACT_BOUND, lfun.SERIES_POWERS
     small = primes_upto(M - 1 if truncation is None else min(truncation, M - 1))
     z = vals[small % m]
     value = complex(np.prod(np.where(q % small == 0, 1.0 - z / small,
                                      1.0 - (1.0 - z) ** 2 / (small - 1.0) ** 2)))
     large = [p for p in primes_upto(q) if q % p == 0 and p >= M]
+    # sums[s, l]: the prime sum of p^-s weighted by chi^l, where chi^0 is
+    # 1 at every prime
     if truncation is None:
-        sums = lfun._prime_sums(m, M)
-        # chi^0 = 1 at every prime, then chi^l for l = 1..K
-        rows = [sums.shape[1] - 1] + [
+        prime_sums = lfun._prime_sums(m, M)
+        rows = [prime_sums.shape[1] - 1] + [
             group.character(tuple(l * k for k in chi.label)).index
             for l in range(1, K + 1)]
-        log_rest = complex(np.sum(lfun._COEFFICIENTS * sums[:, rows]))
-        for p in large:
-            log_rest -= cmath.log(1 - (1 - chi(p)) ** 2 / (p - 1) ** 2)
+        sums = prime_sums[:, rows]
     else:
-        u = (1.0 - vals) ** 2
-        sums = lfun._residue_power_sums(m, math.lcm(q, m), truncation)
-        log_rest = -sum((u**k @ sums[k - 1]) / k for k in range(1, T + 1))
-        for p in large:
-            log_rest += sum((u[p % m] / (p - 1.0) ** 2) ** k / k
-                            for k in range(1, T + 1))
+        residue_sums = lfun._residue_power_sums(m, math.lcm(q, m), truncation)
+        sums = np.column_stack([residue_sums.sum(axis=1)] + [
+            residue_sums @ vals**l for l in range(1, K + 1)])
+    log_rest = complex(np.sum(lfun._COEFFICIENTS * sums))
     for p in large:
+        log_rest -= cmath.log(1 - (1 - chi(p)) ** 2 / (p - 1) ** 2)
         value *= 1.0 - vals[p % m] / p
     return value * cmath.exp(log_rest)
 
@@ -468,6 +453,8 @@ def test_ctable_matches_per_character_oracle(q, P):
     def close(got, want):
         return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    primes = primes_upto(10**5)
+    divides = q % primes == 0
     for m in range(1, q + 1):
         if q % m:
             continue
@@ -476,6 +463,13 @@ def test_ctable_matches_per_character_oracle(q, P):
         for chi in character_group(m).characters():
             a = oracle_a(q, chi, P)
             assert close(table.a[chi.index], a), (q, P, chi.name())
+            if P == 10**5:
+                # independent of the series: every factor up to P multiplied
+                z = values(chi)[primes % m]
+                direct = complex(np.prod(np.where(
+                    divides, 1.0 - z / primes,
+                    1.0 - (1.0 - z) ** 2 / (primes - 1.0) ** 2)))
+                assert close(table.a[chi.index], direct), (q, chi.name())
             if chi.is_principal():
                 continue
             l0, l1 = oracle_l0(chi), oracle_l1(chi)

@@ -15,7 +15,7 @@ from primebias import (
     singular_pair,
     singular_zero,
 )
-from primebias import singular
+from primebias import lfun, singular
 from primebias.singular import MAX_PAIR_CUTOFF
 
 
@@ -185,6 +185,23 @@ def test_untruncated_twin_tail_takes_out_large_prime_divisors():
     # 2018 = 2 * 1009 leaves out the factor of 1009, above the exact bound
     got = SingularContext(2018).twin_tail / SingularContext(4).twin_tail
     assert got == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15)
+
+
+@pytest.mark.parametrize("P", [10**5, 10**7])
+@pytest.mark.parametrize("q", [3, 5, 2018])
+def test_truncated_twin_tail_matches_a_compensated_log_sum(q, P):
+    # the reference sums log(1 - 1/(p-1)^2) over the odd p !| q up to P
+    # with math.fsum; a plain product of the factors drifts by ~3e-13 at
+    # P = 10^7
+    primes = primes_upto(P)
+    primes = primes[(primes > 2) & (q % primes != 0)]
+    logs = np.log1p(-1.0 / (primes - 1.0) ** 2)
+    want = math.exp(math.fsum(logs))
+    got = SingularContext(q, truncation=P).twin_tail
+    assert abs(got / want - 1) <= 2e-15, (got, want)
+    # the series part alone, over EXACT_BOUND <= p <= P
+    large = math.fsum(logs[primes >= lfun.EXACT_BOUND])
+    assert abs(lfun.large_prime_log(q, P) - large) <= 1e-16
 
 
 def test_untruncated_within_tail_of_truncated():
