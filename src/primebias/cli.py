@@ -207,6 +207,8 @@ def _cmd_constants(args):
 
     q, truncation = args.q, args.truncation
     axes = _pattern_axes(args)
+    if args.forms and len(axes) != 2:
+        raise ValueError("--forms lists the closed forms of pairs")
     c1, c2 = _pattern_constants(q, np.ix_(*axes), truncation)
     tail = _pattern_keys(itertools.product(*axes[1:]), len(axes) - 1)
     b = np.array(axes[-1])
@@ -214,7 +216,7 @@ def _cmd_constants(args):
     def blocks():
         for i, a in enumerate(axes[0]):
             keys = [f"{a};{k}" for k in tail]
-            if not (args.forms and len(axes) == 2):
+            if not args.forms:
                 yield {"pattern": keys, "c1": c1[i].ravel(),
                        "c2": c2[i].ravel(), "c2_method": "reduced"}
                 continue
@@ -252,6 +254,8 @@ def _analytic_s0(q, v, H, k, truncation):
 def _cmd_s0(args):
     from .singular import SingularContext, s0_brute
 
+    if args.k < 0:
+        raise ValueError(f"--k must be >= 0, got {args.k}")
     ctx = SingularContext(args.q, truncation=args.truncation)
     rows = []
     for v in args.v:

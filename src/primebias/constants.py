@@ -11,8 +11,8 @@ C(q, chi), which enter through one kernel per divisor d of a modulus,
 K(u) = sum over chi mod d of C(q, chi) conj(chi)(u).  Every closed form of
 the pair constant has the shape c2(q; (a, b)) = F(b - a) + G(a) + H(b).  One
 table per q holds them all, and no value is returned until every applicable
-form agrees with the divisor-reduced one on every pair.  Longer patterns and
-skip patterns reduce to the pair constants, for one pattern or a grid.
+form is bounded within tolerance of the divisor-reduced one on every pair,
+in O(q).  Longer patterns and skip patterns reduce to the pair constants.
 """
 
 from __future__ import annotations
@@ -246,45 +246,44 @@ def _c2_diagonal(q: int) -> float:
 # forms that apply only on (True) or only off (False) the diagonal a = b
 _ON_DIAGONAL = {"diagonal": True, "prime_q": False}
 
-_CHECK_BLOCK = 1 << 18  # pairs compared at once: a few MB at any q
-# phi(q)^2, the pairs every c2 table is checked on (16,257,024 at q =
-# 19,110); above it the check, not the characters, would take hours
-MAX_CHECKED_PAIRS = 1 << 27
-
 
 def _check_forms(q: int, forms: Mapping[str, _PairForm]) -> None:
-    """Compare every applicable form with the reduced one on every pair."""
+    """Bound each form's distance from the reduced one on all pairs, in O(q):
+    the half-ranges of dF(b - a), dG(a) and dH(b) over the arguments unit
+    pairs reach, |their summed midranges|, and 2 eps per unit of the largest
+    terms for rounding.  The diagonal form is compared on its phi pairs."""
     units = np.array(Modulus(q).classes)
-    rows = max(1, _CHECK_BLOCK // len(units))
-    for start in range(0, len(units), rows):
-        a = units[start:start + rows, None]
-        ref = forms["reduced"].at(q, a, units)
-        tol = FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(ref))
-        for tag, form in forms.items():
-            got = form.at(q, a, units)
-            bad = ~(np.abs(got - ref) <= tol)
-            if tag in _ON_DIAGONAL:
-                bad &= (a == units) == _ON_DIAGONAL[tag]
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise InternalConsistencyError(
-                    f"c2({q};({a[i, 0]},{units[j]})) forms disagree: "
-                    f"{tag}={got[i, j]!r} vs reduced={ref[i, j]!r}"
-                )
+    want, got = (forms[t].at(q, units, units) for t in ("reduced", "diagonal"))
+    bad = ~(abs(got - want) <= FORM_AGREEMENT_TOL * np.maximum(1.0, abs(want)))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise InternalConsistencyError(
+            f"c2({q};({units[i]},{units[i]})) forms disagree: "
+            f"diagonal={got[i]!r} vs reduced={want[i]!r}"
+        )
+    for tag, form in forms.items():
+        if tag in ("reduced", "diagonal"):
+            continue
+        # b - a over unit pairs: even when q is, never 0 off the diagonal
+        reach = np.arange(_ON_DIAGONAL.get(tag) is False, q, 2 - q % 2)
+        args = (reach, units, units)
+        diffs = [x[i] - y[i] for x, y, i in zip(form, forms["reduced"], args)]
+        lo, hi = np.array([(d.min(), d.max()) for d in diffs]).T
+        size = sum(abs(x).max() for x in form + forms["reduced"])
+        bound = ((hi - lo).sum() + abs((hi + lo).sum())) / 2
+        bound = float(bound + 2 * np.finfo(float).eps * size)
+        if not bound <= FORM_AGREEMENT_TOL:
+            v, a, b = (i[np.argmax(abs(d - np.median(d)))]  # the outliers
+                       for d, i in zip(diffs, args))
+            raise InternalConsistencyError(
+                f"c2 mod {q} forms disagree: {tag}=reduced+-{bound!r}; dF, "
+                f"dG and dH stray most at b - a = {v}, a = {a} and b = {b}"
+            )
 
 
 @lru_cache(maxsize=16)
 def _c2_table(q: int, truncation: int | None) -> Mapping[str, _PairForm]:
-    """Every closed form of c2 mod q by method tag, checked entry by entry.
-
-    Refused up front when the check would exceed MAX_CHECKED_PAIRS pairs.
-    """
-    pairs = totient(q) ** 2
-    if pairs > MAX_CHECKED_PAIRS:
-        raise ValueError(
-            f"the c2 forms mod {q} are checked on phi(q)^2 = {pairs} pairs, "
-            f"above the budget of {MAX_CHECKED_PAIRS}"
-        )
+    """Every closed form of c2 mod q by method tag, checked (_check_forms)."""
     s0 = s0c_vector(q, truncation)
     f = math.log(2 * math.pi) / 2 + q * (s0 + _sawtooth(q))
     zeros = np.zeros(q)

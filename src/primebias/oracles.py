@@ -9,7 +9,8 @@ primitive character of a group, looked up by label; B_q(v) one value at
 a time;
 S_q({0, h}) by trial division of h; D0, D1 and D2 from their defining
 truncated sums, O(cutoff^2); C(q, chi) through the primitive and dyadic
-reduction identities; the character-free c2(a,b) + c2(b,a); closed-form
+reduction identities; the character-free c2(a,b) + c2(b,a); every c2 form
+compared with the reduced one pair by pair; closed-form
 predictions for q in {3, 4} and odd prime q; the Legendre-symbol sum over
 a pair count table.
 """
@@ -27,6 +28,7 @@ from .arith import (InternalConsistencyError, Modulus, ResiduePattern,
                     canonical_residue, moebius, prime_factors, primes_upto,
                     totient, von_mangoldt)
 from .characters import CharacterGroup, DirichletCharacter, character_group
+from .constants import FORM_AGREEMENT_TOL, _ON_DIAGONAL
 from .predict import _race_scales
 from .singular import SingularContext
 
@@ -34,7 +36,8 @@ __all__ = ["repeat_count", "value_rows", "value_matrix", "ctable_by_matrix",
            "conjugate_character", "principal_character",
            "primitive_character", "sawtooth_B", "singular_pair",
            "singular_zero", "DensityTerms", "density_terms_brute",
-           "reduce_c", "c2_symmetric_sum", "always_bias_difference",
+           "reduce_c", "c2_symmetric_sum", "check_forms_by_pairs",
+           "always_bias_difference",
            "quad_residue_sum_prediction", "character_sum"]
 
 
@@ -338,6 +341,28 @@ def c2_symmetric_sum(q: int, a: int, b: int) -> float:
     d = math.gcd(b - a, q)
     qd = q // d
     return math.log(2 * math.pi) - mod.phi * von_mangoldt(qd) / totient(qd)
+
+
+def check_forms_by_pairs(q: int, forms) -> None:
+    """Compare every applicable form of a c2 table (constants._c2_table)
+    with the reduced one on each of the phi(q)^2 unit pairs, at
+    FORM_AGREEMENT_TOL * max(1, |c2|); raise naming the first pair out of
+    tolerance.  Holds phi(q)^2 floats per form."""
+    units = np.array(Modulus(q).classes)
+    a = units[:, None]
+    ref = forms["reduced"].at(q, a, units)
+    tol = FORM_AGREEMENT_TOL * np.maximum(1.0, np.abs(ref))
+    for tag, form in forms.items():
+        got = form.at(q, a, units)
+        bad = ~(np.abs(got - ref) <= tol)
+        if tag in _ON_DIAGONAL:
+            bad &= (a == units) == _ON_DIAGONAL[tag]
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise InternalConsistencyError(
+                f"c2({q};({units[i]},{units[j]})) forms disagree: "
+                f"{tag}={got[i, j]!r} vs reduced={ref[i, j]!r}"
+            )
 
 
 def always_bias_difference(q: int, x: float) -> float:

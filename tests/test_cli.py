@@ -658,16 +658,11 @@ def test_pattern_budget_exit_code(capsys):
 def test_character_table_budget_exit_code(monkeypatch, capsys):
     # the real budgets admit the largest tables constants can ask for
     assert totient(19110) ** 2 <= MAX_PATTERNS
-    assert totient(19110) ** 2 <= constants.MAX_CHECKED_PAIRS
     assert totient(19110) * 19110 <= MAX_CHARACTER_ENTRIES
     assert 19110 <= MAX_GROUP_MODULUS
-    # every refusal exits 2 at once with nothing written: the c2 check of
-    # phi(q)^2 pairs, a group above the modulus bound, and a character
-    # table of more than phi(m) * m entries
-    runs = [["constants", "--q", "99991", "--classes", "1,1"],
-            ["predict", "--q", "99991", "--classes", "1,2", "--x", "1e9",
-             "--method", "asymptotic"],
-            ["dump-lvalues", "--q", str(MAX_GROUP_MODULUS + 1)],
+    # every refusal exits 2 at once with nothing written: a group above the
+    # modulus bound, and a character table of more than phi(m) * m entries
+    runs = [["dump-lvalues", "--q", str(MAX_GROUP_MODULUS + 1)],
             ["s0", "--q", str(MAX_GROUP_MODULUS + 1), "--v", "1", "--H", "1e3",
              "--method", "analytic"],
             ["dump-characters", "--q", "99991"]]
@@ -707,6 +702,25 @@ def test_runaway_quadrature_and_s0_exit_code(capsys):
         assert code == 2, argv
         assert out == ""
         assert time.perf_counter() - start < 5, argv
+
+
+@pytest.mark.parametrize("method", ["analytic", "brute", "both"])
+@pytest.mark.parametrize("v", ["0", "1"])
+def test_negative_moment_exit_code(method, v, capsys):
+    # S_0^k has no negative moments, on the zero class or off it
+    argv = ["s0", "--q", "5", "--v", v, "--H", "100", "--k", "-1",
+            "--method", method]
+    assert run_cli(argv, capsys) == (2, "")
+
+
+@pytest.mark.parametrize("tail", [["--classes", "1,2,3"], ["--r", "3"]])
+def test_forms_beyond_pairs_exit_code(tail, capsys):
+    # the closed forms are of pair constants: refused, not dropped
+    argv = ["constants", "--q", "5", "--forms"] + tail
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "--forms lists the closed forms of pairs" in captured.err
 
 
 def test_rel_tol_refused_before_sieving(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from primebias import (
     von_mangoldt,
 )
 from primebias import cli, constants
+from primebias.oracles import check_forms_by_pairs
 
 P_FAST = 200_000  # identity checks are truncation-independent, keep them quick
 
@@ -209,7 +210,7 @@ def test_check_forms_hold_no_q_by_q_array():
 
 @pytest.mark.parametrize("builder,tag,vector,index,raises", [
     ("_direct_form", "direct", "h", 1, True),
-    ("_direct_form", "direct", "g", 4, True),  # the last row block only
+    ("_direct_form", "direct", "g", 4, True),
     ("_character_form", "character", "g", 2, True),
     ("_reduced_form", "direct", "f", 3, True),  # reduced is the reference
     ("_prime_form", "prime_q", "f", 1, True),
@@ -226,7 +227,6 @@ def test_one_skewed_entry_raises(monkeypatch, builder, tag, vector, index,
         return form._replace(**{vector: vec})
 
     monkeypatch.setattr(constants, builder, skewed)
-    monkeypatch.setattr(constants, "_CHECK_BLOCK", 8)  # two rows per block
     constants._c2_table.cache_clear()
     try:
         if raises:
@@ -249,6 +249,68 @@ def test_skewed_diagonal_raises(monkeypatch):
             c2_pair(12, 1, 5, truncation=P_FAST)
     finally:
         constants._c2_table.cache_clear()
+
+
+def _skewed(table, tag, vector, index, size):
+    """A copy of a c2 table with vector[index] of one form moved by size."""
+    forms = dict(table)
+    vec = getattr(forms[tag], vector).copy()
+    vec[index] += size
+    forms[tag] = forms[tag]._replace(**{vector: vec})
+    return forms
+
+
+def _raises(check, q, forms):
+    try:
+        check(q, forms)
+    except InternalConsistencyError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("q", [5, 7, 12, 30, 60, 97])
+def test_bound_catches_whatever_the_pair_scan_catches(q):
+    # the O(q) bound is never looser than the phi(q)^2 scan it replaced
+    table = constants._c2_table(q, P_FAST)
+    assert not _raises(check_forms_by_pairs, q, table)
+    assert not _raises(constants._check_forms, q, table)
+    rng = np.random.default_rng(q)
+    caught = 0
+    for tag in table:
+        for vector in "fgh":
+            # three entries, then the whole vector shifted
+            for index in [*rng.integers(0, q, size=3), slice(None)]:
+                for size in (3e-9, -3e-8, 1e-6):
+                    forms = _skewed(table, tag, vector, index, size)
+                    if _raises(check_forms_by_pairs, q, forms):
+                        caught += 1
+                        assert _raises(constants._check_forms, q, forms), (
+                            tag, vector, index, size)
+        # a constant moved from F to G changes no pair
+        moved = _skewed(_skewed(table, tag, "f", slice(None), -0.37),
+                        tag, "g", slice(None), 0.37)
+        assert not _raises(check_forms_by_pairs, q, moved), tag
+        assert not _raises(constants._check_forms, q, moved), tag
+    assert caught
+
+
+def test_skew_no_unit_pair_reads_passes():
+    # at even q, b - a is even on unit pairs, so F at an odd v is never read
+    table = constants._c2_table(12, P_FAST)
+    forms = _skewed(table, "direct", "f", 3, 1e-6)
+    constants._check_forms(12, forms)
+    check_forms_by_pairs(12, forms)
+
+
+def test_c2_at_99991_matches_the_symmetric_sum():
+    # phi(q)^2 = 9,998,000,100 pairs, every one within the bound
+    q = 99991
+    for a, b in ((1, 2), (3, 99990), (12345, 67890)):
+        got = c2_pair(q, a, b) + c2_pair(q, b, a)
+        want = c2_symmetric_sum(q, a, b)
+        assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (a, b, got, want)
+    assert sorted(c2_pair_forms(q, 1, 2)) == [
+        "character", "direct", "prime_q", "reduced"]
 
 
 def test_c2_reversal_symmetry():
