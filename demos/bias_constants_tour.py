@@ -13,9 +13,8 @@ closed forms that exist at q = 3, 4, 8 and 12.
 
 import math
 
-from primebias import c1, c2_general, c2_pair, c2_pair_forms, character_group
+from primebias import build_ctable, c1, c2_general, c2_pair, c2_pair_forms
 from primebias.arith import Modulus
-from primebias.lfun import a_q_chi
 
 for q in (4, 8):
     mod = Modulus(q)
@@ -39,12 +38,13 @@ print("q=8 (1,5)  computed   :", c2_pair(8, 1, 5))
 print()
 
 # %%
-# Mod 12 the quadratic character of conductor 3 contributes through the
-# Euler product A, taken over every prime; the ambient modulus 12 owns the
-# local factor at 2.
+# Mod 12 the quadratic character chi of conductor 3 contributes through
+# the Euler product A, taken over every prime.  The ambient modulus owns
+# the local factor at 2: 1 - chi(2)/2 = 3/2 mod 12, against
+# 1 - (1 - chi(2))^2 = -3 mod 3, so A(12, chi) = -A(3, chi)/2.  chi is
+# row 1 of the table mod 3, its one odd character.
 
-chi = next(c for c in character_group(3).characters() if c.is_odd())
-A = a_q_chi(12, chi)[0].real
+A = -build_ctable(3).a[1].real / 2
 print(f"A_12 = {A:.6f}   (enters c2 as pi/sqrt(3) * A = {math.pi / math.sqrt(3) * A:.6f})")
 print(f"c2(12;(5,7))  = {c2_pair(12, 5, 7):+.6f}   <- largest")
 print(f"c2(12;(1,11)) = {c2_pair(12, 1, 11):+.6f}")

@@ -25,8 +25,7 @@ _SUBMODULE = {
         "skip_coefficient",
     ), "constants"),
     **dict.fromkeys((
-        "CTable", "CTableRow", "a_q_chi", "build_ctable", "c_q_chi",
-        "l_at_one", "l_at_zero", "tail_bound",
+        "CTable", "CTableRow", "build_ctable", "tail_bound",
     ), "lfun"),
     **dict.fromkeys((
         "PredictionRow", "adaptive_gauss_legendre", "asymptotic_prediction",

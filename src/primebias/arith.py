@@ -235,9 +235,6 @@ class Modulus:
     def canonical(self, v: int) -> int:
         return canonical_residue(self.q, v)
 
-    def __int__(self) -> int:
-        return self.q
-
 
 @dataclass(frozen=True)
 class ResiduePattern:

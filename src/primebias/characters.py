@@ -15,8 +15,11 @@ f at the units laid on the grid (`transform`), and so is its converse,
 sum_i c_i chi_i(n) at every unit.  Values at a few n are read from the
 labels a block of rows at a time (`value_blocks`).  The parity and
 conductor vectors are exact functions of the label.  A group holds O(m)
-integers; a character is its group and its row, made on first use, one
-shared instance per row.
+integers, and every datum of a character is read from it at the
+character's row: labels, parity and conductor, and the character_orders
+and names worked out from the labels.  A DirichletCharacter is its group
+and its row, and only evaluates chi(n) at one n; characters() makes them
+on first use, one shared instance per row.
 
 Moduli m = 1 and m = 2 are allowed (their groups are trivial) because
 the constant machinery walks divisors q/d of a pattern modulus.
@@ -229,12 +232,6 @@ class CharacterGroup:
     def _all(self) -> tuple["DirichletCharacter", ...]:
         return tuple(DirichletCharacter(self, i) for i in range(self.phi))
 
-    def character(self, label: tuple[int, ...]) -> "DirichletCharacter":
-        """The character with this label, one shared instance per label."""
-        if len(label) != len(self.orders):
-            raise ValueError(f"label length {len(label)} != rank {len(self.orders)}")
-        return self._all[int(self.rows(np.array(label, dtype=np.int64)))]
-
     def characters(self) -> list["DirichletCharacter"]:
         """All phi(m) characters in lexicographic label order."""
         return list(self._all)
@@ -247,7 +244,8 @@ def character_group(m: int) -> CharacterGroup:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Row `index` of its group: the character with that label."""
+    """Row `index` of its group, evaluated one n at a time: chi(n).  Its
+    name, parity, order and conductor are the group's entries at index."""
 
     group: CharacterGroup
     index: int
@@ -265,34 +263,3 @@ class DirichletCharacter:
             return 0j
         t = sum(map(operator.mul, self._weights, group.labels[k].tolist()))
         return group._roots.item(t % group.exponent)
-
-    # --- structure ----------------------------------------------------
-
-    @property
-    def modulus(self) -> int:
-        return self.group.m
-
-    @property
-    def label(self) -> tuple[int, ...]:
-        return tuple(self.group.labels[self.index].tolist())
-
-    def is_principal(self) -> bool:
-        return self.index == 0
-
-    def parity(self) -> int:
-        """chi(-1) as +1 or -1; characters with chi(-1) = -1 are odd."""
-        return int(self.group.parity[self.index])
-
-    def is_odd(self) -> bool:
-        return self.parity() == -1
-
-    def order(self) -> int:
-        return int(self.group.character_orders(self.index))
-
-    def name(self) -> str:
-        """Stable text label, e.g. 'mod12:1.0'."""
-        return self.group.names([self.index])[0]
-
-    def conductor(self) -> int:
-        """Smallest f | m with chi trivial on {n = 1 mod f, gcd(n, m) = 1}."""
-        return int(self.group.conductor[self.index])

@@ -164,7 +164,7 @@ def _cmd_count(args):
 def _cmd_predict(args):
     from .constants import _pattern_constants, skip_coefficient
     from .lfun import tail_bound
-    from .predict import _RowDensity, _asymptotic_terms, _skip_terms
+    from .predict import _RowDensity, _asymptotic_terms
 
     q, xs = args.q, args.x
     axes = _pattern_axes(args)
@@ -176,14 +176,14 @@ def _cmd_predict(args):
         values, errors = np.transpose(
             [[row.integral(x, args.rel_tol) for x in xs] for row in rows],
             (2, 0, 3, 1))
-    elif method == "skip":  # c2 for a = b, then for a != b
-        c2 = np.where(np.equal.outer(*axes), *(
-            skip_coefficient(q, args.skip, e)[1] for e in (True, False)))
-        values = np.stack([_skip_terms(c2, Modulus(q).phi**2, x)["value"]
-                           for x in xs], axis=-1)
-        method = f"skip{args.skip}"
     else:
-        c1, c2 = _pattern_constants(q, np.ix_(*axes), args.truncation)
+        if method == "skip":  # c1 is 0; c2 for a = b, then for a != b
+            c1 = 0.0
+            c2 = np.where(np.equal.outer(*axes), *(
+                skip_coefficient(q, args.skip, e)[1] for e in (True, False)))
+            method = f"skip{args.skip}"
+        else:
+            c1, c2 = _pattern_constants(q, np.ix_(*axes), args.truncation)
         patterns = Modulus(q).phi ** len(axes)
         values = np.stack([_asymptotic_terms(c1, c2, patterns, x)["value"]
                            for x in xs], axis=-1)

@@ -47,8 +47,10 @@ for even chi and drive all the second-order bias constants.
 
 chi may live on any modulus m dividing the ambient q, and also on moduli
 coprime to parts of q; chi(p) is always evaluated with chi's own modulus.
-Every value is read from one cached table per (q, m, truncation) that
-holds L(0), L(1), A and C for all the characters mod m at once.  Each
+Every value lives in one cached table per (q, m, truncation) that holds
+L(0), L(1), A and C for all the characters mod m at once (_ctable;
+build_ctable when m = q): one character's value is the entry at its row
+of the group, and the table's tail is the tail bound of its A.  Each
 sum over a, sum_a chi(a) f(a) for every chi mod m, is one unnormalised
 inverse DFT over the unit group (CharacterGroup.transform; D. J. Platt,
 Math. Comp. 85, 2016, takes the L-values of a modulus the same way):
@@ -67,15 +69,11 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import moebius, prime_factors, primes_upto
-from .characters import CharacterGroup, DirichletCharacter, character_group
+from .characters import CharacterGroup, character_group
 
 __all__ = [
-    "l_at_zero",
-    "l_at_one",
     "hurwitz_zeta",
     "large_prime_log",
-    "a_q_chi",
-    "c_q_chi",
     "tail_bound",
     "CTable",
     "build_ctable",
@@ -317,8 +315,8 @@ class CTable:
         group = self.group
         columns = (x[1:].tolist() for x in (group.conductor, group.parity,
                                             self.l0, self.l1, self.a, self.c))
-        return tuple(CTableRow(chi.name(), *v, self.tail)
-                     for chi, *v in zip(group.characters()[1:], *columns))
+        return tuple(CTableRow(name, *v, self.tail)
+                     for name, *v in zip(group.names(slice(1, None)), *columns))
 
 
 @lru_cache(maxsize=256)
@@ -385,35 +383,6 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     for array in (l0, l1, a, c):
         array.flags.writeable = False
     return CTable(q, truncation, group, l0, l1, a, c, tail_bound(truncation))
-
-
-def l_at_zero(chi: DirichletCharacter) -> complex:
-    """L(0, chi) for non-principal chi; exactly 0 for even characters."""
-    if chi.is_principal():
-        raise ValueError("L(0, chi) requires a non-principal character")
-    return complex(_ctable(chi.modulus, chi.modulus, None).l0[chi.index])
-
-
-def l_at_one(chi: DirichletCharacter) -> complex:
-    """L(1, chi) for non-principal chi via the digamma formula."""
-    if chi.is_principal():
-        raise ValueError("L(1, chi) requires a non-principal character")
-    return complex(_ctable(chi.modulus, chi.modulus, None).l1[chi.index])
-
-
-def a_q_chi(
-    q: int, chi: DirichletCharacter, truncation: int | None = None
-) -> tuple[complex, float]:
-    """A(q, chi), in full or truncated at P, together with its tail bound."""
-    table = _ctable(int(q), chi.modulus, truncation)
-    return complex(table.a[chi.index]), table.tail
-
-
-def c_q_chi(
-    q: int, chi: DirichletCharacter, truncation: int | None = None
-) -> complex:
-    """C(q, chi) = L(0,chi) L(1,chi) A(q,chi); exactly 0 unless chi is odd."""
-    return complex(_ctable(int(q), chi.modulus, truncation).c[chi.index])
 
 
 def build_ctable(q: int, truncation: int | None = None) -> CTable:

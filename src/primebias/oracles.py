@@ -151,28 +151,32 @@ def ctable_by_matrix(q: int, m: int, truncation: int | None = None,
     return l0, l1, a, c
 
 
+def _character(group: CharacterGroup, label) -> DirichletCharacter:
+    """The group's shared instance of the character with this label, read
+    modulo the orders."""
+    return group.characters()[int(group.rows(np.asarray(label)))]
+
+
 def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
     """The conjugate of chi: the group's shared instance of the negated
     label."""
-    group = chi.group
-    return group.character(
-        tuple((-k) % s for k, s in zip(chi.label, group.orders))
-    )
+    return _character(chi.group, -chi.group.labels[chi.index])
 
 
 def principal_character(group: CharacterGroup) -> DirichletCharacter:
-    """The group's shared instance of the all-zero label."""
-    return group.character(tuple(0 for _ in group.orders))
+    """The group's shared instance of the all-zero label, its row 0."""
+    return group.characters()[0]
 
 
 def primitive_character(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) inducing chi: its
     exponent at each generator g of the group mod f is read, rounded from
     the angle, off chi's value at a unit n = g mod f."""
-    f = chi.conductor()
+    group = chi.group
+    f = int(group.conductor[chi.index])
     sub = character_group(f)
-    E = chi.group.exponent
-    values = value_rows(chi.group, [chi.index])[0]
+    E = group.exponent
+    values = value_rows(group, [chi.index])[0]
     label = []
     for g, s in zip(sub.generators, sub.orders):
         lifts = values[g::f]  # the n = g mod f
@@ -180,10 +184,11 @@ def primitive_character(chi: DirichletCharacter) -> DirichletCharacter:
         # chi*(g) = exp(2 pi i t / E) must be an s-th root of unity
         if (t * s) % E != 0:
             raise InternalConsistencyError(
-                f"{chi.name()} is not induced from conductor {f}"
+                f"{group.names([chi.index])[0]} is not induced from "
+                f"conductor {f}"
             )
         label.append(t * s // E)
-    return sub.character(tuple(label))
+    return _character(sub, np.array(label, dtype=np.int64))
 
 
 def sawtooth_B(q: int, v: int) -> float:
@@ -300,32 +305,36 @@ def reduce_c(
     Both must agree with the direct evaluation; the identities are exact
     at any fixed truncation, so the tolerance is rounding-level.
     """
-    direct = lfun.c_q_chi(q, chi, truncation)
+    group = chi.group
+    name = group.names([chi.index])[0]
+    direct = lfun._ctable(q, group.m, truncation).c[chi.index]
 
     chi_star = primitive_character(chi)
     extra = 1.0 + 0j
-    for p in prime_factors(chi.modulus):
+    for p in prime_factors(group.m):
         extra *= 1.0 - chi_star(p)
-    via_primitive = lfun.c_q_chi(q, chi_star, truncation) * extra
+    via_primitive = (lfun._ctable(q, chi_star.group.m, truncation)
+                     .c[chi_star.index] * extra)
     scale = max(abs(direct), 1.0)
     if abs(via_primitive - direct) > 1e-9 * scale:
         raise InternalConsistencyError(
-            f"primitive reduction mismatch for q={q}, chi={chi.name()}: "
+            f"primitive reduction mismatch for q={q}, chi={name}: "
             f"{via_primitive} vs {direct}"
         )
 
-    if q % 2 == 0 and chi.modulus % 2 == 1:
+    if q % 2 == 0 and group.m % 2 == 1:
         q0 = q
         while q0 % 2 == 0:
             q0 //= 2
-        via_dyadic = np.conj(chi(2)) / 2.0 * lfun.c_q_chi(q0, chi, truncation)
+        via_dyadic = (np.conj(chi(2)) / 2.0
+                      * lfun._ctable(q0, group.m, truncation).c[chi.index])
         if abs(via_dyadic - direct) > 1e-9 * scale:
             raise InternalConsistencyError(
-                f"dyadic reduction mismatch for q={q}, chi={chi.name()}: "
+                f"dyadic reduction mismatch for q={q}, chi={name}: "
                 f"{via_dyadic} vs {direct}"
             )
 
-    return via_primitive
+    return complex(via_primitive)
 
 
 def c2_symmetric_sum(q: int, a: int, b: int) -> float:
@@ -399,7 +408,7 @@ def character_sum(table) -> int:
         raise ValueError("character sums are defined for pair tables")
     # the Legendre symbol: the character sending the primitive root to -1;
     # its values are exactly +-1 on units
-    chi = character_group(q).character(((q - 1) // 2,))
+    chi = _character(character_group(q), [(q - 1) // 2])
     legendre = [round(chi(n).real) for n in range(q)]
     return sum(
         legendre[a] * legendre[b] * n for (a, b), n in table.counts.items()

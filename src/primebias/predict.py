@@ -230,7 +230,8 @@ def _asymptotic_terms(c1, c2, patterns: int, x: float) -> dict:
     taken once for all of them.
     """
     if x <= math.e:
-        raise ValueError("x too small for loglog")
+        raise ValueError(f"x must exceed e = {math.e:.6f} for loglog x, "
+                         f"got {x:g}")
     li_x = li(x)
     main = li_x / patterns
     logx = math.log(x)
@@ -273,23 +274,15 @@ def integral_prediction(q: int, a: int, b: int, x: float,
     )
 
 
-def _skip_terms(c2, patterns: int, x: float) -> dict:
-    """li(x)/patterns (1 + c2/log x) with its terms; c2 may be an array,
-    li(x) is taken once for all of them."""
-    li_x = li(x)
-    main = li_x / patterns
-    return {"li": li_x, "main": main, "c2_skip": c2,
-            "value": main * (1.0 + c2 / math.log(x))}
-
-
 def skip_prediction(
     q: int, a: int, b: int, k: int, x: float
 ) -> PredictionRow:
-    """Expected count of primes k apart in the sequence landing on (a, b)."""
+    """Expected count of primes k apart in the sequence landing on (a, b):
+    the two-term asymptotic with the skip constants, whose c1 is 0."""
     mod = Modulus(q)
     a, b = mod.canonical(a), mod.canonical(b)
-    _, c2s = skip_coefficient(q, k, equal=(a == b))
-    terms = _skip_terms(c2s, mod.phi**2, x)
+    terms = _asymptotic_terms(*skip_coefficient(q, k, equal=(a == b)),
+                              mod.phi**2, x)
     return PredictionRow(
         q=q, classes=(a, b), x=x, method=f"skip{k}",
         value=terms.pop("value"), terms=terms,

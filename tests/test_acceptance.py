@@ -15,27 +15,24 @@ import pytest
 from primebias import (
     SieveConfig,
     asymptotic_prediction,
+    build_ctable,
     c2_pair,
     c2_pair_forms,
     c2_symmetric_sum,
-    c_q_chi,
     character_group,
     character_sum,
     count_patterns,
     count_patterns_series,
     density_terms_brute,
     integral_prediction,
-    l_at_one,
-    l_at_zero,
     primitive_character,
     reduce_c,
     s0_brute,
     s0_main,
     s0_moment_main,
 )
-from primebias import cli
+from primebias import cli, lfun
 from primebias.arith import Modulus
-from primebias.lfun import a_q_chi
 from primebias.oracles import value_matrix
 from primebias.predict import _RowDensity
 from primebias.singular import SingularContext
@@ -213,9 +210,10 @@ def test_criterion_05_closed_form_constants():
 
     # the primitive odd quadratic character mod 3 drives the mod-12 entries;
     # the ambient modulus 12 supplies the (1 - chi(2)/2) factor
-    chi = primitive_character(next(c for c in character_group(12).characters()
-                                   if c.conductor() == 3))
-    A = a_q_chi(12, chi, P)[0]
+    group = character_group(12)
+    (row,) = np.flatnonzero(group.conductor == 3)
+    chi = primitive_character(group.characters()[row])
+    A = lfun._ctable(12, chi.group.m, P).a[chi.index]
     assert abs(A.imag) < 1e-12
     assert abs(A.real - 1.036) <= 1e-3
     t = math.pi / math.sqrt(3) * A.real
@@ -333,25 +331,27 @@ def test_criterion_08_character_l_value_suite():
         if np.max(np.abs(gram - group.phi * np.eye(len(V)))) > 1e-12 * group.phi:
             failures.append(("orthogonality", q))
 
-    chi4 = next(c for c in character_group(4).characters()
-                if not c.is_principal())
-    if abs(l_at_one(chi4) - math.pi / 4) > 1e-10:
-        failures.append(("l_at_one", l_at_one(chi4)))
-    if abs(l_at_zero(chi4) - 0.5) > 1e-10:
-        failures.append(("l_at_zero", l_at_zero(chi4)))
+    # row 1 mod 4 is its one non-principal character
+    table = build_ctable(4)
+    l1, l0 = table.l1[1], table.l0[1]
+    if abs(l1 - math.pi / 4) > 1e-10:
+        failures.append(("L(1, chi_4)", l1))
+    if abs(l0 - 0.5) > 1e-10:
+        failures.append(("L(0, chi_4)", l0))
 
     for q in range(3, 31):
-        for chi in character_group(q).characters():
-            if chi.is_principal():
-                continue
-            direct = c_q_chi(q, chi, truncation=50_000)
-            if not chi.is_odd():
+        table = build_ctable(q, truncation=50_000)
+        group = table.group
+        for chi, name in zip(group.characters()[1:],
+                             group.names(slice(1, None))):
+            direct = table.c[chi.index]
+            if group.parity[chi.index] == 1:
                 if direct != 0j:
-                    failures.append(("even-C-nonzero", q, chi.name()))
+                    failures.append(("even-C-nonzero", q, name))
                 continue
             via = reduce_c(q, chi, truncation=50_000)
             if abs(via - direct) > 1e-8 * max(1.0, abs(direct)):
-                failures.append(("reduction", q, chi.name()))
+                failures.append(("reduction", q, name))
 
     assert not failures, failures
     _report(8, "character / L-value suite", "PASS")

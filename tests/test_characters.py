@@ -41,7 +41,7 @@ def test_principal_character():
     for n in range(1, 13):
         want = 1.0 if math.gcd(n, 12) == 1 else 0.0
         assert chi0(n) == pytest.approx(want, abs=1e-14)
-    assert chi0.is_principal()
+    assert chi0.index == 0
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 9, 12, 15, 16, 24, 40, 72, 100])
@@ -50,7 +50,7 @@ def test_row_orthogonality(m):
     phi = len(group.characters())
     for chi in group.characters():
         s = sum(chi(n) for n in range(1, m + 1))
-        want = phi if chi.is_principal() else 0.0
+        want = phi if chi.index == 0 else 0.0
         assert abs(s - want) < 1e-12
 
 
@@ -85,16 +85,13 @@ def test_parity_partition():
     # chi(-1) = +-1, and exactly half the characters are odd for m > 2
     for m in range(1, 101):
         group = character_group(m)
-        odd = [chi for chi in group.characters() if chi.is_odd()]
-        even = [chi for chi in group.characters() if not chi.is_odd()]
+        parity = group.parity.tolist()
         if m > 2:
-            assert len(odd) == len(even)
-        for chi in odd:
-            assert chi.parity() == -1
-            assert chi(m - 1) == pytest.approx(-1.0, abs=1e-12)
-        for chi in even:
-            assert chi.parity() == 1
-            assert chi(-1) == pytest.approx(1.0, abs=1e-12)
+            assert parity.count(-1) == parity.count(1)
+        for chi, p in zip(group.characters(), parity):
+            assert p in (-1, 1)
+            assert chi(m - 1) == pytest.approx(p, abs=1e-12)
+            assert chi(-1) == pytest.approx(p, abs=1e-12)
 
 
 def test_conjugate_inverts_values():
@@ -106,18 +103,16 @@ def test_conjugate_inverts_values():
 
 def test_conductors_mod12():
     group = character_group(12)
-    conductors = sorted(chi.conductor() for chi in group.characters())
-    assert conductors == [1, 3, 4, 12]
+    assert sorted(group.conductor.tolist()) == [1, 3, 4, 12]
 
 
 def test_conductors_mod8():
-    conductors = sorted(chi.conductor() for chi in character_group(8).characters())
-    assert conductors == [1, 4, 8, 8]
+    assert sorted(character_group(8).conductor.tolist()) == [1, 4, 8, 8]
 
 
 def definition_conductor(chi):
     """Smallest f | m with chi(n) = 1 on every unit n = 1 mod f, from values."""
-    m = chi.modulus
+    m = chi.group.m
     for f in range(1, m + 1):
         if m % f == 0 and all(
             abs(chi(n) - 1) < 1e-9
@@ -128,8 +123,10 @@ def definition_conductor(chi):
 
 def test_conductor_matches_definition():
     for m in range(1, 101):
-        for chi in character_group(m).characters():
-            assert chi.conductor() == definition_conductor(chi), chi.name()
+        group = character_group(m)
+        for chi, f, name in zip(group.characters(), group.conductor.tolist(),
+                                group.names(slice(None))):
+            assert f == definition_conductor(chi), name
 
 
 def slice_search_conductors(group):
@@ -182,20 +179,22 @@ def test_group_holds_o_of_m_integers(m):
 def test_primitive_character_agrees_on_coprimes():
     for m in range(1, 101):
         units = [n for n in range(m) if math.gcd(n, m) == 1]
-        for chi in character_group(m).characters():
+        group = character_group(m)
+        for chi, f, name in zip(group.characters(), group.conductor.tolist(),
+                                group.names(slice(None))):
             star = primitive_character(chi)
-            f = chi.conductor()
-            assert star.modulus == f
-            assert star.conductor() == f  # primitive: its own conductor
+            assert star.group.m == f
+            # primitive: its own conductor
+            assert star.group.conductor[star.index] == f
             got = value_matrix(star.group)[star.index][np.array(units) % f]
-            want = value_matrix(chi.group)[chi.index][units]
-            assert np.abs(got - want).max() < 1e-12, chi.name()
+            want = value_matrix(group)[chi.index][units]
+            assert np.abs(got - want).max() < 1e-12, name
 
 
 def test_order_divides_group_order():
     group = character_group(16)
     for chi in group.characters():
-        k = chi.order()
+        k = int(group.character_orders(chi.index))
         assert k >= 1
         for n in range(1, 16):
             if math.gcd(n, 16) == 1:
@@ -204,7 +203,7 @@ def test_order_divides_group_order():
 
 def test_name_round_trip():
     group = character_group(12)
-    names = [chi.name() for chi in group.characters()]
+    names = group.names(slice(None))
     assert len(set(names)) == len(names)
     for name in names:
         assert name.startswith("mod12:")
@@ -213,9 +212,9 @@ def test_name_round_trip():
 def test_characters_are_shared_instances():
     group = character_group(60)
     chars = group.characters()
-    assert [group.character(chi.label) for chi in chars] == chars
+    # each label's row is the character's own index
+    assert group.rows(group.labels).tolist() == [chi.index for chi in chars]
     for chi in chars:
-        assert group.character(chi.label) is chi
         assert conjugate_character(chi) is conjugate_character(chi)
         assert conjugate_character(conjugate_character(chi)) is chi
         assert primitive_character(chi) is primitive_character(chi)
@@ -233,7 +232,7 @@ def test_constants_build_each_character_once(tmp_path):
         "built = []\n"
         "init = characters.DirichletCharacter.__post_init__\n"
         "def recording(self):\n"
-        "    built.append((self.group.m, self.label))\n"
+        "    built.append((self.group.m, self.group.labels[self.index].tolist()))\n"
         "    init(self)\n"
         "characters.DirichletCharacter.__post_init__ = recording\n"
         "assert cli.main(['constants', '--q', '60', '--output', sys.argv[1]]) == 0\n"

@@ -348,12 +348,16 @@ def _compare_rows(q, r, x, truncation=None):
 
 
 def _character_rows(q):
-    return [{"name": chi.name(), "modulus": chi.modulus,
-             "conductor": chi.conductor(), "order": chi.order(),
-             "parity": chi.parity(),
+    group = character_group(q)
+    every = slice(None)
+    return [{"name": name, "modulus": q, "conductor": f, "order": k,
+             "parity": p,
              "values": ";".join("%.15g%+.15gj" % (z.real, z.imag)
-                                for z in value_matrix(chi.group)[chi.index])}
-            for chi in character_group(q).characters()]
+                                for z in values)}
+            for name, f, k, p, values in zip(
+                group.names(every), group.conductor.tolist(),
+                group.character_orders(every).tolist(),
+                group.parity.tolist(), value_matrix(group))]
 
 
 def _lvalue_rows(q, truncation=None):
@@ -565,14 +569,14 @@ def test_output_matches_dict_rows(argv, rows, fmt, tmp_path, capsys,
 def test_dumps_write_row_blocks_named_from_labels(argv, rows, fmt, tmp_path,
                                                   capsys, monkeypatch):
     rows = rows()
-    # blocks of 7 rows, the last one short; no character object named
+    # blocks of 7 rows, the last one short; no character object made
     monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
     monkeypatch.setattr(characters, "GATHER_ENTRIES", 7 * 97)
 
     def refuse(*args):
         raise AssertionError("a dump made a character to name a row")
-    for method in ("name", "order"):
-        monkeypatch.setattr(characters.DirichletCharacter, method, refuse)
+    monkeypatch.setattr(characters.DirichletCharacter, "__post_init__", refuse)
+    monkeypatch.setattr(characters.CharacterGroup, "characters", refuse)
     _check_output(argv, rows, fmt, tmp_path, capsys)
 
 
@@ -684,6 +688,19 @@ def test_character_table_budget_exit_code(monkeypatch, capsys):
         assert code == 2, argv
         assert out == ""
         assert time.perf_counter() - start < 5, argv
+
+
+def test_predict_refuses_x_not_above_e(capsys):
+    # loglog x is defined and positive only above e: skip and asymptotic
+    # predictions refuse x <= e alike, naming the bound, with nothing written
+    for method in ("skip", "asymptotic"):
+        for x in ("0", "1", "2"):
+            argv = ["predict", "--q", "3", "--x", x, "--method", method]
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == "", argv
+            assert "x must exceed e = 2.718282" in captured.err, argv
 
 
 def test_runaway_quadrature_and_s0_exit_code(capsys):

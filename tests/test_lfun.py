@@ -6,7 +6,9 @@ with its own tail control cross-checks a complex character.
 """
 
 import cmath
+import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -14,19 +16,15 @@ import pytest
 
 from primebias import (
     InternalConsistencyError,
-    a_q_chi,
     build_ctable,
     c2_general,
-    c_q_chi,
     character_group,
     conjugate_character,
-    l_at_one,
-    l_at_zero,
     primes_upto,
     reduce_c,
     tail_bound,
 )
-from primebias import constants, lfun
+from primebias import characters, constants, lfun
 from primebias.oracles import ctable_by_matrix, value_matrix
 
 
@@ -35,32 +33,37 @@ def values(chi):
     return value_matrix(chi.group)[chi.index]
 
 
-def quadratic_character(m):
-    """The unique real non-principal character for m in {3, 4}."""
-    chis = [c for c in character_group(m).characters()
-            if c.is_odd() and c.order() == 2]
-    assert len(chis) == 1
-    return chis[0]
+def real_character(m, odd=True, primitive=False):
+    """The unique real non-principal character mod m of that parity,
+    primitive if asked."""
+    group = character_group(m)
+    found = (group.character_orders(slice(None)) == 2) & (
+        group.parity == (-1 if odd else 1))
+    if primitive:
+        found &= group.conductor == m
+    (row,) = np.flatnonzero(found)
+    return group.characters()[row]
 
 
 def test_l_one_chi4_closed_form():
-    chi = quadratic_character(4)
-    assert l_at_one(chi) == pytest.approx(math.pi / 4, abs=1e-12)
+    chi = real_character(4)
+    assert build_ctable(4).l1[chi.index] == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_l_zero_chi4_closed_form():
-    chi = quadratic_character(4)
-    assert l_at_zero(chi) == pytest.approx(0.5, abs=1e-14)
+    chi = real_character(4)
+    assert build_ctable(4).l0[chi.index] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_l_one_chi3_closed_form():
-    chi = quadratic_character(3)
-    assert l_at_one(chi) == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-12)
+    chi = real_character(3)
+    assert build_ctable(3).l1[chi.index] == pytest.approx(
+        math.pi / (3 * math.sqrt(3)), abs=1e-12)
 
 
 def test_l_zero_chi3_closed_form():
-    chi = quadratic_character(3)
-    assert l_at_zero(chi) == pytest.approx(1.0 / 3, abs=1e-14)
+    chi = real_character(3)
+    assert build_ctable(3).l0[chi.index] == pytest.approx(1.0 / 3, abs=1e-14)
 
 
 GAMMA = 0.5772156649015329
@@ -91,14 +94,6 @@ def test_digamma_matches_scipy():
             assert np.abs(got - want).max() < 1e-12, m
 
 
-def real_primitive_character(m, parity):
-    """The unique real primitive character mod m with the given parity."""
-    chis = [c for c in character_group(m).characters()
-            if c.order() == 2 and c.conductor() == m and c.parity() == parity]
-    assert len(chis) == 1
-    return chis[0]
-
-
 @pytest.mark.parametrize("m, parity, want", [
     (5, 1, 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)),
     (8, 1, math.log(1 + math.sqrt(2)) / math.sqrt(2)),
@@ -108,63 +103,61 @@ def real_primitive_character(m, parity):
 ])
 def test_l_one_class_number_formula(m, parity, want):
     # h = 1 for Q(sqrt 5), Q(sqrt 2), Q(sqrt 3), Q(sqrt -7) and Q(sqrt -2)
-    chi = real_primitive_character(m, parity)
-    assert abs(l_at_one(chi) - want) < 1e-13
+    chi = real_character(m, odd=parity == -1, primitive=True)
+    assert abs(build_ctable(m).l1[chi.index] - want) < 1e-13
 
 
 def test_l_one_partial_sum_oracle():
     # sum chi(n)/n, grouped over full periods for O(1/N) tails
     for m in (5, 7):
-        for chi in character_group(m).characters():
-            if chi.is_principal():
-                continue
+        l1 = build_ctable(m).l1
+        for chi in character_group(m).characters()[1:]:
             n = np.arange(1, 200_001)
             vals = values(chi)[n % m]
             partial = np.sum(vals / n)
-            assert abs(l_at_one(chi) - partial) < 1e-4
+            assert abs(l1[chi.index] - partial) < 1e-4
 
 
 def test_l_zero_finite_sum_definition():
     # independent transcription of the finite character sum
     for m in (5, 8, 12):
-        for chi in character_group(m).characters():
-            if chi.is_principal():
-                continue
+        table = build_ctable(m)
+        for chi in table.group.characters()[1:]:
             direct = -sum(chi(a) * a for a in range(1, m + 1)) / m
-            if not chi.is_odd():
+            if table.group.parity[chi.index] == 1:
                 direct = 0j
-            assert l_at_zero(chi) == pytest.approx(direct, abs=1e-12)
+            assert table.l0[chi.index] == pytest.approx(direct, abs=1e-12)
 
 
 def test_l_values_conjugate_symmetry():
-    for chi in character_group(5).characters():
-        if chi.is_principal():
-            continue
-        bar = conjugate_character(chi)
-        assert l_at_one(bar) == pytest.approx(l_at_one(chi).conjugate(), abs=1e-12)
-        assert l_at_zero(bar) == pytest.approx(l_at_zero(chi).conjugate(), abs=1e-12)
+    table = build_ctable(5)
+    for chi in table.group.characters()[1:]:
+        i, j = chi.index, conjugate_character(chi).index
+        assert table.l1[j] == pytest.approx(table.l1[i].conjugate(), abs=1e-12)
+        assert table.l0[j] == pytest.approx(table.l0[i].conjugate(), abs=1e-12)
 
 
 def test_even_character_l_zero_vanishes():
     for m in (5, 12, 16):
-        for chi in character_group(m).characters():
-            if not chi.is_principal() and not chi.is_odd():
-                assert l_at_zero(chi) == 0j
+        table = build_ctable(m)
+        even = table.group.parity[1:] == 1
+        assert even.any()
+        assert (table.l0[1:][even] == 0j).all()
 
 
 def test_a_factor_truncation_convergence():
-    chi = quadratic_character(3)
-    a6, _ = a_q_chi(12, chi, truncation=10**6)
-    a7, tail7 = a_q_chi(12, chi, truncation=10**7)
-    assert abs(a6 - a7) <= tail_bound(10**6)
-    assert tail7 < tail_bound(10**6)
+    chi = real_character(3)
+    a6 = lfun._ctable(12, 3, 10**6).a[chi.index]
+    table7 = lfun._ctable(12, 3, 10**7)
+    assert abs(a6 - table7.a[chi.index]) <= tail_bound(10**6)
+    assert table7.tail < tail_bound(10**6)
 
 
 def test_a_factor_known_value_mod12():
     # quadratic character mod 3 lifted into the Euler product over p
     # coprime to 12: 1.0356 to three decimals
-    chi = quadratic_character(3)
-    a, _ = a_q_chi(12, chi, truncation=10**7)
+    chi = real_character(3)
+    a = lfun._ctable(12, 3, 10**7).a[chi.index]
     assert a.imag == pytest.approx(0.0, abs=1e-12)
     assert a.real == pytest.approx(1.036, abs=1e-3)
 
@@ -175,17 +168,15 @@ def test_a_factor_direct_product_oracle():
     primes = [p for p in range(2, P + 1)
               if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
     for q, m in ((12, 3), (12, 12), (8, 8)):
-        for chi in character_group(m).characters():
-            if chi.is_principal():
-                continue
+        table = lfun._ctable(q, m, P)
+        for chi in character_group(m).characters()[1:]:
             want = 1.0 + 0j
             for p in primes:
                 if q % p == 0:
                     want *= 1 - chi(p) / p
                 else:
                     want *= 1 - (1 - chi(p)) ** 2 / (p - 1) ** 2
-            got, _ = a_q_chi(q, chi, truncation=P)
-            assert got == pytest.approx(want, abs=1e-12)
+            assert table.a[chi.index] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [12, 60, 97, 2018])
@@ -206,13 +197,14 @@ def test_a_factor_per_prime_product_oracle(q):
         if q % m:
             continue
         residues = primes % m
+        table = lfun._ctable(q, m, P)
         # index 0 is the principal character
         for chi in character_group(m).characters()[1::stride]:
             z = values(chi)[residues]
             factor = np.where(divides, 1.0 - z / primes, 1.0 - (1.0 - z) ** 2 * w)
             want = complex(np.prod(factor))
-            got, _ = a_q_chi(q, chi, truncation=P)
-            assert abs(got - want) <= 1e-12 * abs(want), (chi.name(), got, want)
+            got = table.a[chi.index]
+            assert abs(got - want) <= 1e-12 * abs(want), (m, chi.index, got, want)
 
 
 def test_power_sums_folded_from_a_multiple_match_a_direct_pass(monkeypatch):
@@ -240,35 +232,36 @@ def test_one_power_sum_pass_per_constants_run(monkeypatch):
 
 
 def test_reduce_c_route_mismatch_raises(monkeypatch):
-    chi = next(c for c in character_group(12).characters()
-               if c.is_odd() and c.conductor() == 3)
-    exact = lfun.c_q_chi
+    group = character_group(12)
+    (row,) = np.flatnonzero((group.parity == -1) & (group.conductor == 3))
+    chi = group.characters()[row]
+    exact = lfun._ctable
 
-    def skewed(q, c, truncation=None):
-        value = exact(q, c, truncation)
-        return value * (1 + 1e-6) if c.modulus == 3 else value
+    def skewed(q, m, truncation):
+        table = exact(q, m, truncation)
+        return (dataclasses.replace(table, c=table.c * (1 + 1e-6)) if m == 3
+                else table)
 
-    monkeypatch.setattr(lfun, "c_q_chi", skewed)
+    monkeypatch.setattr(lfun, "_ctable", skewed)
     with pytest.raises(InternalConsistencyError, match="primitive reduction"):
         reduce_c(12, chi, truncation=10**4)
 
 
 def test_c_vanishes_for_even_characters():
-    for chi in character_group(12).characters():
-        if chi.is_principal():
-            continue
-        if not chi.is_odd():
-            assert c_q_chi(12, chi, truncation=10**4) == 0j
+    table = lfun._ctable(12, 12, 10**4)
+    even = table.group.parity[1:] == 1
+    assert even.any()
+    assert (table.c[1:][even] == 0j).all()
 
 
 def test_c_factor_can_vanish_identically():
     # chi(3) = -1 with 3 coprime to q makes the p = 3 Euler factor zero
-    chi = quadratic_character(4)
+    chi = real_character(4)
     assert chi(3) == pytest.approx(-1.0, abs=1e-14)
     for P in (10**4, None):
-        a, _ = a_q_chi(4, chi, truncation=P)
-        assert abs(a) < 1e-14
-        assert abs(c_q_chi(4, chi, truncation=P)) < 1e-14
+        table = lfun._ctable(4, 4, P)
+        assert abs(table.a[chi.index]) < 1e-14
+        assert abs(table.c[chi.index]) < 1e-14
 
 
 @pytest.mark.parametrize("q", [6, 9, 12, 15, 18, 20, 21, 24, 30])
@@ -278,10 +271,9 @@ def test_reduction_identities(q):
     for d in range(3, q + 1):
         if q % d:
             continue
-        for chi in character_group(d).characters():
-            if chi.is_principal():
-                continue
-            direct = c_q_chi(q, chi, truncation=P)
+        c = lfun._ctable(q, d, P).c
+        for chi in character_group(d).characters()[1:]:
+            direct = c[chi.index]
             routed = reduce_c(q, chi, truncation=P)
             assert abs(direct - routed) < 1e-9 * (1 + abs(direct))
 
@@ -294,6 +286,24 @@ def test_ctable_rows():
         assert row.tail == pytest.approx(tail_bound(10**5))
         if row.parity == 1:
             assert row.c == 0j
+
+
+def test_ctable_rows_are_named_from_labels(monkeypatch):
+    # mod 60 = 4 * 3 * 5 the generators have orders 2, 2 and 4; each row's
+    # name, conductor and parity come from the group's vectors, and no
+    # character is made to read them
+    def refuse(*args):
+        raise AssertionError("CTable.rows made a character")
+    monkeypatch.setattr(characters.DirichletCharacter, "__post_init__", refuse)
+    monkeypatch.setattr(characters.CharacterGroup, "characters", refuse)
+    table = build_ctable(60)
+    rows = table.rows
+    labels = itertools.product(range(2), range(2), range(4))
+    assert [row.name for row in rows] == [
+        "mod60:%d.%d.%d" % k for k in labels][1:]
+    assert [row.conductor for row in rows] == table.group.conductor[1:].tolist()
+    assert [row.parity for row in rows] == table.group.parity[1:].tolist()
+    assert [row.c for row in rows] == table.c[1:].tolist()
 
 
 # ---------------------------------------------------------------- the full product
@@ -333,8 +343,8 @@ def test_full_product_known_value_mod12():
     # A(12, chi_3) = (3/2) prod_{p = 2 mod 3, p >= 5} (1 - 4/(p-1)^2); the
     # reference 1.035553910000536729... is the same series evaluated with
     # 40-digit arithmetic to K = 30 powers
-    chi = quadratic_character(3)
-    a, tail = a_q_chi(12, chi)
+    table = lfun._ctable(12, 3, None)
+    a, tail = table.a[real_character(3).index], table.tail
     assert abs(a - 1.0355539100005367) < 1e-14
     assert tail == tail_bound(None) < 1e-21
     assert a.real == pytest.approx(1.036, abs=1e-3)
@@ -345,33 +355,35 @@ def test_full_product_within_tail_of_truncated(P):
     # tail_bound(P) bounds the dropped log-mass, so the products differ by
     # at most |A_P| (exp(tail_bound(P)) - 1)
     for q in range(1, 31):
-        for chi in character_group(q).characters():
-            full, _ = a_q_chi(q, chi)
-            cut, tail = a_q_chi(q, chi, truncation=P)
-            assert abs(full - cut) <= abs(cut) * math.expm1(tail), (q, chi.name())
+        full, cut = build_ctable(q).a, build_ctable(q, P)
+        outside = ~(abs(full - cut.a) <= abs(cut.a) * math.expm1(cut.tail))
+        assert not outside.any(), cut.group.names(np.flatnonzero(outside))
 
 
 def test_full_product_within_tail_of_truncated_2e7():
-    chi = quadratic_character(3)
-    full, _ = a_q_chi(12, chi)
-    cut, tail = a_q_chi(12, chi, truncation=2 * 10**7)
+    i = real_character(3).index
+    full = lfun._ctable(12, 3, None).a[i]
+    table = lfun._ctable(12, 3, 2 * 10**7)
+    cut, tail = table.a[i], table.tail
     assert abs(full - cut) <= abs(cut) * math.expm1(tail)
     # and far inside it: the truncated product is missing about 5.8e-9
     assert abs(full - cut) == pytest.approx(5.83e-9, rel=0.01)
 
 
 def test_full_product_independent_of_exact_bound(monkeypatch):
-    chis = [(q, chi) for q in (7, 12, 30, 60, 97, 2018)
-            for chi in character_group(q).characters()[1::7]]
-    chis.append((12, quadratic_character(3)))
-    full = [a_q_chi(q, chi)[0] for q, chi in chis]
+    # (q, the modulus of the character, its row)
+    chis = [(q, q, i) for q in (7, 12, 30, 60, 97, 2018)
+            for i in range(1, character_group(q).phi, 7)]
+    chis.append((12, 3, real_character(3).index))
+    full = [lfun._ctable(q, m, None).a[i] for q, m, i in chis]
     monkeypatch.setattr(lfun, "EXACT_BOUND", 100)
     # a fresh table cache, so no table built at the old bound is read
     monkeypatch.setattr(lfun, "_ctable", functools.lru_cache(lfun._ctable.__wrapped__))
-    for (q, chi), want in zip(chis, full):
-        got, tail = a_q_chi(q, chi)
-        assert abs(got - want) <= 1e-13, (q, chi.name(), got - want)
-        assert tail < 1e-13  # the s > K powers at M = 100
+    for (q, m, i), want in zip(chis, full):
+        table = lfun._ctable(q, m, None)
+        got = table.a[i]
+        assert abs(got - want) <= 1e-13, (q, m, i, got - want)
+        assert table.tail < 1e-13  # the s > K powers at M = 100
 
 
 def test_large_prime_log_leaves_out_prime_divisors_of_q():
@@ -380,7 +392,8 @@ def test_large_prime_log_leaves_out_prime_divisors_of_q():
     # products differ by exactly its factor
     chi = character_group(1009).characters()[5]
     assert chi(1009) == 0
-    ratio = a_q_chi(1009, chi)[0] / a_q_chi(1, chi)[0]
+    ratio = (lfun._ctable(1009, 1009, None).a[chi.index]
+             / lfun._ctable(1, 1009, None).a[chi.index])
     assert ratio == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15, abs=0)
     gap = lfun.large_prime_log(2018) - lfun.large_prime_log(2)
     assert gap == pytest.approx(-math.log(1 - 1 / 1008**2), abs=1e-18)
@@ -391,10 +404,9 @@ def test_reduction_identities_untruncated(q):
     for d in range(3, q + 1):
         if q % d:
             continue
-        for chi in character_group(d).characters():
-            if chi.is_principal():
-                continue
-            direct = c_q_chi(q, chi)
+        c = lfun._ctable(q, d, None).c
+        for chi in character_group(d).characters()[1:]:
+            direct = c[chi.index]
             routed = reduce_c(q, chi)
             assert abs(direct - routed) < 1e-9 * (1 + abs(direct))
 
@@ -404,23 +416,24 @@ def test_reduction_identities_untruncated(q):
 
 def oracle_l0(chi):
     """L(0, chi) as the direct sum -(1/m) sum_{a=1}^{m} chi(a) a."""
-    if not chi.is_odd():
+    m = chi.group.m
+    if chi.group.parity[chi.index] == 1:
         return 0j
-    m = chi.modulus
     a = np.arange(1, m + 1)
     return complex(-(values(chi)[a % m] @ a) / m)
 
 
 def oracle_l1(chi):
     """L(1, chi) = -(1/m) sum_{a=1}^{m-1} chi(a) psi(a/m)."""
-    m = chi.modulus
+    m = chi.group.m
     return complex(-(values(chi)[1:] @ lfun._digamma_at(m)) / m)
 
 
 def oracle_a(q, chi, truncation):
     """A(q, chi) for one character: the exact product below the exact bound
     and at the primes dividing q, times the exponential of the series."""
-    m, group = chi.modulus, chi.group
+    group = chi.group
+    m = group.m
     vals = values(chi)
     M, K = lfun.EXACT_BOUND, lfun.SERIES_POWERS
     small = primes_upto(M - 1 if truncation is None else min(truncation, M - 1))
@@ -432,9 +445,9 @@ def oracle_a(q, chi, truncation):
     # 1 at every prime
     if truncation is None:
         prime_sums = lfun._prime_sums(m, M)
-        rows = [prime_sums.shape[1] - 1] + [
-            group.character(tuple(l * k for k in chi.label)).index
-            for l in range(1, K + 1)]
+        # the function 1, then the row of each power chi^l
+        powers = group.labels[chi.index] * np.arange(1, K + 1)[:, None]
+        rows = [prime_sums.shape[1] - 1] + group.rows(powers).tolist()
         sums = prime_sums[:, rows]
     else:
         residue_sums = lfun._residue_power_sums(m, math.lcm(q, m), truncation)
@@ -460,23 +473,24 @@ def test_ctable_matches_per_character_oracle(q, P):
             continue
         table = lfun._ctable(q, m, P)
         assert table.tail == tail_bound(P)
-        for chi in character_group(m).characters():
+        group = table.group
+        for chi, name in zip(group.characters(), group.names(slice(None))):
             a = oracle_a(q, chi, P)
-            assert close(table.a[chi.index], a), (q, P, chi.name())
+            assert close(table.a[chi.index], a), (q, P, name)
             if P == 10**5:
                 # independent of the series: every factor up to P multiplied
                 z = values(chi)[primes % m]
                 direct = complex(np.prod(np.where(
                     divides, 1.0 - z / primes,
                     1.0 - (1.0 - z) ** 2 / (primes - 1.0) ** 2)))
-                assert close(table.a[chi.index], direct), (q, chi.name())
-            if chi.is_principal():
+                assert close(table.a[chi.index], direct), (q, name)
+            if chi.index == 0:
                 continue
             l0, l1 = oracle_l0(chi), oracle_l1(chi)
-            assert close(table.l0[chi.index], l0), (q, chi.name())
-            assert close(table.l1[chi.index], l1), (q, chi.name())
-            c = l0 * l1 * a if chi.is_odd() else 0j
-            assert close(table.c[chi.index], c), (q, P, chi.name())
+            assert close(table.l0[chi.index], l0), (q, name)
+            assert close(table.l1[chi.index], l1), (q, name)
+            c = l0 * l1 * a if group.parity[chi.index] == -1 else 0j
+            assert close(table.c[chi.index], c), (q, P, name)
 
 
 # ------------------------------------------- the transform against the matrix

@@ -266,6 +266,18 @@ def test_skip_prediction_formula():
         li(x) / 16 * (1 + c2e / math.log(x)), rel=1e-12)
 
 
+def test_skip_and_asymptotic_predictions_refuse_x_not_above_e():
+    for x in (0.0, 1.0, 2.0, math.e):
+        with pytest.raises(ValueError, match="x must exceed e"):
+            skip_prediction(3, 1, 2, 2, x)
+        with pytest.raises(ValueError, match="x must exceed e"):
+            asymptotic_prediction(3, (1, 2), x)
+    # just above e the skip row is the two-term asymptotic with c1 = 0
+    row = skip_prediction(3, 1, 2, 2, 3.0)
+    _, c2 = skip_coefficient(3, 2, equal=False)
+    assert row.value == li(3.0) / 4 * (1 + c2 / math.log(3.0))
+
+
 def test_always_bias_difference():
     x = 1e9
     want = x / (4 * math.log(x) ** 2) * math.log(2 * math.pi * math.log(x) / 3)
