@@ -8,7 +8,7 @@ O(H^{-1/2}) and explain where the pattern bias comes from: only the
 v = 0 class carries the -(phi/2q) log H drift.
 """
 
-from primebias import s0_brute, s0_main, s0_moment_main
+from primebias import s0_brute, s0_main
 from primebias.singular import SingularContext
 
 q = 3
@@ -28,5 +28,5 @@ for v in range(q):
 # first moment, v = 0: sum h e^{-h/H} (S(h)-1) ~ -(phi/2q) H
 H = 1000.0
 got = s0_brute(ctx, 0, H, k=1).value
-want = s0_moment_main(q, H, 1)
+want = s0_main(q, 0, H, k=1)
 print(f"k=1 moment at H={H:.0f}: brute {got:.2f}  main {want:.2f}  ratio {got / want:.4f}")

@@ -25,7 +25,7 @@ _SUBMODULE = {
         "skip_coefficient",
     ), "constants"),
     **dict.fromkeys((
-        "CTable", "CTableRow", "build_ctable", "tail_bound",
+        "CTable", "CTableRow", "build_ctable", "tail_bound", "twin_product",
     ), "lfun"),
     **dict.fromkeys((
         "PredictionRow", "adaptive_gauss_legendre", "asymptotic_prediction",
@@ -37,7 +37,7 @@ _SUBMODULE = {
         "count_patterns_series", "stream_primes",
     ), "sieve"),
     **dict.fromkeys((
-        "S0Sum", "SingularContext", "s0_brute", "s0_moment_main",
+        "S0Sum", "SingularContext", "s0_brute",
     ), "singular"),
     # check-only routes, which no command loads
     **dict.fromkeys((

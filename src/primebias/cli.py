@@ -240,22 +240,10 @@ def _cmd_constants(args):
     return blocks(), meta
 
 
-def _analytic_s0(q, v, H, k, truncation):
-    from .constants import s0_main
-    from .singular import s0_moment_main
-
-    if k == 0:
-        return s0_main(q, v, H, truncation=truncation)
-    if v % q == 0:
-        return s0_moment_main(q, H, k)
-    return 0.0  # moments off the zero class have no main term
-
-
 def _cmd_s0(args):
+    from .constants import s0_main
     from .singular import SingularContext, s0_brute
 
-    if args.k < 0:
-        raise ValueError(f"--k must be >= 0, got {args.k}")
     ctx = SingularContext(args.q, truncation=args.truncation)
     rows = []
     for v in args.v:
@@ -266,8 +254,8 @@ def _cmd_s0(args):
             row["brute"] = got.value
             row["cutoff"] = got.cutoff
         if args.method in ("analytic", "both"):
-            row["analytic"] = _analytic_s0(args.q, v, args.H, args.k,
-                                           args.truncation)
+            row["analytic"] = s0_main(args.q, v, args.H, args.truncation,
+                                      k=args.k)
         if args.method == "both":
             row["difference"] = row["brute"] - row["analytic"]
         rows.append(row)

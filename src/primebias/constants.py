@@ -13,6 +13,8 @@ the pair constant has the shape c2(q; (a, b)) = F(b - a) + G(a) + H(b).  One
 table per q holds them all, and no value is returned until every applicable
 form is bounded within tolerance of the divisor-reduced one on every pair,
 in O(q).  Longer patterns and skip patterns reduce to the pair constants.
+s0_main holds every analytic main term of the class sums S_0^k(q, v; H),
+the moments k >= 1 included; singular.s0_brute sums them by brute force.
 """
 
 from __future__ import annotations
@@ -119,10 +121,20 @@ def s0c(q: int, v: int, truncation: int | None = None) -> float:
     return float(s0c_vector(q, truncation)[v % q])
 
 
-def s0_main(q: int, v: int, H: float, truncation: int | None = None) -> float:
-    """Main terms of S_0(q, v; H): the log H slope appears only for v = 0."""
+def s0_main(q: int, v: int, H: float, truncation: int | None = None,
+            k: int = 0) -> float:
+    """Main term of S_0^k(q, v; H).
+
+    k = 0: S_0^c(q, v), with the -(phi/2q) log H slope only at v = 0 mod q.
+    k >= 1: -(phi/2q) Gamma(k) H^k at v = 0 mod q, the k-th moment of the
+    weight e^{-h/H} times that slope, and 0 in every other class.
+    """
     if not 0 < H < math.inf:
         raise ValueError(f"H must be positive and finite, got {H}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k:
+        return 0.0 if v % q else -totient(q) / (2 * q) * math.gamma(k) * H**k
     if v % q == 0:
         return -totient(q) / (2 * q) * math.log(H) + s0c(q, 0, truncation)
     return s0c(q, v, truncation)

@@ -40,8 +40,9 @@ ns <= K; tail_bound(None) bounds the dropped powers s > K (~3e-22).  An
 explicit truncation P keeps the series and takes its prime sums over
 M <= p <= P, one per residue mod m; its log-tail is dominated by
 sum_{p > P} 4/(p-1)^2 <= 5 / (P log P) = tail_bound(P).  At chi(p) = 0
-the series is that of the twin-prime factors 1 - 1/(p-1)^2, which the
-singular series reads through large_prime_log, in full or truncated.
+the series is that of the twin-prime factors 1 - 1/(p-1)^2: twin_product
+gives the twin-prime product of the singular series the same way, in
+full or truncated, with its own tail bound.
 The combinations C(q, chi) = L(0,chi) L(1,chi) A(q,chi) vanish identically
 for even chi and drive all the second-order bias constants.
 
@@ -73,8 +74,8 @@ from .characters import CharacterGroup, character_group
 
 __all__ = [
     "hurwitz_zeta",
-    "large_prime_log",
     "tail_bound",
+    "twin_product",
     "CTable",
     "build_ctable",
 ]
@@ -260,24 +261,47 @@ def _residue_power_sums(m: int, base: int, truncation: int) -> np.ndarray:
     return sums.reshape(SERIES_POWERS + 1, -1, m).sum(axis=1)
 
 
-def large_prime_log(q: int, truncation: int | None = None) -> complex:
-    """sum over primes p >= EXACT_BOUND, p <= P if given, p !| q, of
-    log(1 - 1/(p-1)^2).
+def _series_sums(q: int, m: int, truncation: int | None) -> np.ndarray:
+    """S[s, j] = sum of psi_j(p) p^-s over the primes the series covers.
 
-    These are the twin-prime factors, the series of A(q, chi) read at
-    chi(p) = 0: every power p^-s, s <= SERIES_POWERS, is summed over the
-    range from the sums of the function 1, and the primes dividing q are
-    then taken out again.
+    psi_j runs over the characters mod m in label order, and the last
+    column is the function 1, as in _prime_sums.  By default the range is
+    every p >= EXACT_BOUND.  Up to a truncation P it is EXACT_BOUND <= p
+    <= P, where sum_{p = a mod m} p^-s is one sum per residue a and sum_a
+    chi(a) S_s(a) one transform; one pass over the primes serves every
+    modulus dividing q.
     """
     if truncation is None:
-        sums = _prime_sums(1, EXACT_BOUND)[:, -1]
+        return _prime_sums(m, EXACT_BOUND)
+    group = character_group(m)
+    power_sums = _residue_power_sums(m, math.lcm(q, m), truncation)
+    return np.hstack([group.transform(power_sums[:, group.units]),
+                      power_sums.sum(axis=1, keepdims=True)])
+
+
+def twin_product(q: int, truncation: int | None = None) -> tuple[float, float]:
+    """The product over odd p !| q, p <= P if given, of 1 - 1/(p-1)^2, and
+    the bound on the log-product mass it drops: tail_bound(None) in full,
+    sum_{p > P} 1/(p-1)^2 <= 2 / (P log P) truncated.
+
+    Odd primes below EXACT_BOUND are multiplied exactly, the rest through
+    the series of A(q, chi) at chi(p) = 0, from the sums of the function
+    1; the prime divisors of q are then taken out of it again.
+    """
+    if truncation is None:
+        bound = tail_bound(None)
+    elif truncation < 100:
+        raise ValueError("truncation too small for the tail estimate")
     else:
-        sums = _residue_power_sums(1, 1, truncation)[:, 0]
-    out = complex(_COEFFICIENTS[:, 0] @ sums)
+        bound = 2.0 / (truncation * math.log(truncation))
+    primes = primes_upto(min(EXACT_BOUND - 1, truncation or math.inf))
+    odd = primes[(primes > 2) & (q % primes != 0)]
+    product = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
+    log = complex(_COEFFICIENTS[:, 0] @ _series_sums(1, 1, truncation)[:, -1])
     for p in prime_factors(q):
         if p >= EXACT_BOUND and (truncation is None or p <= truncation):
-            out -= math.log(1 - 1 / (p - 1) ** 2)
-    return out
+            log -= math.log(1 - 1 / (p - 1) ** 2)
+    return product * math.exp(log.real), bound
 
 
 @dataclass(frozen=True)
@@ -331,13 +355,10 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     Primes below EXACT_BOUND and primes dividing q are multiplied factor
     by factor, from chi(p) read a block of characters at a time.  For
     every other prime the logarithm of the factor is the power series
-    sum_{s,l} c[s, l] chi(p)^l p^-s, and only its prime range depends on
-    the truncation: over all p >= EXACT_BOUND through the prime sums of
-    chi^l by default; up to P, where sum_{p = a mod m} p^-s is one sum
-    per residue a, and sum_a chi^l(a) S_s(a) one transform.  Either way
-    the coefficients are first contracted with the sums, one vector per
-    power l, and the series of every character is the sum of those
-    vectors at the rows of chi^l.
+    sum_{s,l} c[s, l] chi(p)^l p^-s, whose prime sums over the range
+    _series_sums gives.  The coefficients are first contracted with the
+    sums, one vector per power l, and the series of every character is
+    the sum of those vectors at the rows of chi^l.
     """
     if q < 1 or (truncation is not None and q > truncation):
         raise ValueError(f"need 1 <= q <= truncation, got q={q}")
@@ -351,15 +372,8 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     l1 = -l1 / m
     l0[0] = l1[0] = np.nan
 
-    if truncation is None:
-        sums = _prime_sums(m, EXACT_BOUND)
-    else:
-        # one pass over the primes serves every modulus dividing q
-        power_sums = _residue_power_sums(m, math.lcm(q, m), truncation)
-        sums = np.hstack([group.transform(power_sums[:, group.units]),
-                          power_sums.sum(axis=1, keepdims=True)])
     # v[l] = sum_s c[s, l] sums[s], then one gather of v[l] per power
-    v = _COEFFICIENTS.T @ sums
+    v = _COEFFICIENTS.T @ _series_sums(q, m, truncation)
     rows = _power_rows(group)
     log_rest = sum(v[l, rows[:, l]] for l in range(SERIES_POWERS + 1))
 

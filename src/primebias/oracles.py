@@ -205,7 +205,7 @@ def singular_pair(ctx: SingularContext, h: int) -> float:
         raise ValueError(f"h must be >= 1, got {h}")
     if ctx.q % 2 and h % 2:
         return 0.0
-    val = 2.0 * ctx.twin_tail if ctx.q % 2 else ctx.twin_tail
+    val = ctx.base
     for p in prime_factors(h):
         if p == 2 or ctx.q % p == 0:
             continue

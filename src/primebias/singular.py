@@ -1,4 +1,4 @@
-"""Two-term singular series mod q and their exponentially weighted sums.
+"""Two-term singular series mod q and their class sums, by brute force.
 
 For a pair {0, h} the Hardy-Littlewood singular series restricted away
 from primes dividing q is
@@ -10,21 +10,17 @@ which factors as  [2 if q odd]  *  prod_{odd p !| q} (1 - 1/(p-1)^2)
 
 and vanishes for odd h when q is odd (the p = 2 factor dies).  The
 zero-mean variant on pairs is S_{q,0}({0,h}) = S_q({0,h}) - 1.  A
-SingularContext freezes q and the twin-type product over odd p !| q; the
-h-dependent corrections are applied exactly, by sieving, never by per-h
-full products.
-
-The twin-type product takes its odd primes below lfun.EXACT_BOUND
-exactly and the rest through lfun.large_prime_log, the series of the
-Euler products A(q, chi) read with chi(p) = 0: by default over every
-prime, with an explicit truncation P over the primes up to P.  Every odd
-prime p !| q dividing h then multiplies by (p-1)/(p-2).  An odd p | h
-above a truncation P multiplies by p/(p-1) instead: that is (p-1)/(p-2)
-times the factor 1 - 1/(p-1)^2 the truncated product leaves out, so the
-primes dividing h are exact at any P.
+SingularContext freezes q and the twin-type product over odd p !| q,
+in full or truncated at P (lfun.twin_product); the h-dependent
+corrections are applied exactly, by sieving, never by per-h full
+products.  Every odd prime p !| q dividing h multiplies by (p-1)/(p-2).
+An odd p | h above a truncation P multiplies by p/(p-1) instead: that
+is (p-1)/(p-2) times the factor 1 - 1/(p-1)^2 the truncated product
+leaves out, so the primes dividing h are exact at any P.
 
 s0_brute computes S_0^k(q, v; H) = sum over h = v mod q of
 h^k S_{q,0}({0,h}) e^{-h/H}, truncated where the weight is ~e^{-50}.
+Its main terms are constants.s0_main.
 """
 
 from __future__ import annotations
@@ -34,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lfun
 from .arith import canonical_residue, primes_upto, totient
+from .lfun import twin_product
 
-__all__ = ["SingularContext", "S0Sum", "s0_brute", "s0_moment_main"]
+__all__ = ["SingularContext", "S0Sum", "s0_brute"]
 
 # the longest pair_values table: 0.8 GB of float64 values, 0.98 GB at its
 # peak while the large primes are scattered in (the primes cached first)
@@ -51,20 +47,12 @@ class SingularContext:
     def __init__(self, q: int, truncation: int | None = None):
         if q < 3:
             raise ValueError(f"modulus must be >= 3, got {q}")
-        if truncation is not None and truncation < 100:
-            raise ValueError("truncation too small")
         self.q = q
         self.phi = totient(q)
         self.truncation = truncation
-        primes = primes_upto(min(lfun.EXACT_BOUND - 1, truncation or math.inf))
-        odd = primes[(primes > 2) & (q % primes != 0)]
-        self.twin_tail = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
-        self.twin_tail *= math.exp(lfun.large_prime_log(q, truncation).real)
-        if truncation is None:
-            self.tail_bound = lfun.tail_bound(None)
-        else:
-            # dropped log-product mass ~ sum_{p>P} 1/(p-1)^2 ~ 1/(P log P)
-            self.tail_bound = 2.0 / (truncation * math.log(truncation))
+        self.twin_tail, self.tail_bound = twin_product(q, truncation)
+        # S_q({0, h}) before the factors of the odd primes dividing h
+        self.base = 2.0 * self.twin_tail if q % 2 else self.twin_tail
         self._pair_cache: np.ndarray | None = None
 
     def h_factor(self, p):
@@ -83,8 +71,7 @@ class SingularContext:
                              f"{MAX_PAIR_CUTOFF:,} (a 0.8 GB table)")
         if self._pair_cache is not None and len(self._pair_cache) > cutoff:
             return self._pair_cache[: cutoff + 1]
-        base = 2.0 * self.twin_tail if self.q % 2 else self.twin_tail
-        vals = np.full(cutoff + 1, base)
+        vals = np.full(cutoff + 1, self.base)
         vals[0] = np.nan
         if self.q % 2:
             vals[1::2] = 0.0
@@ -141,12 +128,6 @@ def s0_brute(ctx: SingularContext, v: int, H: float, k: int = 0) -> S0Sum:
         weights = weights * hf**k
     return S0Sum(
         q=ctx.q, v=v % ctx.q, H=float(H), k=k,
-        value=float(np.dot(sig0, weights)), cutoff=cutoff, method="brute",
+        value=float(np.sum(sig0 * weights)), cutoff=cutoff, method="brute",
     )
 
-
-def s0_moment_main(q: int, H: float, k: int) -> float:
-    """Main term of S_0^k(q, 0; H) for k >= 1: -(phi/2q) Gamma(k) H^k."""
-    if k < 1:
-        raise ValueError("moments need k >= 1")
-    return -totient(q) / (2 * q) * math.gamma(k) * H**k

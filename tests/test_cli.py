@@ -30,7 +30,7 @@ from primebias.predict import (
     integral_prediction,
     skip_prediction,
 )
-from primebias.singular import SingularContext, s0_brute, s0_moment_main
+from primebias.singular import SingularContext, s0_brute
 
 
 def run_cli(argv, capsys):
@@ -319,9 +319,7 @@ def _s0_rows(q, vs, H, method, k=0, truncation=None):
             got = s0_brute(ctx, v, H, k=k)
             row["brute"], row["cutoff"] = got.value, got.cutoff
         if method in ("analytic", "both"):
-            row["analytic"] = (s0_main(q, v, H, truncation) if k == 0
-                               else s0_moment_main(q, H, k) if v % q == 0
-                               else 0.0)
+            row["analytic"] = s0_main(q, v, H, truncation, k=k)
         if method == "both":
             row["difference"] = row["brute"] - row["analytic"]
         rows.append(row)
@@ -719,6 +717,35 @@ def test_runaway_quadrature_and_s0_exit_code(capsys):
         assert code == 2, argv
         assert out == ""
         assert time.perf_counter() - start < 5, argv
+
+
+@pytest.mark.parametrize("tail", [
+    ["--v", "0", "--H", "-5", "--k", "2"],
+    ["--v", "0", "--H", "nan", "--k", "1"],
+    ["--v", "0", "--H", "0", "--k", "1"],
+    ["--v", "1", "--H", "inf", "--k", "1"],
+])
+def test_s0_moment_refuses_runaway_H(tail, capsys):
+    # H is checked for every k, off the zero class too
+    argv = ["s0", "--q", "3", "--method", "analytic"] + tail
+    code, out = run_cli(argv, capsys)
+    assert code == 2 and out == "", argv
+
+
+def test_s0_brute_output_independent_of_blas_threads():
+    """The brute class sums print the same digits under one BLAS thread and
+    two: a dot product split across threads would round differently.  On
+    a host with one CPU both runs take one thread and this holds trivially."""
+    argv = [sys.executable, "-m", "primebias", "s0", "--q", "5", "--v",
+            "0,1,2,3,4", "--H", "1e4", "--method", "brute"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(_package_env(), OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run(argv, env=env, capture_output=True,
+                                   check=True, text=True,
+                                   timeout=120).stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 6
 
 
 @pytest.mark.parametrize("method", ["analytic", "brute", "both"])

@@ -72,6 +72,17 @@ def test_s0_main_assembles_log_term():
         s0c(3, 1, truncation=P_FAST), abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("v", [0, 1])
+def test_s0_main_refuses_runaway_H_and_negative_k(v, k):
+    # checked for every moment, on the zero class and off it
+    for H in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            s0_main(3, v, H, k=k)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        s0_main(3, v, 100.0, k=-k - 1)
+
+
 def test_s0c_von_mangoldt_term():
     # d = (v, q) < q with q/d a prime power: the Lambda term is nonzero
     got = s0c(9, 3, truncation=P_FAST)

@@ -386,7 +386,7 @@ def test_full_product_independent_of_exact_bound(monkeypatch):
         assert table.tail < 1e-13  # the s > K powers at M = 100
 
 
-def test_large_prime_log_leaves_out_prime_divisors_of_q():
+def test_twin_product_leaves_out_prime_divisors_of_q():
     # 1009 is the first prime above the exact bound: q = 1009 takes it out
     # of the series, and chi(1009) = 0 makes its own factor 1, so the two
     # products differ by exactly its factor
@@ -395,8 +395,9 @@ def test_large_prime_log_leaves_out_prime_divisors_of_q():
     ratio = (lfun._ctable(1009, 1009, None).a[chi.index]
              / lfun._ctable(1, 1009, None).a[chi.index])
     assert ratio == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15, abs=0)
-    gap = lfun.large_prime_log(2018) - lfun.large_prime_log(2)
-    assert gap == pytest.approx(-math.log(1 - 1 / 1008**2), abs=1e-18)
+    # and 2018 = 2 * 1009 takes its factor out of the twin-prime product
+    ratio = lfun.twin_product(2018)[0] / lfun.twin_product(2)[0]
+    assert ratio == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("q", range(3, 31))

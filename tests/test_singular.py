@@ -11,7 +11,7 @@ from primebias import (
     prime_factors,
     primes_upto,
     s0_brute,
-    s0_moment_main,
+    s0_main,
     singular_pair,
     singular_zero,
 )
@@ -141,7 +141,7 @@ def test_s0_moment_main_formula():
     for q, k, H in ((3, 1, 1000.0), (3, 2, 1000.0), (5, 1, 500.0)):
         phi = 2 if q == 3 else 4
         want = -(phi / (2.0 * q)) * math.factorial(k - 1) * H**k
-        assert s0_moment_main(q, H, k) == pytest.approx(want, rel=1e-12)
+        assert s0_main(q, 0, H, k=k) == pytest.approx(want, rel=1e-12)
 
 
 def test_s0_brute_moments_near_main_term():
@@ -149,7 +149,7 @@ def test_s0_brute_moments_near_main_term():
     H = 1000.0
     for k in (1, 2):
         got = s0_brute(ctx, 0, H, k=k).value
-        want = s0_moment_main(3, H, k)
+        want = s0_main(3, 0, H, k=k)
         assert abs(got - want) <= H ** (k - 0.4)
 
 
@@ -160,6 +160,19 @@ def test_s0_brute_offclass_moments_bounded():
         for v in (1, 2):
             got = s0_brute(ctx, v, H, k=k).value
             assert abs(got) <= H ** (k - 0.4)
+
+
+def test_s0_brute_matches_a_compensated_sum():
+    # the class sum never goes through a BLAS dot product, whose threads
+    # split the sum and leave its last digits to the host's core count
+    ctx = SingularContext(5)
+    H = 1e5
+    for v in range(5):
+        got = s0_brute(ctx, v, H)
+        vals = ctx.pair_values(got.cutoff)
+        hs = np.arange(v or 5, got.cutoff + 1, 5)
+        want = math.fsum((vals[hs] - 1.0) * np.exp(-hs / H))
+        assert abs(got.value / want - 1) <= 1e-12, (v, got.value, want)
 
 
 def test_s0_cutoff_insensitivity():
@@ -199,9 +212,12 @@ def test_truncated_twin_tail_matches_a_compensated_log_sum(q, P):
     want = math.exp(math.fsum(logs))
     got = SingularContext(q, truncation=P).twin_tail
     assert abs(got / want - 1) <= 2e-15, (got, want)
-    # the series part alone, over EXACT_BOUND <= p <= P
-    large = math.fsum(logs[primes >= lfun.EXACT_BOUND])
-    assert abs(lfun.large_prime_log(q, P) - large) <= 1e-16
+    # the series part alone, over every prime EXACT_BOUND <= p <= P
+    large = primes_upto(P)
+    large = large[large >= lfun.EXACT_BOUND]
+    want = math.fsum(np.log1p(-1.0 / (large - 1.0) ** 2))
+    series = lfun._COEFFICIENTS[:, 0] @ lfun._series_sums(1, 1, P)[:, -1]
+    assert abs(series - want) <= 1e-16
 
 
 def test_untruncated_within_tail_of_truncated():
@@ -217,9 +233,8 @@ def test_untruncated_pair_values_against_trial_division(q):
     # however large
     ctx = SingularContext(q)
     vals = ctx.pair_values(10**4)
-    base = 2.0 * ctx.twin_tail if q % 2 else ctx.twin_tail
     for h in range(1, 10**4 + 1):
-        want = 0.0 if q % 2 and h % 2 else base
+        want = 0.0 if q % 2 and h % 2 else ctx.base
         for p in prime_factors(h):
             if p > 2 and q % p:
                 want *= (p - 1.0) / (p - 2.0)
@@ -229,7 +244,7 @@ def test_untruncated_pair_values_against_trial_division(q):
 
 def loop_pair_values(ctx, cutoff):
     """pair_values as one strided product per prime, in prime order."""
-    vals = np.full(cutoff + 1, 2.0 * ctx.twin_tail if ctx.q % 2 else ctx.twin_tail)
+    vals = np.full(cutoff + 1, ctx.base)
     vals[0] = np.nan
     if ctx.q % 2:
         vals[1::2] = 0.0
