@@ -5,8 +5,9 @@ factorisations, the Moebius and von Mangoldt functions, and the
 coprime-count discrepancy epsilon_q that measures how many integers in a
 gap land on residues coprime to q relative to the expected density
 phi(q)/q.  These are the raw ingredients for the bias constants.  The
-segmented prime sieve behind every prime array in the package lives here
-too (_segments; primes_upto and sieve.stream_primes read it), as do the
+one prime sieve of the package lives here too: _segments picks its base
+primes and refuses a range past the budget MAX_SIEVE_LIMIT, and every
+prime array, stream, count and truncated product reads it.  So do the
 up-front input checks and InternalConsistencyError, raised wherever two
 independent routes disagree, so every module can use them.
 """
@@ -33,7 +34,9 @@ __all__ = [
     "MAX_PATTERNS",
     "MAX_CHARACTER_ENTRIES",
     "MAX_GROUP_MODULUS",
+    "MAX_SIEVE_LIMIT",
     "check_pattern_budget",
+    "check_sieve_limit",
     "check_rel_tol",
 ]
 
@@ -45,6 +48,7 @@ MAX_CHARACTER_ENTRIES = 1 << 27
 # the largest modulus of a character group: a group is O(m), and
 # dump-lvalues --q 524287, the largest prime admitted, peaks at 719 MiB
 MAX_GROUP_MODULUS = 1 << 19
+MAX_SIEVE_LIMIT = 50_000_000_000  # the sieve budget: no range reaches past it
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd numbers per segment: a 1 MB mask
 TILE_PRIMES = (3, 5, 7, 11, 13, 17)
 TILE_PERIOD = 255255  # product of TILE_PRIMES, in odd numbers
@@ -108,16 +112,18 @@ def _tile(segment_size: int) -> np.ndarray:
     return tile
 
 
-def _segments(lo: int, hi: int, segment_size: int, root: int):
+def _segments(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
     """Yield (low, pos) for consecutive segments covering the odd numbers in
     [lo, hi): the primes of a segment are low + 2*pos, in order.
 
     Each segment's mask starts as a slice of the tile, then every larger
     base prime clears its multiples with one strided store; a 2**20-entry
-    mask stays in L2 cache while they run.  root >= isqrt(hi - 1) bounds
-    the base primes, which come from this same kernel.
+    mask stays in L2 cache while they run.  The base primes, up to
+    isqrt(hi), come from this same kernel; a range past MAX_SIEVE_LIMIT is
+    refused before the first segment.
     """
-    base = primes_upto(root)
+    check_sieve_limit(hi - 1)
+    base = primes_upto(math.isqrt(hi))
     base = base[np.searchsorted(base, TILE_PRIMES[-1], side="right"):]
     tile = _tile(segment_size)
     # every segment's mask, then room to pad it (see below), in one buffer
@@ -157,8 +163,7 @@ def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (segment kernel, cached)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    odd = [low + 2 * pos for low, pos in
-           _segments(3, limit + 1, DEFAULT_SEGMENT_SIZE, math.isqrt(limit))]
+    odd = [low + 2 * pos for low, pos in _segments(3, limit + 1)]
     return np.concatenate([np.array([2], dtype=np.int64), *odd])
 
 
@@ -197,6 +202,14 @@ def check_pattern_budget(q: int, r: int) -> None:
                 f"phi({q})^{r} = {phi}^{r} patterns exceed the budget of "
                 f"{MAX_PATTERNS}"
             )
+
+
+def check_sieve_limit(limit: int) -> None:
+    """Refuse a sieve range that reaches past MAX_SIEVE_LIMIT."""
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(f"sieve range {limit:.3e} exceeds the configured "
+                         f"budget {MAX_SIEVE_LIMIT:.1e}; raise MAX_SIEVE_LIMIT"
+                         " only with the memory and hours to match")
 
 
 def check_rel_tol(rel_tol: float) -> float:

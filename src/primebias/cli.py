@@ -40,6 +40,7 @@ from .arith import (
     ResiduePattern,
     check_pattern_budget,
     check_rel_tol,
+    check_sieve_limit,
 )
 
 __all__ = ["main"]
@@ -91,6 +92,21 @@ def _rel_tol(text: str) -> float:
         return check_rel_tol(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _truncation_arg(text: str) -> int:
+    """A prime bound P for the Euler products, refused before any work
+    when the tail estimate needs more (P < 100) or the sieve budget allows
+    less."""
+    from .lfun import tail_bound
+
+    value = _exact_int(text)
+    try:
+        tail_bound(value)
+        check_sieve_limit(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _truncation(args):
@@ -267,12 +283,15 @@ def _cmd_s0(args):
 
 
 def _cmd_compare(args):
-    from .constants import _pattern_constants
+    from .constants import _c2_table, _pattern_constants
     from .predict import _RowDensity, _asymptotic_terms
     from .sieve import SieveConfig, count_patterns, effective_workers
 
     cfg = SieveConfig(q=args.q, r=args.r, x=args.x, count=args.count,
                       threads=args.threads)
+    # the pair constants, built before the sieve runs, so that a modulus
+    # past the truncation is refused first
+    _c2_table(args.q, args.truncation)
     table = count_patterns(cfg)
     # predictions are taken at the largest prime actually seen in by_count
     # mode so both columns describe the same window of integers
@@ -402,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
     sp.add_argument("--skip", type=int, default=2)
-    sp.add_argument("--truncation", type=_exact_int, default=None,
+    sp.add_argument("--truncation", type=_truncation_arg, default=None,
                     help=_TRUNCATION_HELP)
     sp.add_argument("--rel-tol", type=_rel_tol, default=1e-7)
     common(sp)
@@ -412,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
-    sp.add_argument("--truncation", type=_exact_int, default=None,
+    sp.add_argument("--truncation", type=_truncation_arg, default=None,
                     help=_TRUNCATION_HELP)
     sp.add_argument("--forms", action="store_true",
                     help="also list each independent formula's value")
@@ -425,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--method", choices=("brute", "analytic", "both"),
                     default="both")
-    sp.add_argument("--truncation", type=_exact_int, default=None,
+    sp.add_argument("--truncation", type=_truncation_arg, default=None,
                     help=_TRUNCATION_HELP)
     common(sp)
     sp.set_defaults(func=_cmd_s0)
@@ -437,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=None)
     sp.add_argument("--threads", type=int, default=1,
                     help="worker processes, at most one per core")
-    sp.add_argument("--truncation", type=_exact_int, default=None,
+    sp.add_argument("--truncation", type=_truncation_arg, default=None,
                     help=_TRUNCATION_HELP)
     sp.add_argument("--rel-tol", type=_rel_tol, default=1e-7)
     common(sp)
@@ -448,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_dump_characters)
 
     sp = sub.add_parser("dump-lvalues", help="L-values and Euler factors")
-    sp.add_argument("--truncation", type=_exact_int, default=None,
+    sp.add_argument("--truncation", type=_truncation_arg, default=None,
                     help=_TRUNCATION_HELP)
     common(sp)
     sp.set_defaults(func=_cmd_dump_lvalues)

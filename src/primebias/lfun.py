@@ -69,7 +69,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import moebius, prime_factors, primes_upto
+from .arith import _segments, moebius, prime_factors, primes_upto
 from .characters import CharacterGroup, character_group
 
 __all__ = [
@@ -242,18 +242,22 @@ def _residue_power_sums(m: int, base: int, truncation: int) -> np.ndarray:
     a multiple of m), kept for later calls.  So one pass per truncation
     serves every modulus dividing one passed before, and a call then
     costs one fold, O(SERIES_POWERS b) for a pass mod b.
+
+    A pass adds the kernel's segments into the running sums in prime
+    order, so they hold the bits of one bincount over every prime in the
+    range without an array of them; the kernel refuses a P past its budget.
     """
     sums = next((s for (b, t), s in _passes.items()
                  if t == truncation and b % m == 0), None)
     if sums is None:
-        primes = primes_upto(truncation)
-        primes = primes[np.searchsorted(primes, EXACT_BOUND):]
-        residues = primes % base
-        power = inverse = 1.0 / primes
         sums = np.zeros((SERIES_POWERS + 1, base))
-        for s in range(2, SERIES_POWERS + 1):
-            power = power * inverse
-            sums[s] = np.bincount(residues, weights=power, minlength=base)
+        for low, pos in _segments(EXACT_BOUND, truncation + 1):
+            primes = low + 2 * pos
+            residues = primes % base
+            power = inverse = 1.0 / primes
+            for s in range(2, SERIES_POWERS + 1):
+                power = power * inverse
+                np.add.at(sums[s], residues, power)
         sums.flags.writeable = False
         if len(_passes) >= MAX_PASSES:
             del _passes[next(iter(_passes))]
@@ -288,11 +292,8 @@ def twin_product(q: int, truncation: int | None = None) -> tuple[float, float]:
     the series of A(q, chi) at chi(p) = 0, from the sums of the function
     1; the prime divisors of q are then taken out of it again.
     """
-    if truncation is None:
-        bound = tail_bound(None)
-    elif truncation < 100:
-        raise ValueError("truncation too small for the tail estimate")
-    else:
+    bound = tail_bound(truncation)  # refuses a P below 100
+    if truncation is not None:
         bound = 2.0 / (truncation * math.log(truncation))
     primes = primes_upto(min(EXACT_BOUND - 1, truncation or math.inf))
     odd = primes[(primes > 2) & (q % primes != 0)]
@@ -361,7 +362,8 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     the sum of those vectors at the rows of chi^l.
     """
     if q < 1 or (truncation is not None and q > truncation):
-        raise ValueError(f"need 1 <= q <= truncation, got q={q}")
+        bound = "q >= 1" if q < 1 else f"q <= truncation = {truncation}"
+        raise ValueError(f"need {bound}, got q={q}")
     group = character_group(m)
     odd = group.parity == -1
 

@@ -3,7 +3,7 @@
 Primes come from the odd-only segmented sieve of arith._segments, the
 one prime sieve of the package: 2**20 odd numbers per segment, each mask
 a slice of a tile pre-sieved by 3..17 before the strided stores of the
-larger base primes.
+larger base primes, which the kernel picks for the range it is given.
 
 Window starts are the primes strictly greater than q, so every window
 member is coprime to q and consecutive sieved primes are consecutive
@@ -30,9 +30,9 @@ start is counted again, cut short.
 With threads > 1 the chunks run on that many worker processes (at most
 one per core the process may run on), and results are summed in chunk
 order, so counts never depend on the worker count or the chunking.
-Limits are bounded up front: a request that would need more than ~5e10
-of sieve range, or more than 2**24 residue patterns, is refused with a
-message.
+Limits are bounded up front: a request for more than 2**24 residue
+patterns, or one that would sieve past arith.MAX_SIEVE_LIMIT (5e10; the
+kernel checks every range, and _tables once before any chunk), is refused.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (  # noqa: F401  (the kernel's names resolve here too)
-    DEFAULT_SEGMENT_SIZE, TILE_PERIOD, TILE_PRIMES, InternalConsistencyError,
-    Modulus, _segments, _tile, check_pattern_budget,
-)
+from .arith import (DEFAULT_SEGMENT_SIZE, InternalConsistencyError, Modulus,
+                    _segments, check_pattern_budget, check_sieve_limit)
 
 __all__ = [
     "SieveConfig",
@@ -65,9 +63,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 25  # integers per chunk, the unit of work of one worker
-MAX_SIEVE_LIMIT = 50_000_000_000
 # windows starting at primes <= x close before x + GAP_PAD * (span + 1):
-# every prime gap below MAX_SIEVE_LIMIT is far shorter than GAP_PAD
+# every prime gap below arith.MAX_SIEVE_LIMIT is far shorter than GAP_PAD
 GAP_PAD = 4096
 
 
@@ -197,15 +194,6 @@ def effective_workers(threads: int, cpus: int | None = None) -> int:
     return max(1, min(threads, cpus))
 
 
-def _check_limit(limit: int) -> None:
-    if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(
-            f"sieve range {limit:.3e} exceeds the configured budget "
-            f"{MAX_SIEVE_LIMIT:.1e}; raise MAX_SIEVE_LIMIT only with the "
-            "memory and hours to match"
-        )
-
-
 def stream_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE,
                   threads: int = 1):
     """Yield ordered int64 arrays that together hold every prime <= limit.
@@ -213,11 +201,10 @@ def stream_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE,
     The primes are sieved in this process whatever `threads` says: moving
     every prime from a worker process costs more than sieving it here.
     """
-    _check_limit(limit)
     if limit < 2:
         return
     yield np.array([2], dtype=np.int64)
-    for low, pos in _segments(3, limit + 1, segment_size, math.isqrt(limit)):
+    for low, pos in _segments(3, limit + 1, segment_size):
         yield low + 2 * pos
 
 
@@ -320,7 +307,7 @@ def _tally(counts: np.ndarray, codes: np.ndarray) -> None:
         counts += np.bincount(codes, minlength=len(counts))
 
 
-def _count_chunk(config: SieveConfig, lo: int, hi: int, root: int,
+def _count_chunk(config: SieveConfig, lo: int, hi: int,
                  cap: int | None = None) -> _Chunk:
     """Count the windows starting at primes > q in [lo, hi), or at the
     first cap of them.
@@ -342,7 +329,7 @@ def _count_chunk(config: SieveConfig, lo: int, hi: int, root: int,
     starts = cap  # windows to count: cap, or known once a prime >= hi shows
     n = largest = 0  # primes taken; the last member of the last window
     for low, pos in _segments(max(lo, q + 1), hi + GAP_PAD * (span + 1),
-                              config.segment_size, root):
+                              config.segment_size):
         if starts is None:
             below = int(np.searchsorted(pos, (hi - low + 1) // 2))
             if below < len(pos):
@@ -388,21 +375,19 @@ def _tables(config: SieveConfig, xs: list[int] | None,
     else:
         top = xs[-1]
         cuts = {x + 1 for x in xs}  # a table is complete where its chunk ends
-    reach = top + GAP_PAD * (span + 1)  # the furthest a chunk sieves
-    _check_limit(reach)
+    check_sieve_limit(top + GAP_PAD * (span + 1))  # as far as a chunk sieves
     edges = _edges(top + 1, chunk_size, cuts)
     chunks = list(zip(edges, edges[1:]))
-    root = math.isqrt(reach)
 
     totals = np.zeros(Modulus(q).phi ** r, dtype=np.int64)
     tables: list[CountTable] = []
     seen = largest = 0
-    jobs = [(config, lo, hi, root) for lo, hi in chunks]
+    jobs = [(config, lo, hi) for lo, hi in chunks]
     workers = effective_workers(config.threads)
     with closing(_ordered(_count_chunk, jobs, workers)) as results:
         for (lo, hi), res in zip(chunks, results):
             if by_count and seen + res.n > config.count:
-                res = _count_chunk(config, lo, hi, root, cap=config.count - seen)
+                res = _count_chunk(config, lo, hi, cap=config.count - seen)
             totals[res.codes] += res.counts
             seen += res.n
             largest = res.largest or largest

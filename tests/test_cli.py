@@ -782,6 +782,48 @@ def test_rel_tol_refused_before_sieving(monkeypatch, capsys):
             assert "rel_tol must lie in [1e-15, 1), got 0.0" in captured.err
 
 
+def _no_count(*args, **kwargs):
+    raise AssertionError("sieved before checking --truncation")
+
+
+@pytest.mark.parametrize("truncation,message", [
+    ("50", "truncation too small for the tail estimate"),
+    ("1e12", "exceeds the configured budget"),
+])
+@pytest.mark.parametrize("argv", [
+    ["constants", "--q", "12"],
+    ["predict", "--q", "12", "--x", "1e9"],
+    ["s0", "--q", "5", "--v", "1", "--H", "100", "--method", "analytic"],
+    ["compare", "--q", "3", "--x", "3e8"],
+    ["dump-lvalues", "--q", "97"],
+])
+def test_truncation_refused_while_parsing(argv, truncation, message,
+                                          monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sieve, "count_patterns", _no_count)
+    target = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:  # argparse refuses it
+        cli.main(argv + ["--truncation", truncation, "--output", str(target)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --truncation" in captured.err, captured.err
+    assert message in captured.err, captured.err
+    assert not target.exists()
+
+
+def test_modulus_past_the_truncation_refused_before_sieving(monkeypatch,
+                                                            capsys):
+    # compare builds its constants before it counts; the bound that fails
+    # is named, with or without a truncation
+    monkeypatch.setattr(sieve, "count_patterns", _no_count)
+    runs = [(["compare", "--q", "101", "--x", "3e8", "--truncation", "100"],
+             "need q <= truncation = 100, got q=101"),
+            (["dump-lvalues", "--q", "0"], "need q >= 1, got q=0")]
+    for argv, message in runs:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, captured.err
+
+
 def test_counting_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency: no command may load scipy
     script = (

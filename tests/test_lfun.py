@@ -231,6 +231,24 @@ def test_one_power_sum_pass_per_constants_run(monkeypatch):
     assert list(lfun._passes) == [(60, P)]
 
 
+@pytest.mark.parametrize("P", [100_003, 20_000_000])
+@pytest.mark.parametrize("base", [1, 12, 420, 997])
+def test_streamed_power_sums_match_one_bincount_to_the_bit(base, P,
+                                                           monkeypatch):
+    # segment by segment in prime order, the pass adds up the same
+    # sequential sums as one bincount over every prime in the range
+    monkeypatch.setattr(lfun, "_passes", {})
+    got = lfun._residue_power_sums(base, base, P)
+    primes = primes_upto(P)
+    primes = primes[np.searchsorted(primes, lfun.EXACT_BOUND):]
+    want = np.zeros_like(got)
+    power = inverse = 1.0 / primes
+    for s in range(2, lfun.SERIES_POWERS + 1):
+        power = power * inverse
+        want[s] = np.bincount(primes % base, weights=power, minlength=base)
+    assert np.array_equal(got, want)
+
+
 def test_reduce_c_route_mismatch_raises(monkeypatch):
     group = character_group(12)
     (row,) = np.flatnonzero((group.parity == -1) & (group.conductor == 3))

@@ -20,15 +20,15 @@ from primebias import (
     primes_upto,
     stream_primes,
 )
-from primebias import sieve
-from primebias.arith import InternalConsistencyError
+from primebias import arith, build_ctable, sieve
+from primebias.arith import MAX_SIEVE_LIMIT, InternalConsistencyError
 from primebias.sieve import (
     CHUNK_SIZE,
-    MAX_SIEVE_LIMIT,
     effective_workers,
     nth_prime_lower_bound,
     nth_prime_upper_bound,
 )
+from primebias.singular import SingularContext
 
 
 def windows(q, r=2, skip=1, x=None, count=None, prime_limit=3_000_000):
@@ -113,7 +113,7 @@ def test_segment_kernel_fuzz():
     for lo, seg in cases:
         hi = lo + rng.randrange(1, 6 * seg)
         got = [low + 2 * pos for low, pos in
-               sieve._segments(lo, hi, seg, math.isqrt(hi - 1))]
+               sieve._segments(lo, hi, seg)]
         got = np.concatenate(got) if got else np.empty(0, dtype=np.int64)
         want = _plain_primes(lo, hi)
         assert got.tolist() == want[want != 2].tolist(), (lo, hi, seg)
@@ -122,6 +122,22 @@ def test_segment_kernel_fuzz():
 def test_stream_primes_budget_refusal():
     with pytest.raises(ValueError):
         list(stream_primes(MAX_SIEVE_LIMIT * 2))
+
+
+def test_one_sieve_budget_bounds_every_route(monkeypatch):
+    # the kernel checks its range before its first segment, so the prime
+    # arrays, the stream and the truncated Euler products share one budget
+    monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 10**6)
+    L = 2_000_003  # no other test's limit: no cached array or pass
+    routes = {
+        "primes_upto": lambda: primes_upto(L),
+        "build_ctable": lambda: build_ctable(5, truncation=L),
+        "SingularContext": lambda: SingularContext(5, truncation=L),
+        "stream_primes": lambda: list(stream_primes(L)),
+    }
+    for name, route in routes.items():
+        with pytest.raises(ValueError, match="exceeds the configured budget"):
+            route()
 
 
 def test_nth_prime_bounds_hold_below_2e7():
@@ -316,7 +332,7 @@ def test_code_space_of_2_to_the_24_counts_in_place():
         assert len(t.array) == 1 << 24
         assert t.counts == want and t.largest_prime == last, threads
     cfg = SieveConfig(q=60, r=6, x=x, segment_size=1 << 14)
-    job = (cfg, 0, x + 1, math.isqrt(x + sieve.GAP_PAD * 6))
+    job = (cfg, 0, x + 1)
     sieve._count_chunk(*job)  # the class table and tile are cached
     tracemalloc.start()
     try:
@@ -337,12 +353,11 @@ def test_code_space_of_2_to_the_24_counts_in_place():
 ])
 def test_chunk_returns_only_the_codes_it_counted(q, r, skip, x):
     cfg = SieveConfig(q=q, r=r, skip=skip, x=x, segment_size=1024)
-    root = math.isqrt(x + sieve.GAP_PAD * (r * skip))
     lo, hi = x // 3, x // 2
     # the windows starting in [lo, hi): those by hi - 1 less those by lo - 1
     below, by_hi = count_patterns_series(
         dataclasses.replace(cfg, x=hi - 1), [lo - 1])
-    chunk = sieve._count_chunk(cfg, lo, hi, root)
+    chunk = sieve._count_chunk(cfg, lo, hi)
     assert chunk.codes.dtype == chunk.counts.dtype == np.int64
     assert np.all(np.diff(chunk.codes) > 0) and np.all(chunk.counts > 0)
     assert int(chunk.counts.sum()) == chunk.n == by_hi.total() - below.total()
