@@ -46,7 +46,7 @@ MAX_PATTERNS = 1 << 24  # phi(q)**r: the most patterns any command enumerates
 # time); no other command builds a phi(m) x m array
 MAX_CHARACTER_ENTRIES = 1 << 27
 # the largest modulus of a character group: a group is O(m), and
-# dump-lvalues --q 524287, the largest prime admitted, peaks at 719 MiB
+# dump-lvalues --q 524287, the largest prime admitted, peaks at 386 MiB
 MAX_GROUP_MODULUS = 1 << 19
 MAX_SIEVE_LIMIT = 50_000_000_000  # the sieve budget: no range reaches past it
 DEFAULT_SEGMENT_SIZE = 1 << 20  # odd numbers per segment: a 1 MB mask

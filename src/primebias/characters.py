@@ -228,6 +228,14 @@ class CharacterGroup:
             rows = rows * s + labels[..., j] % s
         return rows
 
+    def induced_rows(self, m: int) -> np.ndarray:
+        """The row of the character each character mod m | self.m induces:
+        its label at g_j is t s_j / E_m, chi(g_j mod m) = e^(2 pi i t / E_m)."""
+        sub = character_group(m)
+        at = sub.labels[sub.index[np.array(self.generators, dtype=np.int64) % m]]
+        t = sub.labels @ (sub._steps[:, None] * at.T) % sub.exponent
+        return self.rows(t * np.array(self.orders, dtype=np.int64) // sub.exponent)
+
     @cached_property
     def _all(self) -> tuple["DirichletCharacter", ...]:
         return tuple(DirichletCharacter(self, i) for i in range(self.phi))

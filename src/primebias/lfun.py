@@ -24,9 +24,10 @@ other prime the logarithm of the factor is a power series in chi(p) and
 
     log(1 - (1 - z)^2 / (p-1)^2) = sum_{s=2}^{K} sum_{l=0}^{s} c[s, l] z^l p^-s,
 
-kept to K = SERIES_POWERS, so the sum over p >= M needs only the prime
-sums P_M(s, psi) = sum_{p >= M} psi(p) p^-s for the powers psi = chi^l,
-where chi^0 is 1 at every prime.  They come from Moebius inversion of
+kept to K = SERIES_POWERS, so the sum over p >= M, p !| q, needs only
+the prime sums P_M(s, psi) = sum_{p >= M} psi(p) p^-s for the powers
+psi = chi^l read as the characters they induce mod q, chi^0 the principal
+one, which vanish at every p | q.  They come from Moebius inversion of
 log L (H. Cohen, "High precision computation of Hardy-Littlewood
 constants", 1998; P. Moree, Manuscripta Math. 101, 2000):
 
@@ -38,7 +39,7 @@ with the Hurwitz zeta function from a short direct sum and an
 Euler-Maclaurin tail.  log L_M(t, psi) is of size M^(1-t), so n stops at
 ns <= K; tail_bound(None) bounds the dropped powers s > K (~3e-22).  An
 explicit truncation P keeps the series and takes its prime sums over
-M <= p <= P, one per residue mod m; its log-tail is dominated by
+M <= p <= P, one per residue mod q; its log-tail is dominated by
 sum_{p > P} 4/(p-1)^2 <= 5 / (P log P) = tail_bound(P).  At chi(p) = 0
 the series is that of the twin-prime factors 1 - 1/(p-1)^2: twin_product
 gives the twin-prime product of the singular series the same way, in
@@ -46,18 +47,18 @@ full or truncated, with its own tail bound.
 The combinations C(q, chi) = L(0,chi) L(1,chi) A(q,chi) vanish identically
 for even chi and drive all the second-order bias constants.
 
-chi may live on any modulus m dividing the ambient q, and also on moduli
-coprime to parts of q; chi(p) is always evaluated with chi's own modulus.
-Every value lives in one cached table per (q, m, truncation) that holds
-L(0), L(1), A and C for all the characters mod m at once (_ctable;
-build_ctable when m = q): one character's value is the entry at its row
-of the group, and the table's tail is the tail bound of its A.  Each
+chi may live on any modulus m dividing the ambient q.  Every value lives
+in one cached table per (q, m, truncation) that holds L(0), L(1), A and C
+for all the characters mod m at once (_ctable; build_ctable when m = q),
+one entry per row of the group, with the tail bound of A.  The prime sums
+are one table for the characters mod q, which the characters mod each
+divisor read at the rows of the characters they induce; the exact factors
+read chi(p) from chi's own labels, a block of characters at a time.  Each
 sum over a, sum_a chi(a) f(a) for every chi mod m, is one unnormalised
 inverse DFT over the unit group (CharacterGroup.transform; D. J. Platt,
 Math. Comp. 85, 2016, takes the L-values of a modulus the same way):
-L(0), L(1), the Hurwitz rows of log L and the truncated prime sums.  The
-values chi(p) at the primes multiplied exactly are read from the labels
-a block of characters at a time.  No phi(m) x m array is ever built.
+L(0), L(1), the Hurwitz rows of log L and the truncated prime sums.  No
+phi(m) x m array is ever built.
 """
 
 from __future__ import annotations
@@ -174,26 +175,22 @@ _COEFFICIENTS = _series_coefficients()
 
 
 def _power_rows(group: CharacterGroup) -> np.ndarray:
-    """R[i, l], the row of chi_i^l for l = 1..SERIES_POWERS, and R[i, 0] =
-    phi(m): the sums keep their column phi(m) for the function 1, which
-    chi^0 is in the series even where chi vanishes."""
+    """R[i, l], the row of chi_i^l for l = 0..SERIES_POWERS; R[i, 0] = 0,
+    the principal character."""
     powers = np.arange(SERIES_POWERS + 1)[:, None]
-    rows = group.rows(group.labels[:, None, :] * powers)
-    rows[:, 0] = group.phi
-    return rows
+    return group.rows(group.labels[:, None, :] * powers)
 
 
 @lru_cache(maxsize=64)
 def _prime_sums(m: int, bound: int) -> np.ndarray:
     """S[s, j] = sum_{p >= bound} psi_j(p) p^-s for s = 2..SERIES_POWERS.
 
-    psi_j runs over the characters mod m in label order, and the last
-    column, j = phi(m), is the function 1 at every prime, whose L-function
-    is zeta; rows 0 and 1 are 0.  Read-only.  One Hurwitz table serves
-    every character and every t: for each residue r mod m it holds
-    m^-t zeta(t, a_r/m), a_r the least positive member of r, except that
-    the class of 1 starts at 1 + m, so one transform gives L(t, psi) - 1
-    for every psi and log L stays accurate when it is small.
+    psi_j runs over the characters mod m in label order; rows 0 and 1 are
+    0.  Read-only.  One Hurwitz table serves every character and every t:
+    for each residue r mod m it holds m^-t zeta(t, a_r/m), a_r the least
+    positive member of r, except that the class of 1 starts at 1 + m, so
+    one transform gives L(t, psi) - 1 for every psi and log L stays
+    accurate when it is small.
     """
     K = SERIES_POWERS
     group = character_group(m)
@@ -204,25 +201,21 @@ def _prime_sums(m: int, bound: int) -> np.ndarray:
     start[1 % m] += m
     hurwitz = m ** -t * hurwitz_zeta(t, start / m)
     # log L_M(t, psi) for t = 2..K, one row per t
-    l_minus_1 = np.hstack([group.transform(hurwitz[:, group.units]),
-                           hurwitz.sum(axis=1, keepdims=True)])
+    l_minus_1 = group.transform(hurwitz[:, group.units])
     log_l = _log1p(l_minus_1.real, l_minus_1.imag)
     small = primes_upto(bound - 1)
     r = -(1.0 / small) ** t
-    log_l[:, -1] += _log1p(r, 0.0 * r).sum(axis=1)  # the function 1
     for rows, z in group.value_blocks(small):
         for i in range(K - 1):
             log_l[i, rows] += _log1p(z.real * r[i], z.imag * r[i]).sum(axis=1)
 
     powers = _power_rows(group)
-    sums = np.zeros((K + 1, group.phi + 1), dtype=np.complex128)
+    sums = np.zeros((K + 1, group.phi), dtype=np.complex128)
     for s in range(2, K + 1):
         for n in range(K // s, 0, -1):
             mu = moebius(n)
             if mu:
-                # psi^n; the function 1 stays 1
-                rows = np.append(powers[:, n], group.phi)
-                sums[s] += mu / n * log_l[n * s - 2, rows]
+                sums[s] += mu / n * log_l[n * s - 2, powers[:, n]]
     sums.flags.writeable = False
     return sums
 
@@ -266,21 +259,22 @@ def _residue_power_sums(m: int, base: int, truncation: int) -> np.ndarray:
 
 
 def _series_sums(q: int, m: int, truncation: int | None) -> np.ndarray:
-    """S[s, j] = sum of psi_j(p) p^-s over the primes the series covers.
+    """S[s, j] = sum of psi_j(p) p^-s over the primes p !| q the series
+    covers, psi_j the characters mod m | q in label order: one table for
+    the characters mod q, read at the rows of the characters they induce.
 
-    psi_j runs over the characters mod m in label order, and the last
-    column is the function 1, as in _prime_sums.  By default the range is
-    every p >= EXACT_BOUND.  Up to a truncation P it is EXACT_BOUND <= p
-    <= P, where sum_{p = a mod m} p^-s is one sum per residue a and sum_a
-    chi(a) S_s(a) one transform; one pass over the primes serves every
-    modulus dividing q.
+    By default the range is every p >= EXACT_BOUND.  Up to a truncation P
+    it is EXACT_BOUND <= p <= P, where sum_{p = a mod q} p^-s is one sum
+    per residue a and sum_a chi(a) S_s(a) one transform; one pass over
+    the primes serves every modulus dividing q.
     """
+    group = character_group(q)
     if truncation is None:
-        return _prime_sums(m, EXACT_BOUND)
-    group = character_group(m)
-    power_sums = _residue_power_sums(m, math.lcm(q, m), truncation)
-    return np.hstack([group.transform(power_sums[:, group.units]),
-                      power_sums.sum(axis=1, keepdims=True)])
+        table = _prime_sums(q, EXACT_BOUND)
+    else:
+        power_sums = _residue_power_sums(q, q, truncation)
+        table = group.transform(power_sums[:, group.units])
+    return table[:, group.induced_rows(m)]
 
 
 def twin_product(q: int, truncation: int | None = None) -> tuple[float, float]:
@@ -289,8 +283,8 @@ def twin_product(q: int, truncation: int | None = None) -> tuple[float, float]:
     sum_{p > P} 1/(p-1)^2 <= 2 / (P log P) truncated.
 
     Odd primes below EXACT_BOUND are multiplied exactly, the rest through
-    the series of A(q, chi) at chi(p) = 0, from the sums of the function
-    1; the prime divisors of q are then taken out of it again.
+    the series of A(q, chi) at chi(p) = 0, from the sums of the character
+    mod 1; the prime divisors of q are then taken out of it again.
     """
     bound = tail_bound(truncation)  # refuses a P below 100
     if truncation is not None:
@@ -298,7 +292,7 @@ def twin_product(q: int, truncation: int | None = None) -> tuple[float, float]:
     primes = primes_upto(min(EXACT_BOUND - 1, truncation or math.inf))
     odd = primes[(primes > 2) & (q % primes != 0)]
     product = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
-    log = complex(_COEFFICIENTS[:, 0] @ _series_sums(1, 1, truncation)[:, -1])
+    log = complex(_COEFFICIENTS[:, 0] @ _series_sums(1, 1, truncation)[:, 0])
     for p in prime_factors(q):
         if p >= EXACT_BOUND and (truncation is None or p <= truncation):
             log -= math.log(1 - 1 / (p - 1) ** 2)
@@ -349,21 +343,23 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     """Every L-value, A(q, chi) and C(q, chi) for the characters mod m.
 
     L(0) and L(1) are one transform over the unit group each.  The
-    ambient modulus q decides which primes sit in the "p | q" factor of A.
-    A truncation P needs q <= P, so every prime dividing q is inside the
-    sieve range.
+    ambient modulus q, a multiple of m, decides which primes sit in the
+    "p | q" factor of A.  A truncation P needs q <= P, so every prime
+    dividing q is inside the sieve range.
 
     Primes below EXACT_BOUND and primes dividing q are multiplied factor
-    by factor, from chi(p) read a block of characters at a time.  For
-    every other prime the logarithm of the factor is the power series
-    sum_{s,l} c[s, l] chi(p)^l p^-s, whose prime sums over the range
-    _series_sums gives.  The coefficients are first contracted with the
-    sums, one vector per power l, and the series of every character is
-    the sum of those vectors at the rows of chi^l.
+    by factor, from chi(p) read a block of characters at a time.  Every
+    other prime is in the series sum_{s,l} c[s, l] chi(p)^l p^-s of the
+    log of its factor, whose prime sums _series_sums reads at the
+    characters mod q that the chi^l induce.  The coefficients are first
+    contracted with the sums, one vector per power l, and the series of
+    every character is the sum of those vectors at the rows of chi^l.
     """
     if q < 1 or (truncation is not None and q > truncation):
         bound = "q >= 1" if q < 1 else f"q <= truncation = {truncation}"
         raise ValueError(f"need {bound}, got q={q}")
+    if q % m:
+        raise ValueError(f"need m | q, got characters mod {m} and q={q}")
     group = character_group(m)
     odd = group.parity == -1
 
@@ -380,20 +376,15 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     log_rest = sum(v[l, rows[:, l]] for l in range(SERIES_POWERS + 1))
 
     small = primes_upto(min(EXACT_BOUND - 1, truncation or math.inf))
-    # primes dividing q beyond the exact bound leave the series for their
-    # own (1 - chi(p)/p) factor
-    large = np.array([p for p in prime_factors(q) if p >= EXACT_BOUND],
-                     dtype=np.int64)
-    exact = np.r_[small, large]
+    # the primes dividing q past the exact bound, left out of the series
+    large = [p for p in prime_factors(q) if p >= EXACT_BOUND]
+    exact = np.r_[small, np.array(large, dtype=np.int64)]
     divides = q % exact == 0
     a = np.empty(group.phi, dtype=np.complex128)
     for block, z in group.value_blocks(exact):
         a[block] = np.prod(np.where(divides, 1.0 - z / exact,
                                     1.0 - (1.0 - z) ** 2 / (exact - 1.0) ** 2),
                            axis=1)
-        z = z[:, len(small):]
-        log_rest[block] -= np.log(1.0 - (1.0 - z) ** 2
-                                  / (large - 1.0) ** 2).sum(axis=1)
     a *= np.exp(log_rest)
     c = np.where(odd, l0 * l1 * a, 0)
     for array in (l0, l1, a, c):

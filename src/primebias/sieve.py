@@ -422,5 +422,5 @@ def count_patterns_series(config: SieveConfig, checkpoints: list[int]) -> list[C
     if xs[0] < 2:
         raise ValueError("checkpoints must be >= 2")
     if xs[-1] != int(config.x):
-        raise ValueError("checkpoints must end at x")
+        raise ValueError(f"checkpoint {xs[-1]} exceeds x = {int(config.x)}")
     return _tables(config, xs)

@@ -13,7 +13,7 @@ import primebias
 from primebias import character_group
 from primebias.characters import CharacterGroup
 from primebias.oracles import (conjugate_character, primitive_character,
-                               principal_character, value_matrix)
+                               principal_character, value_matrix, value_rows)
 
 
 def test_group_sizes():
@@ -189,6 +189,19 @@ def test_primitive_character_agrees_on_coprimes():
             got = value_matrix(star.group)[star.index][np.array(units) % f]
             want = value_matrix(group)[chi.index][units]
             assert np.abs(got - want).max() < 1e-12, name
+
+
+@pytest.mark.parametrize("m, base", [(1, 7), (2, 12), (3, 12), (4, 12),
+                                     (8, 24), (9, 18), (5, 60), (15, 420),
+                                     (16, 48)])
+def test_induced_rows_hold_the_values_mod_m_at_every_unit(m, base):
+    group = character_group(base)
+    rows = group.induced_rows(m)
+    assert rows.shape == (character_group(m).phi,)
+    units = group.units
+    got = value_rows(group, rows)[:, units]
+    want = value_rows(character_group(m), slice(None))[:, units % m]
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_order_divides_group_order():

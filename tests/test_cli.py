@@ -132,6 +132,15 @@ def test_bad_checkpoints_exit_code(capsys):
         assert out == ""
 
 
+def test_checkpoint_above_x_is_named(capsys):
+    code = cli.main(["count", "--q", "3", "--x", "1e6",
+                     "--checkpoints", "2e6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "checkpoint 2000000 exceeds x = 1000000" in captured.err
+
+
 def test_predict_integral_and_asymptotic(capsys):
     for method in ("integral", "asymptotic"):
         code, out = run_cli(["predict", "--q", "3", "--classes", "1,2",

@@ -371,9 +371,15 @@ def test_full_product_known_value_mod12():
 @pytest.mark.parametrize("P", [10**5, 10**6])
 def test_full_product_within_tail_of_truncated(P):
     # tail_bound(P) bounds the dropped log-mass, so the products differ by
-    # at most |A_P| (exp(tail_bound(P)) - 1)
-    for q in range(1, 31):
-        full, cut = build_ctable(q).a, build_ctable(q, P)
+    # at most |A_P| (exp(tail_bound(P)) - 1); 2018 = 2 * 1009 and 3027 =
+    # 3 * 1009 put a prime divisor of q past the exact bound, at every
+    # divisor's characters
+    cases = [(q, q) for q in range(1, 31)]
+    if P == 10**6:
+        cases += [(q, m) for q in (2018, 3027) for m in range(1, q + 1)
+                  if q % m == 0]
+    for q, m in cases:
+        full, cut = lfun._ctable(q, m, None).a, lfun._ctable(q, m, P)
         outside = ~(abs(full - cut.a) <= abs(cut.a) * math.expm1(cut.tail))
         assert not outside.any(), cut.group.names(np.flatnonzero(outside))
 
@@ -405,17 +411,37 @@ def test_full_product_independent_of_exact_bound(monkeypatch):
 
 
 def test_twin_product_leaves_out_prime_divisors_of_q():
-    # 1009 is the first prime above the exact bound: q = 1009 takes it out
-    # of the series, and chi(1009) = 0 makes its own factor 1, so the two
-    # products differ by exactly its factor
-    chi = character_group(1009).characters()[5]
-    assert chi(1009) == 0
-    ratio = (lfun._ctable(1009, 1009, None).a[chi.index]
-             / lfun._ctable(1, 1009, None).a[chi.index])
-    assert ratio == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15, abs=0)
-    # and 2018 = 2 * 1009 takes its factor out of the twin-prime product
+    # 1009 is the first prime above the exact bound: 2018 = 2 * 1009 takes
+    # its factor out of the twin-prime product
     ratio = lfun.twin_product(2018)[0] / lfun.twin_product(2)[0]
     assert ratio == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15, abs=0)
+
+
+def test_ctable_refuses_a_modulus_that_does_not_divide_q():
+    with pytest.raises(ValueError, match="1009.*q=1"):
+        lfun._ctable(1, 1009, None)
+
+
+def test_prime_sums_are_taken_once_per_ambient_modulus(monkeypatch):
+    # every divisor's characters read the columns of the characters they
+    # induce mod q: c2 mod 60 takes the sums mod 60, and mod 15 for the
+    # reduced form at the odd part, and s0c_vector(420) only mod 420
+    evaluated = []
+    prime_sums = lfun._prime_sums.__wrapped__
+
+    def record(m, bound):
+        evaluated.append(m)
+        return prime_sums(m, bound)
+
+    monkeypatch.setattr(lfun, "_prime_sums", functools.lru_cache(record))
+    for cached in (lfun._ctable, constants._kernel, constants.s0c_vector,
+                   constants._c2_table):
+        cached.cache_clear()
+    c2_general(60, (1, 7))
+    assert sorted(evaluated) == [15, 60]
+    evaluated.clear()
+    constants.s0c_vector(420)
+    assert evaluated == [420]
 
 
 @pytest.mark.parametrize("q", range(3, 31))
@@ -450,7 +476,11 @@ def oracle_l1(chi):
 
 def oracle_a(q, chi, truncation):
     """A(q, chi) for one character: the exact product below the exact bound
-    and at the primes dividing q, times the exponential of the series."""
+    and at the primes dividing q, times the exponential of the series.
+
+    The series is taken over the primes p !| m, from the prime sums of
+    the characters mod m, not mod q; the primes dividing q but not m
+    then leave it again, term by term."""
     group = chi.group
     m = group.m
     vals = values(chi)
@@ -461,20 +491,20 @@ def oracle_a(q, chi, truncation):
                                      1.0 - (1.0 - z) ** 2 / (small - 1.0) ** 2)))
     large = [p for p in primes_upto(q) if q % p == 0 and p >= M]
     # sums[s, l]: the prime sum of p^-s weighted by chi^l, where chi^0 is
-    # 1 at every prime
+    # the principal character mod m
     if truncation is None:
         prime_sums = lfun._prime_sums(m, M)
-        # the function 1, then the row of each power chi^l
+        # the principal character, then the row of each power chi^l
         powers = group.labels[chi.index] * np.arange(1, K + 1)[:, None]
-        rows = [prime_sums.shape[1] - 1] + group.rows(powers).tolist()
-        sums = prime_sums[:, rows]
+        sums = prime_sums[:, [0] + group.rows(powers).tolist()]
     else:
         residue_sums = lfun._residue_power_sums(m, math.lcm(q, m), truncation)
-        sums = np.column_stack([residue_sums.sum(axis=1)] + [
+        sums = np.column_stack([residue_sums @ abs(vals)] + [
             residue_sums @ vals**l for l in range(1, K + 1)])
     log_rest = complex(np.sum(lfun._COEFFICIENTS * sums))
     for p in large:
-        log_rest -= cmath.log(1 - (1 - chi(p)) ** 2 / (p - 1) ** 2)
+        if m % p:
+            log_rest -= cmath.log(1 - (1 - chi(p)) ** 2 / (p - 1) ** 2)
         value *= 1.0 - vals[p % m] / p
     return value * cmath.exp(log_rest)
 
