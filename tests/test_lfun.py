@@ -371,12 +371,12 @@ def test_full_product_known_value_mod12():
 @pytest.mark.parametrize("P", [10**5, 10**6])
 def test_full_product_within_tail_of_truncated(P):
     # tail_bound(P) bounds the dropped log-mass, so the products differ by
-    # at most |A_P| (exp(tail_bound(P)) - 1); 2018 = 2 * 1009 and 3027 =
-    # 3 * 1009 put a prime divisor of q past the exact bound, at every
-    # divisor's characters
+    # at most |A_P| (exp(tail_bound(P)) - 1); 2018 = 2 * 1009, 3027 =
+    # 3 * 1009 and 3039 = 3 * 1013 put a prime divisor of q past the exact
+    # bound, at every divisor's characters
     cases = [(q, q) for q in range(1, 31)]
     if P == 10**6:
-        cases += [(q, m) for q in (2018, 3027) for m in range(1, q + 1)
+        cases += [(q, m) for q in (2018, 3027, 3039) for m in range(1, q + 1)
                   if q % m == 0]
     for q, m in cases:
         full, cut = lfun._ctable(q, m, None).a, lfun._ctable(q, m, P)
@@ -509,8 +509,11 @@ def oracle_a(q, chi, truncation):
     return value * cmath.exp(log_rest)
 
 
-@pytest.mark.parametrize("P", [None, 10**5, 2 * 10**7])
-@pytest.mark.parametrize("q", [3, 4, 5, 12, 15, 60, 97, 210, 420, 997])
+# 3039 = 3 * 1013 puts a prime divisor of q past the exact bound where
+# the characters mod 3 read -1, so the oracle takes it out of its series
+@pytest.mark.parametrize("q, P", [
+    (q, P) for q in [3, 4, 5, 12, 15, 60, 97, 210, 420, 997]
+    for P in [None, 10**5, 2 * 10**7]] + [(3039, None), (3039, 2 * 10**7)])
 def test_ctable_matches_per_character_oracle(q, P):
     def close(got, want):
         return abs(got - want) <= 1e-12 * max(1.0, abs(want))
