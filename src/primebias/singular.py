@@ -13,7 +13,9 @@ zero-mean variant on pairs is S_{q,0}({0,h}) = S_q({0,h}) - 1.  A
 SingularContext freezes q and the twin-type product over odd p !| q,
 in full or truncated at P (lfun.twin_product); the h-dependent
 corrections are applied exactly, by sieving, never by per-h full
-products.  Every odd prime p !| q dividing h multiplies by (p-1)/(p-2).
+products: the primes above sqrt(cutoff) stream from the segments of
+arith's sieve kernel, each multiplied into its multiples once.  Every
+odd prime p !| q dividing h multiplies by (p-1)/(p-2).
 An odd p | h above a truncation P multiplies by p/(p-1) instead: that
 is (p-1)/(p-2) times the factor 1 - 1/(p-1)^2 the truncated product
 leaves out, so the primes dividing h are exact at any P.
@@ -30,15 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import canonical_residue, primes_upto, totient
+from .arith import _segments, canonical_residue, primes_upto, totient
 from .lfun import twin_product
 
 __all__ = ["SingularContext", "S0Sum", "s0_brute"]
 
-# the longest pair_values table: 0.8 GB of float64 values, 0.98 GB at its
-# peak while the large primes are scattered in (the primes cached first)
+# the longest pair_values table: 0.8 GB (763 MiB) of float64 values; a
+# process building it peaks at 805 MiB resident (x86-64, numpy 2.4)
 MAX_PAIR_CUTOFF = 10**8
-SCATTER_BLOCK = 1 << 20  # the most large-prime multiples scattered at once
 
 
 class SingularContext:
@@ -75,28 +76,20 @@ class SingularContext:
         vals[0] = np.nan
         if self.q % 2:
             vals[1::2] = 0.0
-        ps = primes_upto(cutoff)
-        ps = ps[(ps > 2) & (self.q % ps != 0)]
-        small = np.searchsorted(ps, math.isqrt(cutoff), side="right")
-        for p in ps[:small].tolist():
-            vals[p::p] *= self.h_factor(p)
+        root = math.isqrt(cutoff)
+        for p in primes_upto(root).tolist():
+            if p > 2 and self.q % p:
+                vals[p::p] *= self.h_factor(p)
         # a larger prime divides an h <= cutoff at most once, as its largest
-        # prime factor, so it comes last in h's product either way: each
-        # scatter multiplies a block of them in, each index at most once,
-        # and a block's multiples total at most SCATTER_BLOCK
-        large = ps[small:]
-        n = cutoff // large
-        ends = np.cumsum(n)
-        start = 0
-        while start < len(large):
-            stop = int(np.searchsorted(ends, ends[start] - n[start]
-                                       + SCATTER_BLOCK, side="right"))
-            m = n[start:stop]
-            first = np.repeat(np.cumsum(m) - m, m)  # where each run starts
-            multiples = (np.repeat(large[start:stop], m)
-                         * (np.arange(len(first)) - first + 1))
-            vals[multiples] *= np.repeat(self.h_factor(large[start:stop]), m)
-            start = stop
+        # prime factor, so it comes last in h's product either way: stream
+        # them from the kernel and multiply each in once per multiple j*p
+        for low, pos in _segments(root + 1, cutoff + 1):
+            large = low + 2 * pos
+            large = large[self.q % large != 0]
+            factor = self.h_factor(large)
+            for j in range(1, cutoff // low + 1):
+                n = np.searchsorted(large, cutoff // j, side="right")
+                vals[j * large[:n]] *= factor[:n]
         self._pair_cache = vals
         return vals
 
@@ -120,9 +113,9 @@ def s0_brute(ctx: SingularContext, v: int, H: float, k: int = 0) -> S0Sum:
         raise ValueError("k must be >= 0")
     cutoff = math.ceil(50.0 * H * (k + 1))
     vals = ctx.pair_values(cutoff)
-    hs = np.arange(canonical_residue(ctx.q, v), cutoff + 1, ctx.q, dtype=np.int64)
-    sig0 = vals[hs] - 1.0
-    hf = hs.astype(float)
+    start = canonical_residue(ctx.q, v)
+    sig0 = vals[start::ctx.q] - 1.0
+    hf = np.arange(start, cutoff + 1, ctx.q, dtype=float)
     weights = np.exp(-hf / H)
     if k:
         weights = weights * hf**k

@@ -15,7 +15,7 @@ from primebias import (
     singular_pair,
     singular_zero,
 )
-from primebias import lfun, singular
+from primebias import lfun
 from primebias.singular import MAX_PAIR_CUTOFF
 
 
@@ -258,8 +258,8 @@ def loop_pair_values(ctx, cutoff):
 @pytest.mark.parametrize("q", [3, 4, 5, 12, 30])
 @pytest.mark.parametrize("truncation", [None, 100])
 def test_pair_values_bit_identical_to_a_per_prime_loop(q, truncation):
-    # primes above isqrt(cutoff) are multiplied in by one scatter; squares
-    # put a prime at isqrt(cutoff) itself, and P = 100 runs the p/(p-1)
+    # primes above isqrt(cutoff) stream from the sieve kernel; squares put
+    # a prime at isqrt(cutoff) itself, and P = 100 runs the p/(p-1)
     # branch at the larger cutoffs
     for cutoff in (1, 2, 3, 4, 9, 25, 100, 12_345, 500_000):
         ctx = SingularContext(q, truncation=truncation)
@@ -268,20 +268,22 @@ def test_pair_values_bit_identical_to_a_per_prime_loop(q, truncation):
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), cutoff
 
 
+@pytest.mark.parametrize("q", [5, 12, 30])
 @pytest.mark.parametrize("truncation", [None, 100])
-def test_pair_values_scatter_blocks_bit_identical(monkeypatch, truncation):
-    # blocks of at most 997 large-prime multiples: hundreds of scatters
-    monkeypatch.setattr(singular, "SCATTER_BLOCK", 997)
-    for q in (5, 12):
-        ctx = SingularContext(q, truncation=truncation)
-        got = ctx.pair_values(300_000)
-        want = loop_pair_values(ctx, 300_000)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), q
+def test_pair_values_bit_identical_across_kernel_segments(q, truncation):
+    # 5e6 spans three 2**20-odd-number kernel segments, so the large primes
+    # of several segments are multiplied in, each once per multiple
+    ctx = SingularContext(q, truncation=truncation)
+    got = ctx.pair_values(5_000_000)
+    want = loop_pair_values(ctx, 5_000_000)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_pair_values_peak_memory_under_twice_the_table():
+def test_pair_values_peak_memory_under_five_quarters_of_the_table():
+    # the large primes stream from the sieve kernel: no array of every
+    # prime up to the cutoff, only the kernel's base primes (cached here)
     cutoff = 10**7
-    primes_upto(cutoff)  # cached, as every later table reads it
+    primes_upto(math.isqrt(cutoff))
     ctx = SingularContext(5)
     tracemalloc.start()
     try:
@@ -289,4 +291,19 @@ def test_pair_values_peak_memory_under_twice_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * vals.nbytes, peak / vals.nbytes
+    assert peak <= 1.25 * vals.nbytes, peak / vals.nbytes
+
+
+def test_s0_brute_reads_its_class_as_a_strided_view():
+    # no int64 index array and no gathered copy: the class's values, the
+    # h's, and the weights with one temporary, four floats per h at most
+    ctx = SingularContext(5)
+    ctx.pair_values(10**7)
+    length = len(range(1, 10**7 + 1, 5))
+    tracemalloc.start()
+    try:
+        s0_brute(ctx, 1, 2e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * length, peak / (8 * length)
