@@ -16,16 +16,20 @@ leading class from arrays over all their patterns, and the dumps one per
 block of characters, named from their labels.  Every computation that
 can fail ends before the first byte is written.
 
-Exit codes: 0 on success, 2 on invalid arguments, 3 when an internal
-cross-check fails (two formulas for the same constant disagreeing is a
-bug worth a loud exit, not a warning).
+Exit codes: 0 on success, 2 on invalid arguments (an --output FILE that
+cannot be written among them, refused before any work), 3 when an
+internal cross-check fails (two formulas for the same constant
+disagreeing is a bug worth a loud exit, not a warning), 141 when the
+reader of stdout goes away, as for a tool stopped by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -375,10 +379,6 @@ def _cmd_dump_lvalues(args):
 # ------------------------------------------------------------------ plumbing
 
 
-_TRUNCATION_HELP = ("stop the Euler products at the prime bound P; "
-                    "default: the full products")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="primebias",
@@ -395,6 +395,18 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="key=value defaults; explicit flags win")
 
+    def truncation(sp):
+        sp.add_argument("--truncation", type=_truncation_arg, default=None,
+                        help="stop the Euler products at the prime bound P; "
+                             "default: the full products")
+
+    def threads(sp):
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker processes, at most one per core")
+
+    def rel_tol(sp):
+        sp.add_argument("--rel-tol", type=_rel_tol, default=1e-7)
+
     sp = sub.add_parser("count", help="exact pattern counts by sieve")
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--skip", type=int, default=1)
@@ -402,8 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="count windows whose first prime is <= X")
     sp.add_argument("--nth-prime", dest="count", type=_exact_int,
                     default=None, help="count the first N windows instead")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes, at most one per core")
+    threads(sp)
     sp.add_argument("--checkpoints", type=_int_list, default=None)
     common(sp)
     sp.set_defaults(func=_cmd_count)
@@ -416,9 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
     sp.add_argument("--skip", type=int, default=2)
-    sp.add_argument("--truncation", type=_truncation_arg, default=None,
-                    help=_TRUNCATION_HELP)
-    sp.add_argument("--rel-tol", type=_rel_tol, default=1e-7)
+    truncation(sp)
+    rel_tol(sp)
     common(sp)
     sp.set_defaults(func=_cmd_predict)
 
@@ -426,8 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--classes", type=_classes_arg, default=None,
                     help="single pattern; default is all phi(q)^r patterns")
-    sp.add_argument("--truncation", type=_truncation_arg, default=None,
-                    help=_TRUNCATION_HELP)
+    truncation(sp)
     sp.add_argument("--forms", action="store_true",
                     help="also list each independent formula's value")
     common(sp)
@@ -439,8 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--method", choices=("brute", "analytic", "both"),
                     default="both")
-    sp.add_argument("--truncation", type=_truncation_arg, default=None,
-                    help=_TRUNCATION_HELP)
+    truncation(sp)
     common(sp)
     sp.set_defaults(func=_cmd_s0)
 
@@ -449,11 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=_exact_int, default=None)
     sp.add_argument("--nth-prime", dest="count", type=_exact_int,
                     default=None)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes, at most one per core")
-    sp.add_argument("--truncation", type=_truncation_arg, default=None,
-                    help=_TRUNCATION_HELP)
-    sp.add_argument("--rel-tol", type=_rel_tol, default=1e-7)
+    threads(sp)
+    truncation(sp)
+    rel_tol(sp)
     common(sp)
     sp.set_defaults(func=_cmd_compare)
 
@@ -462,8 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_dump_characters)
 
     sp = sub.add_parser("dump-lvalues", help="L-values and Euler factors")
-    sp.add_argument("--truncation", type=_truncation_arg, default=None,
-                    help=_TRUNCATION_HELP)
+    truncation(sp)
     common(sp)
     sp.set_defaults(func=_cmd_dump_lvalues)
     return p
@@ -481,6 +486,21 @@ def _load_config(path: str) -> list[str]:
             if value.strip():  # a key with no value is a bare flag
                 flags.append(value.strip())
     return flags
+
+
+def _check_output(path: str) -> None:
+    """Raise the OSError that writing FILE and FILE.manifest would meet
+    after all the work: either is a directory, or their directory is
+    missing or not writable.  Creates nothing."""
+    folder = os.path.dirname(path) or "."
+    for target in (path, path + ".manifest"):
+        if os.path.isdir(target):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        raise OSError(code, os.strerror(code), folder)
+    if not os.access(folder, os.W_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), folder)
 
 
 def _column(value):
@@ -571,6 +591,12 @@ def main(argv=None) -> int:
         break
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        if args.output:
+            _check_output(args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         blocks, meta = args.func(args)
@@ -581,11 +607,20 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start
-    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
-        nrows = (_json if args.format == "json" else _csv)(blocks, fh)
-    if args.output:
-        with open(args.output + ".manifest", "w") as fh:
-            fh.write(_manifest(argv, meta, wall, nrows))
+    try:
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+            nrows = (_json if args.format == "json" else _csv)(blocks, fh)
+        if args.output:
+            with open(args.output + ".manifest", "w") as fh:
+                fh.write(_manifest(argv, meta, wall, nrows))
+    except BrokenPipeError:
+        # the reader of stdout is gone: end as a tool stopped by SIGPIPE
+        # does, and let the interpreter's last flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -214,32 +213,24 @@ def stream_primes(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE,
 def _ordered(fn, jobs, workers: int):
     """Yield fn(*job) for each job, in job order.
 
-    With workers > 1 the calls run in that many spawned processes, at most
-    workers + 2 ahead of the consumer, so a consumer that stops early
-    leaves little work behind; closing the generator cancels the rest.
+    With workers > 1 the calls run in that many spawned processes through
+    the executor's ordered map: no worker waits for the consumer, the
+    executor's call queue bounds the work started ahead of it, and closing
+    the generator cancels every job not yet started.
     """
     if workers == 1:
-        for job in jobs:
-            yield fn(*job)
+        yield from itertools.starmap(fn, jobs)
         return
     # only runs with workers load the process machinery
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    jobs = iter(jobs)
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-        pending = deque(pool.submit(fn, *job)
-                        for job in itertools.islice(jobs, workers + 2))
-        try:
-            while pending:
-                result = pending.popleft().result()
-                pending.extend(pool.submit(fn, *job)
-                               for job in itertools.islice(jobs, 1))
-                yield result
-        finally:
-            for fut in pending:
-                fut.cancel()
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield from pool.map(fn, *zip(*jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _edges(end: int, chunk_size: int, cuts=()) -> list[int]:

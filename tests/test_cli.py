@@ -1,5 +1,6 @@
 """Command line plumbing: formats, outputs, config files, exit codes."""
 
+import argparse
 import csv
 import io
 import itertools
@@ -654,6 +655,84 @@ def test_output_file_and_manifest(tmp_path, capsys):
     assert "command=primebias count" in manifest
     assert "rows=4" in manifest
     assert "wall_seconds=" in manifest
+
+
+@pytest.mark.parametrize("target,message", [
+    ("missing/counts.csv", "No such file or directory"),
+    (".", "Is a directory"),
+    ("taken.csv", "Is a directory"),  # FILE.manifest is
+    ("plain/counts.csv", "Not a directory"),
+])
+def test_unwritable_output_refused_before_counting(target, message,
+                                                   monkeypatch, capsys,
+                                                   tmp_path):
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted before checking --output")
+
+    monkeypatch.setattr(sieve, "count_patterns", no_count)
+    (tmp_path / "taken.csv.manifest").mkdir()
+    (tmp_path / "plain").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    code = cli.main(["count", "--q", "3", "--x", "1e6",
+                     "--output", str(tmp_path / target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_write_error_exit_code(monkeypatch, capsys, tmp_path):
+    def full(blocks, fh):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_csv", full)
+    code = cli.main(["count", "--q", "3", "--x", "100",
+                     "--output", str(tmp_path / "counts.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: [Errno 28] No space left on device\n")
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # the reader goes after one line of a table far larger than a pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "primebias", "count", "--q", "210", "--r", "3",
+         "--x", "1e6"], env=_package_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("q,r,skip,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert "Traceback" not in err and "Exception" not in err, err
+
+
+def test_shared_options_keep_their_places():
+    # each subcommand lists its options in this order under --help, and
+    # an option shared by several is declared alike in all of them
+    common = ["--q", "--format", "--output", "--config"]
+    want = {
+        "count": ["--r", "--skip", "--x", "--nth-prime", "--threads",
+                  "--checkpoints", *common],
+        "predict": ["--x", "--r", "--method", "--classes", "--skip",
+                    "--truncation", "--rel-tol", *common],
+        "constants": ["--r", "--classes", "--truncation", "--forms", *common],
+        "s0": ["--v", "--H", "--k", "--method", "--truncation", *common],
+        "compare": ["--r", "--x", "--nth-prime", "--threads", "--truncation",
+                    "--rel-tol", *common],
+        "dump-characters": common,
+        "dump-lvalues": ["--truncation", *common],
+    }
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    declared = {}
+    for name, sp in subparsers.choices.items():
+        options = [a for a in sp._actions if a.option_strings != ["-h", "--help"]]
+        assert [a.option_strings[0] for a in options] == want[name], name
+        for a in options:
+            declared.setdefault(a.option_strings[0], set()).add(
+                (a.type, a.default, a.help, a.required))
+    for option in ("--truncation", "--threads", "--rel-tol"):
+        assert len(declared[option]) == 1, option
 
 
 def test_config_file_flags_and_precedence(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from primebias.sieve import (
     nth_prime_upper_bound,
 )
 from primebias.singular import SingularContext
+
+import ordered_jobs  # beside this file, so spawned workers import it too
 
 
 def windows(q, r=2, skip=1, x=None, count=None, prime_limit=3_000_000):
@@ -272,6 +275,27 @@ def test_tables_independent_of_chunk_size_and_workers():
             got = sieve._tables(dataclasses.replace(cfg, threads=threads), xs,
                                 chunk_size=chunk_size)
             assert got == want, (chunk_size, threads)
+
+
+def test_closing_the_chunk_engine_cancels_the_jobs_not_started(tmp_path):
+    # the first job returns at once and the rest outlast the close; each
+    # job run leaves a file.  Two workers run theirs, the executor's call
+    # queue holds workers + 1 more (refilled once as the first returns),
+    # and closing cancels the other jobs
+    jobs = [(str(tmp_path), 0, 0.0)]
+    jobs += [(str(tmp_path), i, 0.5) for i in range(1, 40)]
+    with closing(sieve._ordered(ordered_jobs.mark, jobs, 2)) as results:
+        assert next(results) == 0
+    assert 2 <= len(list(tmp_path.iterdir())) <= 2 * 2 + 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_engine_keeps_job_order_behind_a_slow_first_job(workers,
+                                                              tmp_path):
+    jobs = [(str(tmp_path), 0, 0.5)]
+    jobs += [(str(tmp_path), i, 0.0) for i in range(1, 12)]
+    assert list(sieve._ordered(ordered_jobs.mark, jobs, workers)) == list(range(12))
+    assert len(list(tmp_path.iterdir())) == 12
 
 
 def test_four_prime_windows_list_only_counted_patterns():
