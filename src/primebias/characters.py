@@ -76,14 +76,15 @@ def _crt_lift(residue: int, pe: int, m: int) -> int:
     return x
 
 
-def _powers(g: int, s: int, m: int) -> np.ndarray:
-    """g^e mod m for e = 0..s-1, by doubling: g^(k..2k-1) = g^(0..k-1) g^k."""
-    out = np.empty(s, dtype=np.int64)
+def _powers(g, s: int, m: int) -> np.ndarray:
+    """g^e mod m for e = 0..s-1 along the first axis, for a residue g or
+    an array of them, by doubling: g^(k..2k-1) = g^(0..k-1) g^k."""
+    out = np.empty((s,) + np.shape(g), dtype=np.int64)
     out[0] = 1 % m
     k = 1
     while k < s:
         n = min(k, s - k)
-        out[k:k + n] = out[:n] * pow(g, k, m) % m
+        out[k:k + n] = out[:n] * (out[k - 1] * g % m) % m
         k += n
     return out
 

@@ -20,7 +20,8 @@ Exit codes: 0 on success, 2 on invalid arguments (an --output FILE that
 cannot be written among them, refused before any work), 3 when an
 internal cross-check fails (two formulas for the same constant
 disagreeing is a bug worth a loud exit, not a warning), 141 when the
-reader of stdout goes away, as for a tool stopped by SIGPIPE.
+reader of stdout goes away, as for a tool stopped by SIGPIPE.  An error
+while writing FILE removes FILE and FILE.manifest if this run made them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -607,6 +608,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start
+    # the files this run creates, removed again if writing them fails
+    created = [path for path in (args.output, args.output + ".manifest")
+               if not os.path.exists(path)] if args.output else []
     try:
         with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
             nrows = (_json if args.format == "json" else _csv)(blocks, fh)
@@ -619,6 +623,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except OSError as exc:
+        for path in created:
+            with suppress(OSError):
+                os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

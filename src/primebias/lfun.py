@@ -17,10 +17,12 @@ only.  The Euler-type product
     A(q, chi) = prod_{p | q} (1 - chi(p)/p)
               * prod_{p !| q} (1 - (1 - chi(p))^2 / (p-1)^2)
 
-converges absolutely, and by default it is taken in full.  Primes below
-EXACT_BOUND = M and primes dividing q are multiplied exactly.  For every
-other prime the logarithm of the factor is a power series in chi(p) and
-1/p,
+converges absolutely, and by default it is taken in full.  p = 2 and 3
+are multiplied exactly.  Every other prime below EXACT_BOUND = M or
+dividing q takes log(1 - x chi(p)) = -sum_k x^k chi(p^k)/k at x = 1/p,
+and for p !| q at x = 1/(2 - p) too, as the factor is (p - 2 + chi(p))
+(p - chi(p))/(p - 1)^2.  For every other prime the logarithm of the
+factor is a power series in chi(p) and 1/p,
 
     log(1 - (1 - z)^2 / (p-1)^2) = sum_{s=2}^{K} sum_{l=0}^{s} c[s, l] z^l p^-s,
 
@@ -52,13 +54,13 @@ in one cached table per (q, m, truncation) that holds L(0), L(1), A and C
 for all the characters mod m at once (_ctable; build_ctable when m = q),
 one entry per row of the group, with the tail bound of A.  The prime sums
 are one table for the characters mod q, which the characters mod each
-divisor read at the rows of the characters they induce; the exact factors
-read chi(p) from chi's own labels, a block of characters at a time.  Each
-sum over a, sum_a chi(a) f(a) for every chi mod m, is one unnormalised
-inverse DFT over the unit group (CharacterGroup.transform; D. J. Platt,
-Math. Comp. 85, 2016, takes the L-values of a modulus the same way):
-L(0), L(1), the Hurwitz rows of log L and the truncated prime sums.  No
-phi(m) x m array is ever built.
+divisor read at the rows of the characters they induce.  Each sum over
+a, sum_a chi(a) f(a) for every chi mod m, is one unnormalised inverse DFT
+over the unit group (CharacterGroup.transform; D. J. Platt, Math. Comp.
+85, 2016, takes the L-values of a modulus the same way): L(0), L(1), the
+Hurwitz rows of log L, the truncated prime sums and the log series of
+the primes below M, their terms laid at the residues p^k.  No phi(m) x m
+array is ever built.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import _segments, moebius, prime_factors, primes_upto
-from .characters import CharacterGroup, character_group
+from .characters import CharacterGroup, _powers, character_group
 
 __all__ = [
     "hurwitz_zeta",
@@ -81,10 +83,13 @@ __all__ = [
     "build_ctable",
 ]
 
-# Primes below EXACT_BOUND are multiplied exactly; the product expands
-# the other factors, in full or up to a truncation, to p^-SERIES_POWERS.
+# A(q, chi) takes primes below EXACT_BOUND and primes dividing q one by
+# one, 2 and 3 exactly and the rest by LOG_TERMS terms of a log series,
+# whose tail at |x| <= 1/3 is below 3^-40/82 < 2^-69; it expands the other
+# factors, in full or up to a truncation, to p^-SERIES_POWERS.
 EXACT_BOUND = 1000
 SERIES_POWERS = 8
+LOG_TERMS = 40
 
 
 def tail_bound(truncation: int | None) -> float:
@@ -153,6 +158,17 @@ def _log1p(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
 
 
+def _log_series(group: CharacterGroup, at: np.ndarray, x: np.ndarray):
+    """-sum_j log(1 - x_j chi(p_j)) for every chi mod m, |x_j| <= 1/3, at[k-1,
+    j] the grid index of p_j^k: its terms x_j^k chi(p_j^k)/k, k <= LOG_TERMS,
+    on the grid (non-units dropped) through one bincount and transform."""
+    k = np.arange(1, LOG_TERMS + 1)[:, None]
+    terms = np.cumprod(np.broadcast_to(x, at.shape), axis=0) / k
+    units = at >= 0
+    return group.transform(np.bincount(at[units], terms[units],
+                                       minlength=group.phi))
+
+
 def _series_coefficients() -> np.ndarray:
     """c[s, l] with log(1 - (1-z)^2/(p-1)^2) = sum c[s, l] z^l p^-s.
 
@@ -190,7 +206,7 @@ def _prime_sums(m: int) -> np.ndarray:
     for each residue r mod m it holds m^-t zeta(t, a_r/m), a_r the least
     positive member of r, except that the class of 1 starts at 1 + m, so
     one transform gives L(t, psi) - 1 for every psi and log L stays
-    accurate when it is small.
+    accurate when it is small; one _log_series per t takes out p < M.
     """
     K = SERIES_POWERS
     group = character_group(m)
@@ -204,10 +220,9 @@ def _prime_sums(m: int) -> np.ndarray:
     l_minus_1 = group.transform(hurwitz[:, group.units])
     log_l = _log1p(l_minus_1.real, l_minus_1.imag)
     small = primes_upto(EXACT_BOUND - 1)
-    r = -(1.0 / small) ** t
-    for rows, z in group.value_blocks(small):
-        for i in range(K - 1):
-            log_l[i, rows] += _log1p(z.real * r[i], z.imag * r[i]).sum(axis=1)
+    at = group.index[_powers(small % m, LOG_TERMS + 1, m)[1:]]
+    for i, x in enumerate((1.0 / small) ** t):
+        log_l[i] -= _log_series(group, at, x)
 
     powers = _power_rows(group)
     sums = np.zeros((K + 1, group.phi), dtype=np.complex128)
@@ -348,13 +363,13 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     "p | q" factor of A.  A truncation P needs q <= P, so every prime
     dividing q is inside the sieve range.
 
-    Primes below EXACT_BOUND and primes dividing q are multiplied factor
-    by factor, from chi(p) read a block of characters at a time.  Every
-    other prime is in the series sum_{s,l} c[s, l] chi(p)^l p^-s of the
-    log of its factor, whose prime sums _series_sums reads at the
-    characters mod q that the chi^l induce.  The coefficients are first
-    contracted with the sums, one vector per power l, and the series of
-    every character is the sum of those vectors at the rows of chi^l.
+    p = 2 and 3 are multiplied exactly, from chi(p) read a block of
+    characters at a time; other primes below EXACT_BOUND or dividing q
+    are one _log_series, and the rest are in the series sum_{s,l} c[s, l]
+    chi(p)^l p^-s of the log of their factors, whose prime sums
+    _series_sums reads at the characters mod q that the chi^l induce.
+    The coefficients are first contracted with the sums, one vector per
+    power l, and each character's series sums them at the rows of chi^l.
     """
     if q < 1 or (truncation is not None and q > truncation):
         bound = "q >= 1" if q < 1 else f"q <= truncation = {truncation}"
@@ -376,17 +391,22 @@ def _ctable(q: int, m: int, truncation: int | None) -> CTable:
     rows = _power_rows(group)
     log_rest = sum(v[l, rows[:, l]] for l in range(SERIES_POWERS + 1))
 
-    small = primes_upto(min(EXACT_BOUND - 1, truncation or math.inf))
-    # the primes dividing q past the exact bound, left out of the series
-    large = [p for p in prime_factors(q) if p >= EXACT_BOUND]
-    exact = np.r_[small, np.array(large, dtype=np.int64)]
+    # at 3 the factor (1 + z)(3 - z)/4 is 0 at z = -1: no log series
+    exact = np.array([2, 3])
     divides = q % exact == 0
     a = np.empty(group.phi, dtype=np.complex128)
     for block, z in group.value_blocks(exact):
         a[block] = np.prod(np.where(divides, 1.0 - z / exact,
                                     1.0 - (1.0 - z) ** 2 / (exact - 1.0) ** 2),
                            axis=1)
-    a *= np.exp(log_rest)
+    small = primes_upto(min(EXACT_BOUND - 1, truncation or math.inf))[2:]
+    large = [p for p in prime_factors(q) if p >= EXACT_BOUND]
+    primes = np.r_[small, np.array(large, dtype=np.int64)]
+    coprime = primes[q % primes != 0]
+    at = group.index[_powers(primes % m, LOG_TERMS + 1, m)[1:]]
+    log_rest -= _log_series(group, np.hstack([at, at[:, q % primes != 0]]),
+                            np.r_[1.0 / primes, 1.0 / (2.0 - coprime)])
+    a *= np.exp(log_rest + np.log1p(-1.0 / (coprime - 1.0) ** 2).sum())
     c = np.where(odd, l0 * l1 * a, 0)
     for array in (l0, l1, a, c):
         array.flags.writeable = False

@@ -316,7 +316,8 @@ def test_criterion_07_oracle_suite():
         pytest.xfail(
             f"q=5 density sum differs by {worst[5]:.1%} at y=1e6; the "
             "semianalytic main terms drop the oscillating remainder, which "
-            "is irreducibly ~5% there (see notes/decisions ledger)")
+            "is irreducibly ~5% there (see README's criterion-7 paragraph "
+            "under Tests)")
     _report(7, "oracle suite", "PASS",
             f"worst density rel q3 {worst[3]:.2e} q5 {worst[5]:.2e}")
 

@@ -691,6 +691,23 @@ def test_write_error_exit_code(monkeypatch, capsys, tmp_path):
     assert code == 2
     assert capsys.readouterr().err.endswith(
         "error: [Errno 28] No space left on device\n")
+    # the partial file this run created is gone
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_error_keeps_files_the_run_did_not_create(monkeypatch, tmp_path):
+    def full(blocks, fh):
+        fh.write("q,")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_csv", full)
+    kept = tmp_path / "counts.csv.manifest"
+    kept.write_text("earlier\n")
+    code = cli.main(["count", "--q", "3", "--x", "100",
+                     "--output", str(tmp_path / "counts.csv")])
+    assert code == 2
+    assert [p.name for p in tmp_path.iterdir()] == [kept.name]
+    assert kept.read_text() == "earlier\n"
 
 
 def test_closed_stdout_ends_the_run_quietly():

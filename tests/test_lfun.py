@@ -25,7 +25,7 @@ from primebias import (
     tail_bound,
 )
 from primebias import characters, constants, lfun
-from primebias.oracles import ctable_by_matrix, value_matrix
+from primebias.oracles import ctable_by_matrix, value_matrix, value_rows
 
 
 def values(chi):
@@ -205,6 +205,54 @@ def test_a_factor_per_prime_product_oracle(q):
             want = complex(np.prod(factor))
             got = table.a[chi.index]
             assert abs(got - want) <= 1e-12 * abs(want), (m, chi.index, got, want)
+
+
+@pytest.mark.parametrize("q, m", [(12, 3), (12, 12), (97, 97), (2018, 1009),
+                                  (2018, 2018)])
+def test_a_factor_against_30_digit_product(q, m):
+    """A(q, chi) up to P = 10^4 against the product in 30-digit arithmetic.
+
+    The rows include characters with chi(3) = -1 (at 97, 1009 and 2018),
+    where the factor at 3 is exactly 0 and A vanishes; 1009 | 2018 is a
+    prime divisor of q past the exact bound.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    P = 10**4
+    group = character_group(m)
+    E = group.exponent
+    steps = E // np.array(group.orders, dtype=np.int64)
+    t3 = group.labels @ (steps * group.labels[group.index[3 % m]]) % E
+    vanishing = np.flatnonzero((2 * t3 == E) & (group.index[3 % m] >= 0))
+    rows = {1, min(2, group.phi - 1), group.phi - 1, *vanishing[:2].tolist()}
+    primes = primes_upto(P)
+    at = group.index[primes % m]
+    got = lfun._ctable(q, m, P).a
+    with mpmath.workdps(30):
+        for i in sorted(rows):
+            t = (group.labels[at] @ (steps * group.labels[i]) % E).tolist()
+            want = mpmath.mpf(1)
+            for p, k, tp in zip(primes.tolist(), at.tolist(), t):
+                z = mpmath.expjpi(mpmath.mpf(2 * tp) / E) if k >= 0 else 0
+                want *= (1 - z / p if q % p == 0
+                         else 1 - (1 - z) ** 2 / (p - 1) ** 2)
+            want = complex(want)
+            if i in vanishing:
+                assert want == 0 and abs(got[i]) <= 1e-14, (i, got[i])
+            else:
+                assert abs(got[i] - want) <= 1e-12 * abs(want), (i, want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 97, 2018])
+def test_log_series_matches_per_character_logs(m):
+    # 2, 3, 97 and 1009 are among the primes: chi(p) = 0 where p | m
+    group = character_group(m)
+    primes = np.r_[primes_upto(200), 1009]
+    x = (-1.0) ** primes / (primes + 1.0)  # |x| <= 1/3, of both signs
+    at = group.index[characters._powers(primes % m, lfun.LOG_TERMS + 1, m)[1:]]
+    got = lfun._log_series(group, at, x)
+    z = value_rows(group, slice(None))[:, primes % m]
+    want = -np.log(1.0 - x * z).sum(axis=1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_power_sums_folded_from_a_multiple_match_a_direct_pass(monkeypatch):
