@@ -257,14 +257,13 @@ def _cmd_constants(args):
 
 
 def _cmd_s0(args):
+    """The class sums S0^k(q, v; H) of each v: brute sums over a
+    SingularContext and analytic main terms (s0_main), both read from the
+    one table of prime sums mod q."""
     from .constants import s0_main
     from .singular import SingularContext, s0_brute
 
     q, vs, method = args.q, list(args.v), args.method
-    # the analytic terms first: the twin-prime product then folds its sums
-    # from their pass over the primes mod q, so a run sieves once
-    if method != "brute":
-        analytic = [s0_main(q, v, args.H, args.truncation, k=args.k) for v in vs]
     ctx = SingularContext(q, truncation=args.truncation)
     block = {"q": q, "v": vs, "H": args.H, "k": args.k, "method": method}
     if method != "analytic":
@@ -272,9 +271,11 @@ def _cmd_s0(args):
         block["brute"] = [s.value for s in sums]
         block["cutoff"] = [s.cutoff for s in sums]
     if method != "brute":
-        block["analytic"] = analytic
+        block["analytic"] = [s0_main(q, v, args.H, args.truncation, k=args.k)
+                             for v in vs]
     if method == "both":
-        block["difference"] = [b - a for b, a in zip(block["brute"], analytic)]
+        block["difference"] = [b - a for b, a in
+                               zip(block["brute"], block["analytic"])]
     meta = {
         "modulus": q, "truncation": _truncation(args),
         "tail_bound": ctx.tail_bound,

@@ -180,15 +180,20 @@ def _reduced_form(q: int, f: np.ndarray, truncation: int | None) -> _PairForm:
     """Divisor-reduced form: the characters pushed to the odd part q0 of q.
 
     G(a) = -H(a) = (q0/phi(q0)) sum_{d | q0} mu(d)/phi(d) K_{q0,d}(a).
+    For chi mod an odd d and even q only the p = 2 factor of A differs, so
+    C(q0, chi) = 2 chi(2) C(q, chi) and K_{q0,d}(u) = 2 K_{q,d}(u/2 mod d):
+    every kernel is read at q itself.
     """
     q0 = q // (q & -q)  # q & -q is the largest power of 2 dividing q
+    even = int(q != q0)
     residues = np.arange(q)
     k0 = np.zeros(q)
     for d in _divisors(q0):
         mu = moebius(d)
         if mu:
-            k0 += mu / totient(d) * _kernel(q0, d, truncation)[residues % d]
-    k0 *= q0 / totient(q0)
+            at = residues * pow(2, -even, d) % d
+            k0 += mu / totient(d) * _kernel(q, d, truncation)[at]
+    k0 *= (1 + even) * q0 / totient(q0)
     return _PairForm(f, k0, -k0)
 
 

@@ -44,8 +44,8 @@ explicit truncation P keeps the series and takes its prime sums over
 M <= p <= P, one per residue mod q; its log-tail is dominated by
 sum_{p > P} 4/(p-1)^2 <= 5 / (P log P) = tail_bound(P).  At chi(p) = 0
 the series is that of the twin-prime factors 1 - 1/(p-1)^2: twin_product
-gives the twin-prime product of the singular series the same way, in
-full or truncated, with its own tail bound.
+gives the twin-prime product of the singular series from the sums of the
+principal character mod q, in full or truncated, with its own tail bound.
 The combinations C(q, chi) = L(0,chi) L(1,chi) A(q,chi) vanish identically
 for even chi and drive all the second-order bias constants.
 
@@ -53,8 +53,9 @@ chi may live on any modulus m dividing the ambient q.  Every value lives
 in one cached table per (q, m, truncation) that holds L(0), L(1), A and C
 for all the characters mod m at once (_ctable; build_ctable when m = q),
 one entry per row of the group, with the tail bound of A.  The prime sums
-are one table for the characters mod q, which the characters mod each
-divisor read at the rows of the characters they induce.  Each sum over
+are one cached table per (q, truncation) for the characters mod q
+(_prime_sums), which the characters mod each divisor read at the rows of
+the characters they induce; no other modulus takes prime sums.  Each sum over
 a, sum_a chi(a) f(a) for every chi mod m, is one unnormalised inverse DFT
 over the unit group (CharacterGroup.transform; D. J. Platt, Math. Comp.
 85, 2016, takes the L-values of a modulus the same way): L(0), L(1), the
@@ -198,18 +199,26 @@ def _power_rows(group: CharacterGroup) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _prime_sums(m: int) -> np.ndarray:
-    """S[s, j] = sum_{p >= EXACT_BOUND} psi_j(p) p^-s, s = 2..SERIES_POWERS.
+def _prime_sums(m: int, truncation: int | None) -> np.ndarray:
+    """S[s, j] = sum of psi_j(p) p^-s over the primes the series covers,
+    s = 2..SERIES_POWERS, psi_j the characters mod m in label order.
 
-    psi_j runs over the characters mod m in label order; rows 0 and 1 are
-    0.  Read-only.  One Hurwitz table serves every character and every t:
-    for each residue r mod m it holds m^-t zeta(t, a_r/m), a_r the least
-    positive member of r, except that the class of 1 starts at 1 + m, so
-    one transform gives L(t, psi) - 1 for every psi and log L stays
-    accurate when it is small; one _log_series per t takes out p < M.
+    Rows 0 and 1 are 0.  Read-only, one table per (m, truncation).  In
+    full the range is every p >= EXACT_BOUND: one Hurwitz table serves
+    every character and every t.  For each residue r mod m it holds
+    m^-t zeta(t, a_r/m), a_r the least positive member of r, except that
+    the class of 1 starts at 1 + m, so one transform gives L(t, psi) - 1
+    for every psi and log L stays accurate when it is small; one
+    _log_series per t takes out p < M.  Up to a truncation P the range
+    is EXACT_BOUND <= p <= P: one pass mod m and one transform.
     """
     K = SERIES_POWERS
     group = character_group(m)
+    if truncation is not None:
+        power_sums = _residue_power_sums(m, truncation)
+        sums = group.transform(power_sums[:, group.units])
+        sums.flags.writeable = False
+        return sums
 
     t = np.arange(K + 1, dtype=float)[2:, None]
     start = np.arange(m, dtype=float)
@@ -235,61 +244,30 @@ def _prime_sums(m: int) -> np.ndarray:
     return sums
 
 
-# passes over the primes kept for later folds: (modulus, truncation) ->
-# sums, oldest dropped first
-_passes: dict[tuple[int, int], np.ndarray] = {}
-MAX_PASSES = 64
-
-
 def _residue_power_sums(m: int, truncation: int) -> np.ndarray:
     """S[s, a] = sum of p^-s over EXACT_BOUND <= p <= P, p = a mod m.
 
-    Rows s = 2..SERIES_POWERS as in _prime_sums; rows 0 and 1 are 0.  The
-    sums mod m are folded from a kept pass over the primes mod a multiple
-    of m when there is one, else from a new pass mod m, kept for later
-    calls.  So one pass per truncation serves every modulus dividing one
-    passed before, and a call then costs one fold, O(SERIES_POWERS b) for
-    a pass mod b.
-
-    A pass adds the kernel's segments into the running sums in prime
-    order, so they hold the bits of one bincount over every prime in the
-    range without an array of them; the kernel refuses a P past its budget.
+    Rows s = 2..SERIES_POWERS as in _prime_sums; rows 0 and 1 are 0.  One
+    pass adds the kernel's segments into the running sums in prime order,
+    so they hold the bits of one bincount over every prime in the range
+    without an array of them; the kernel refuses a P past its budget.
     """
-    sums = next((s for (b, t), s in _passes.items()
-                 if t == truncation and b % m == 0), None)
-    if sums is None:
-        sums = np.zeros((SERIES_POWERS + 1, m))
-        for low, pos in _segments(EXACT_BOUND, truncation + 1):
-            primes = low + 2 * pos
-            residues = primes % m
-            power = inverse = 1.0 / primes
-            for s in range(2, SERIES_POWERS + 1):
-                power = power * inverse
-                np.add.at(sums[s], residues, power)
-        sums.flags.writeable = False
-        if len(_passes) >= MAX_PASSES:
-            del _passes[next(iter(_passes))]
-        _passes[m, truncation] = sums
-    return sums.reshape(SERIES_POWERS + 1, -1, m).sum(axis=1)
+    sums = np.zeros((SERIES_POWERS + 1, m))
+    for low, pos in _segments(EXACT_BOUND, truncation + 1):
+        primes = low + 2 * pos
+        residues = primes % m
+        power = inverse = 1.0 / primes
+        for s in range(2, SERIES_POWERS + 1):
+            power = power * inverse
+            np.add.at(sums[s], residues, power)
+    return sums
 
 
 def _series_sums(q: int, m: int, truncation: int | None) -> np.ndarray:
-    """S[s, j] = sum of psi_j(p) p^-s over the primes p !| q the series
-    covers, psi_j the characters mod m | q in label order: one table for
-    the characters mod q, read at the rows of the characters they induce.
-
-    By default the range is every p >= EXACT_BOUND.  Up to a truncation P
-    it is EXACT_BOUND <= p <= P, where sum_{p = a mod q} p^-s is one sum
-    per residue a and sum_a chi(a) S_s(a) one transform; one pass over
-    the primes serves every modulus dividing q.
-    """
-    group = character_group(q)
-    if truncation is None:
-        table = _prime_sums(q)
-    else:
-        power_sums = _residue_power_sums(q, truncation)
-        table = group.transform(power_sums[:, group.units])
-    return table[:, group.induced_rows(m)]
+    """The prime sums of _prime_sums(q, truncation) for the characters mod
+    m | q: the columns of the characters mod q they induce, which vanish
+    at every p | q."""
+    return _prime_sums(q, truncation)[:, character_group(q).induced_rows(m)]
 
 
 def twin_product(q: int, truncation: int | None = None) -> tuple[float, float]:
@@ -298,9 +276,8 @@ def twin_product(q: int, truncation: int | None = None) -> tuple[float, float]:
     sum_{p > P} 1/(p-1)^2 <= 2 / (P log P) truncated.
 
     Odd primes below EXACT_BOUND are multiplied exactly, the rest through
-    the series of A(q, chi) at chi(p) = 0, from the sums of the character
-    mod 1 (truncated, folded from any pass kept at P); the prime divisors
-    of q are then taken out of it again.
+    the series of A(q, chi) at chi(p) = 0, from the sums of the principal
+    character mod q (row 0), which leave out every p | q.
     """
     bound = tail_bound(truncation)  # refuses a P below 100
     if truncation is not None:
@@ -308,10 +285,7 @@ def twin_product(q: int, truncation: int | None = None) -> tuple[float, float]:
     primes = primes_upto(min(EXACT_BOUND - 1, truncation or math.inf))
     odd = primes[(primes > 2) & (q % primes != 0)]
     product = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
-    log = complex(_COEFFICIENTS[:, 0] @ _series_sums(1, 1, truncation)[:, 0])
-    for p in prime_factors(q):
-        if p >= EXACT_BOUND and (truncation is None or p <= truncation):
-            log -= math.log(1 - 1 / (p - 1) ** 2)
+    log = complex(_COEFFICIENTS[:, 0] @ _prime_sums(q, truncation)[:, 0])
     return product * math.exp(log.real), bound
 
 

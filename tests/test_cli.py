@@ -208,11 +208,20 @@ def test_s0_both_methods_with_difference(capsys):
 
 
 def _fresh_prime_passes(monkeypatch):
-    """No kept pass over the primes, and no cached table that read one."""
-    monkeypatch.setattr(lfun, "_passes", {})
-    for cached in (lfun._ctable, constants._kernel, constants.s0c_vector,
-                   constants._c2_table):
+    """No cached table, and a list of the (m, P) of every pass over the
+    primes from here on."""
+    passes = []
+    inner = lfun._residue_power_sums
+
+    def record(m, truncation):
+        passes.append((m, truncation))
+        return inner(m, truncation)
+
+    monkeypatch.setattr(lfun, "_residue_power_sums", record)
+    for cached in (lfun._prime_sums, lfun._ctable, constants._kernel,
+                   constants.s0c_vector, constants._c2_table):
         cached.cache_clear()
+    return passes
 
 
 P_PASS = 1_000_003
@@ -222,7 +231,7 @@ S0_PASS = ["s0", "--q", "12", "--v", "0,1,5", "--H", "1e3"]
 @pytest.mark.parametrize("argv, passes", [
     (S0_PASS + ["--method", "both"], [(12, P_PASS)]),
     (S0_PASS + ["--method", "analytic"], [(12, P_PASS)]),
-    (S0_PASS + ["--method", "brute"], [(1, P_PASS)]),
+    (S0_PASS + ["--method", "brute"], [(12, P_PASS)]),
     (["constants", "--q", "60"], [(60, P_PASS)]),
     (["constants", "--q", "12", "--classes", "5,7", "--forms"],
      [(12, P_PASS)]),
@@ -238,19 +247,19 @@ S0_PASS = ["s0", "--q", "12", "--v", "0,1,5", "--H", "1e3"]
 def test_one_prime_pass_per_truncated_command(argv, passes, monkeypatch,
                                               capsys):
     # every table of a truncated run, the twin-prime product included,
-    # folds its prime sums from one pass; the brute sums need only mod 1
-    _fresh_prime_passes(monkeypatch)
+    # reads its prime sums from the one pass mod q
+    recorded = _fresh_prime_passes(monkeypatch)
     code, out = run_cli(argv + ["--truncation", str(P_PASS)], capsys)
     assert code == 0 and out
-    assert list(lfun._passes) == passes
+    assert recorded == passes
 
 
 @pytest.mark.parametrize("truncation", [None, "1e6"])
 @pytest.mark.parametrize("q", [5, 12, 210])
 def test_s0_brute_sums_independent_of_method(q, truncation, monkeypatch,
                                              capsys):
-    # with the analytic terms, the twin-prime product folds its sums from
-    # the pass mod q; alone, it takes a pass mod 1: the same printed digits
+    # the twin-prime product reads the same table of prime sums mod q
+    # with the analytic terms and alone: the same printed digits
     argv = ["s0", "--q", str(q), "--v", "0,1,5", "--H", "1e3"]
     if truncation:
         argv += ["--truncation", truncation]

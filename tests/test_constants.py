@@ -190,6 +190,23 @@ def character_form_by_gather(q, f, truncation):
     return constants._PairForm(f, -q * w, -q * w[(-residues) % q])
 
 
+@pytest.mark.parametrize("P", [None, 10**6])
+@pytest.mark.parametrize("q", [4, 12, 16, 20, 48, 60, 420, 4620])
+def test_reduced_form_matches_kernels_at_the_odd_part(q, P):
+    # G(a) = (q0/phi(q0)) sum_{d | q0} mu(d)/phi(d) K_{q0,d}(a), with the
+    # kernels taken at q0 itself, where the reduced form reads them at q
+    q0 = q // (q & -q)
+    residues = np.arange(q)
+    want = np.zeros(q)
+    for d in constants._divisors(q0):
+        mu = constants.moebius(d)
+        if mu:
+            want += mu / totient(d) * constants._kernel(q0, d, P)[residues % d]
+    want *= q0 / totient(q0)
+    got = constants._c2_table(q, P)["reduced"].g
+    assert np.all(abs(got - want) <= 1e-13 * np.maximum(1.0, abs(want)))
+
+
 @pytest.mark.parametrize("q", [12, 60, 420, 997, 2310])
 def test_check_forms_match_gathered_sums(q):
     table = constants._c2_table(q, None)

@@ -10,6 +10,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from primebias import (
     c2_general,
     character_group,
     conjugate_character,
+    prime_factors,
     primes_upto,
     reduce_c,
     tail_bound,
@@ -255,37 +259,36 @@ def test_log_series_matches_per_character_logs(m):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
-def test_power_sums_folded_from_a_multiple_match_a_direct_pass(monkeypatch):
-    P = 200_000
-    direct = {}
-    for m in (3, 4, 15, 20, 60):
-        monkeypatch.setattr(lfun, "_passes", {})
-        direct[m] = lfun._residue_power_sums(m, P)
-    monkeypatch.setattr(lfun, "_passes", {})
-    lfun._residue_power_sums(60, P)
-    for m, want in direct.items():
-        got = lfun._residue_power_sums(m, P)
-        # only the summation order differs
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-    assert list(lfun._passes) == [(60, P)]
+def _record_passes(monkeypatch):
+    """A list of the (m, P) of every pass over the primes from here on,
+    with a fresh cache of prime-sum tables."""
+    passes = []
+    inner = lfun._residue_power_sums
+
+    def record(m, truncation):
+        passes.append((m, truncation))
+        return inner(m, truncation)
+
+    monkeypatch.setattr(lfun, "_residue_power_sums", record)
+    monkeypatch.setattr(lfun, "_prime_sums",
+                        functools.lru_cache(lfun._prime_sums.__wrapped__))
+    return passes
 
 
 def test_one_power_sum_pass_per_constants_run(monkeypatch):
     # c2 for q = 60 reaches A(60, chi) and, through the reduced form, A(15,
-    # chi); the base-15 sums fold from the base-60 pass
-    monkeypatch.setattr(lfun, "_passes", {})
+    # chi) read at 60: one pass, mod 60
+    passes = _record_passes(monkeypatch)
     P = 123_457  # a truncation no other test uses, so no C value is cached
     c2_general(60, (1, 7), truncation=P)
-    assert list(lfun._passes) == [(60, P)]
+    assert passes == [(60, P)]
 
 
 @pytest.mark.parametrize("P", [100_003, 20_000_000])
 @pytest.mark.parametrize("base", [1, 12, 420, 997])
-def test_streamed_power_sums_match_one_bincount_to_the_bit(base, P,
-                                                           monkeypatch):
+def test_streamed_power_sums_match_one_bincount_to_the_bit(base, P):
     # segment by segment in prime order, the pass adds up the same
     # sequential sums as one bincount over every prime in the range
-    monkeypatch.setattr(lfun, "_passes", {})
     got = lfun._residue_power_sums(base, P)
     primes = primes_upto(P)
     primes = primes[np.searchsorted(primes, lfun.EXACT_BOUND):]
@@ -467,6 +470,51 @@ def test_twin_product_leaves_out_prime_divisors_of_q():
     assert ratio == pytest.approx(1 / (1 - 1 / 1008**2), rel=1e-15, abs=0)
 
 
+# the twin-prime constant prod_{p > 2} (1 - 1/(p-1)^2)
+TWIN_PRIME_CONSTANT = ("0.660161815846869573927812110014555778432623360"
+                       "284733413319448423335")
+
+
+@pytest.mark.parametrize("q", [3, 5, 12, 35, 97, 210, 2018, 99991])
+def test_twin_product_matches_the_twin_prime_constant(q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = mpmath.mpf(TWIN_PRIME_CONSTANT)
+        for p in prime_factors(q):
+            if p > 2:
+                want /= 1 - mpmath.mpf(1) / (p - 1) ** 2
+        got = lfun.twin_product(q)[0]
+        assert abs(got / want - 1) <= 3e-15, (q, float(got / want - 1))
+
+
+HISTORY_SCRIPT = """
+import sys
+from primebias import constants, lfun
+from primebias.singular import SingularContext
+P = 10**6
+if sys.argv[1] == "after":
+    lfun._ctable(420, 420, P)
+    constants.s0_main(12, 1, 1e3, P)
+print(lfun._ctable(35, 35, P).a.tobytes().hex())
+print(SingularContext(12, P).twin_tail.hex())
+"""
+
+
+def test_truncated_tables_independent_of_call_history():
+    # a truncated table's bits come from its own modulus alone: the same
+    # in a fresh interpreter whether or not tables mod 420 and 12 ran first
+    src = os.path.dirname(os.path.dirname(lfun.__file__))
+    runs = [subprocess.run([sys.executable, "-c", HISTORY_SCRIPT, order],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=120)
+            for order in ("alone", "after")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    alone, after = (proc.stdout.split() for proc in runs)
+    assert alone[0] == after[0], "A(35, chi) at P = 10^6"
+    assert alone[1] == after[1], "the twin-prime product mod 12"
+
+
 def test_ctable_refuses_a_modulus_that_does_not_divide_q():
     with pytest.raises(ValueError, match="1009.*q=1"):
         lfun._ctable(1, 1009, None)
@@ -474,21 +522,21 @@ def test_ctable_refuses_a_modulus_that_does_not_divide_q():
 
 def test_prime_sums_are_taken_once_per_ambient_modulus(monkeypatch):
     # every divisor's characters read the columns of the characters they
-    # induce mod q: c2 mod 60 takes the sums mod 60, and mod 15 for the
-    # reduced form at the odd part, and s0c_vector(420) only mod 420
+    # induce mod q, and the reduced form reads the kernels at q too: c2 mod
+    # 60 takes the sums mod 60 only, and s0c_vector(420) only mod 420
     evaluated = []
     prime_sums = lfun._prime_sums.__wrapped__
 
-    def record(m):
+    def record(m, truncation):
         evaluated.append(m)
-        return prime_sums(m)
+        return prime_sums(m, truncation)
 
     monkeypatch.setattr(lfun, "_prime_sums", functools.lru_cache(record))
     for cached in (lfun._ctable, constants._kernel, constants.s0c_vector,
                    constants._c2_table):
         cached.cache_clear()
     c2_general(60, (1, 7))
-    assert sorted(evaluated) == [15, 60]
+    assert evaluated == [60]
     evaluated.clear()
     constants.s0c_vector(420)
     assert evaluated == [420]
@@ -524,6 +572,15 @@ def oracle_l1(chi):
     return complex(-(values(chi)[1:] @ lfun._digamma_at(m)) / m)
 
 
+@functools.cache
+def oracle_pass(base, truncation):
+    """One pass mod base over the primes up to the truncation, kept for
+    every later oracle call: the runtime keeps no pass."""
+    sums = lfun._residue_power_sums(base, truncation)
+    sums.flags.writeable = False
+    return sums
+
+
 def oracle_a(q, chi, truncation):
     """A(q, chi) for one character: the exact product below the exact bound
     and at the primes dividing q, times the exponential of the series.
@@ -543,12 +600,12 @@ def oracle_a(q, chi, truncation):
     # sums[s, l]: the prime sum of p^-s weighted by chi^l, where chi^0 is
     # the principal character mod m
     if truncation is None:
-        prime_sums = lfun._prime_sums(m)
+        prime_sums = lfun._prime_sums(m, None)
         # the principal character, then the row of each power chi^l
         powers = group.labels[chi.index] * np.arange(1, K + 1)[:, None]
         sums = prime_sums[:, [0] + group.rows(powers).tolist()]
     else:
-        residue_sums = lfun._residue_power_sums(math.lcm(q, m), truncation)
+        residue_sums = oracle_pass(math.lcm(q, m), truncation)
         residue_sums = residue_sums.reshape(K + 1, -1, m).sum(axis=1)
         sums = np.column_stack([residue_sums @ abs(vals)] + [
             residue_sums @ vals**l for l in range(1, K + 1)])
