@@ -7,14 +7,15 @@ counts stay exact integers.  --output FILE writes the table to FILE and
 a key=value run manifest to FILE.manifest.
 
 Every command returns its table as blocks for one writer.  A block is a
-run of rows: a dict, in field order, from each field to a column (a list
-or array, one cell per row; a block has at least one) or to the one value
-its rows share, such as count's q and limit.  Blocks are written one at a
-time, so a run holds one block's text at once; count makes one block per
-BLOCK_ROWS rows of each table, constants and predict one per
-leading class from arrays over all their patterns, and the dumps one per
-block of characters, named from their labels.  Every computation that
-can fail ends before the first byte is written.
+run of one or more rows: a dict, in field order, from each field to a
+column (a list or array, one cell per row; a block has at least one) or
+to the one value its rows share, such as count's q and limit.  Blocks
+are written one at a time, so a run holds one block's text at once.
+The pattern tables make one per BLOCK_ROWS patterns (_pattern_blocks),
+with the keys, counts and constants of those patterns alone; the dumps
+one per block of characters, named from their labels.  Every
+computation that can fail ends before the first byte is written, as the
+first block is made before a command returns (_checked).
 
 Exit codes: 0 on success, 2 on invalid arguments (an --output FILE that
 cannot be written among them, refused before any work), 3 when an
@@ -50,7 +51,7 @@ from .arith import (
 
 __all__ = ["main"]
 
-BLOCK_ROWS = 1 << 14  # count and dump-lvalues rows formatted at once
+BLOCK_ROWS = 1 << 14  # patterns (or dump-lvalues rows) formatted at once
 
 
 def _fmt(value):
@@ -119,10 +120,13 @@ def _truncation(args):
     return "none" if args.truncation is None else args.truncation
 
 
-def _pattern_keys(patterns, r: int) -> list[str]:
-    """The key of each r-tuple of classes, such as 1;7;11."""
-    template = ";".join(["%s"] * r)
-    return [template % c for c in patterns]
+def _product_meta(args, **more):
+    """The manifest of a command that reads the Euler products: modulus,
+    truncation and tail bound, then more fields, or one of those three."""
+    from .lfun import tail_bound
+
+    return {"modulus": args.q, "truncation": _truncation(args),
+            "tail_bound": tail_bound(args.truncation), **more}
 
 
 def _pattern_axes(args):
@@ -136,6 +140,34 @@ def _pattern_axes(args):
     r = 2 if args.r is None else args.r
     check_pattern_budget(args.q, r)
     return [Modulus(args.q).classes] * r
+
+
+def _pattern_blocks(axes, listing=None):
+    """Yield (codes, classes, keys) for patterns over axes in code order,
+    the order of itertools.product(*axes): all, BLOCK_ROWS at a time, or
+    a CountTable listing's blocks.  classes[j] holds the j-th class of
+    each code; a key such as 1;7;11 joins a key of the first ceil(r/2)
+    classes, ending in ;, to one of the rest, from two small tables."""
+    half = (len(axes) + 1) // 2
+    heads, tails = (np.array([";".join(map(str, c)) + end
+                              for c in itertools.product(*part)], dtype=object)
+                    for part, end in ((axes[:half], ";"), (axes[half:], "")))
+    if listing is None:
+        shape = [len(axis) for axis in axes]
+        total = len(heads) * len(tails)
+        listing = ((codes, [np.take(axis, i) for axis, i in
+                            zip(axes, np.unravel_index(codes, shape))])
+                   for start in range(0, total, BLOCK_ROWS)
+                   for codes in [np.arange(start, min(start + BLOCK_ROWS,
+                                                      total))])
+    for codes, classes in listing:
+        yield (codes, classes,
+               heads[codes // len(tails)] + tails[codes % len(tails)])
+
+
+def _checked(blocks):
+    """blocks, its first made now: what a block checks fails before output."""
+    return itertools.chain(list(itertools.islice(blocks, 1)), blocks)
 
 
 # ---------------------------------------------------------------- commands
@@ -157,103 +189,80 @@ def _cmd_count(args):
         tables = count_patterns_series(cfg, list(args.checkpoints))
     else:
         tables = [count_patterns(cfg)]
-
-    def blocks():
-        # for r <= 3 every table lists every code, so each block's key
-        # strings are built for the first table only
-        shared = []
-        for t in tables:
-            for i, (codes, classes) in enumerate(t.listing(BLOCK_ROWS)):
-                if i < len(shared):
-                    keys = shared[i]
-                else:
-                    keys = _pattern_keys(zip(*classes.tolist()), t.r)
-                    if t.r <= 3:
-                        shared.append(keys)
-                yield {"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
-                       "limit": t.limit, "classes": keys,
-                       "count": t.array[codes].tolist()}
-
-    return blocks(), {"modulus": args.q, "threads": workers}
+    axes = [Modulus(cfg.q).classes] * cfg.r
+    blocks = ({"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
+               "limit": t.limit, "classes": keys, "count": t.array[codes]}
+              for t in tables
+              for codes, _, keys in _pattern_blocks(axes, t.listing(BLOCK_ROWS)))
+    return blocks, {"modulus": args.q, "threads": workers}
 
 
 def _cmd_predict(args):
     from .constants import _pattern_constants, skip_coefficient
-    from .lfun import tail_bound
     from .predict import _RowDensity, _asymptotic_terms
 
     q, xs = args.q, args.x
     axes = _pattern_axes(args)
     if args.method != "asymptotic" and len(axes) != 2:
         raise ValueError(f"{args.method} predictions are defined for pairs")
-    method, errors = args.method, None
-    if method == "integral":  # a row per leading class, one at a time
+    method, patterns = args.method, Modulus(q).phi ** len(axes)
+    if method == "integral":  # values and errors by code, then by x
         rows = (_RowDensity(q, a, axes[1], args.truncation) for a in axes[0])
-        values, errors = np.transpose(
+        integrals = np.transpose(
             [[row.integral(x, args.rel_tol) for x in xs] for row in rows],
-            (2, 0, 3, 1))
-    else:
-        if method == "skip":  # c1 is 0; c2 for a = b, then for a != b
-            c1 = 0.0
-            c2 = np.where(np.equal.outer(*axes), *(
-                skip_coefficient(q, args.skip, e)[1] for e in (True, False)))
-            method = f"skip{args.skip}"
-        else:
-            c1, c2 = _pattern_constants(q, np.ix_(*axes), args.truncation)
-        patterns = Modulus(q).phi ** len(axes)
-        values = np.stack([_asymptotic_terms(c1, c2, patterns, x)["value"]
-                           for x in xs], axis=-1)
-    # one block per leading class; rows run pattern by pattern, then by x
-    tail = _pattern_keys(itertools.product(*axes[1:]), len(axes) - 1)
-    blocks = ({"pattern": [f"{a};{k}" for k in tail for _ in xs],
-               "x": list(xs) * len(tail), "value": values[i].ravel(),
-               "method": method,
-               "error_estimate": None if errors is None else errors[i].ravel()}
-              for i, a in enumerate(axes[0]))
-    meta = {
-        "modulus": q, "truncation": _truncation(args),
-        "tail_bound": tail_bound(args.truncation), "rel_tol": args.rel_tol,
-    }
-    return blocks, meta
+            (2, 0, 3, 1)).reshape(2, -1, len(xs))
+    elif method == "skip":  # c1 is 0; c2 for a = b, then for a != b
+        skip_c2 = [skip_coefficient(q, args.skip, e)[1] for e in (True, False)]
+        method = f"skip{args.skip}"
+
+    def blocks():
+        # rows run pattern by pattern, then by x
+        for codes, classes, keys in _pattern_blocks(axes):
+            errors = None
+            if args.method == "integral":
+                values, errors = integrals[:, codes].reshape(2, -1)
+            else:
+                c1, c2 = ((0.0, np.where(np.equal(*classes), *skip_c2))
+                          if args.method == "skip" else
+                          _pattern_constants(q, classes, args.truncation))
+                values = np.stack([_asymptotic_terms(c1, c2, patterns, x)
+                                   ["value"] for x in xs], axis=-1).ravel()
+            yield {"pattern": np.repeat(keys, len(xs)),
+                   "x": list(xs) * len(keys), "value": values,
+                   "method": method, "error_estimate": errors}
+
+    return _checked(blocks()), _product_meta(args, rel_tol=args.rel_tol)
 
 
 def _cmd_constants(args):
     from .constants import FORM_AGREEMENT_TOL, _pair_forms, _pattern_constants
-    from .lfun import tail_bound
 
     q, truncation = args.q, args.truncation
     axes = _pattern_axes(args)
     if args.forms and len(axes) != 2:
         raise ValueError("--forms lists the closed forms of pairs")
-    c1, c2 = _pattern_constants(q, np.ix_(*axes), truncation)
-    tail = _pattern_keys(itertools.product(*axes[1:]), len(axes) - 1)
-    b = np.array(axes[-1])
 
     def blocks():
-        for i, a in enumerate(axes[0]):
-            keys = [f"{a};{k}" for k in tail]
+        for _, classes, keys in _pattern_blocks(axes):
+            c1, c2 = _pattern_constants(q, classes, truncation)
             if not args.forms:
-                yield {"pattern": keys, "c1": c1[i].ravel(),
-                       "c2": c2[i].ravel(), "c2_method": "reduced"}
+                yield {"pattern": keys, "c1": c1, "c2": c2,
+                       "c2_method": "reduced"}
                 continue
             # each pair's c2 row, then a row per closed form that applies
-            tags, values, applies = zip(("reduced", c2[i], True),
-                                        *_pair_forms(q, a, b, truncation))
+            tags, values, applies = zip(("reduced", c2, True),
+                                        *_pair_forms(q, *classes, truncation))
             shown = np.column_stack(np.broadcast_arrays(*applies))
             per_pair = shown.sum(axis=1)
             yield {
-                "pattern": [k for k, n in zip(keys, per_pair) for _ in range(n)],
-                "c1": np.repeat(c1[i], per_pair),
+                "pattern": np.repeat(keys, per_pair),
+                "c1": np.repeat(c1, per_pair),
                 "c2": np.column_stack(values)[shown],
                 "c2_method": np.broadcast_to(tags, shown.shape)[shown],
             }
 
-    meta = {
-        "modulus": q, "truncation": _truncation(args),
-        "tail_bound": tail_bound(truncation),
-        "tolerance": FORM_AGREEMENT_TOL,
-    }
-    return blocks(), meta
+    return (_checked(blocks()),
+            _product_meta(args, tolerance=FORM_AGREEMENT_TOL))
 
 
 def _cmd_s0(args):
@@ -276,11 +285,8 @@ def _cmd_s0(args):
     if method == "both":
         block["difference"] = [b - a for b, a in
                                zip(block["brute"], block["analytic"])]
-    meta = {
-        "modulus": q, "truncation": _truncation(args),
-        "tail_bound": ctx.tail_bound,
-    }
-    return [block], meta
+    # the bound of the twin-prime product, not of A(q, chi)
+    return [block], _product_meta(args, tail_bound=ctx.tail_bound)
 
 
 def _cmd_compare(args):
@@ -301,31 +307,28 @@ def _cmd_compare(args):
         "modulus": args.q, "x": x, "truncation": _truncation(args),
         "rel_tol": args.rel_tol, "threads": effective_workers(args.threads),
     }
-    # one block, so every prediction is made before the first row is written
-    listed = next(table.listing(len(table.array)), None)
-    if listed is None:  # r >= 4 lists only the patterns counted
-        return [], meta
-    codes, classes = listed
-    actual = table.array[codes].tolist()
-    patterns = list(zip(*classes.tolist()))
-    c1, c2 = _pattern_constants(args.q, classes, args.truncation)
-    asym = _asymptotic_terms(c1, c2, len(table.array), x)["value"].tolist()
+    axes = [Modulus(args.q).classes] * args.r
+    if args.r == 2:  # integral predictions by code, the index of (a, b)
+        integrals = np.ravel([_RowDensity(args.q, a, None, args.truncation)
+                              .integral(x, args.rel_tol)[0] for a in axes[0]])
 
-    def rel_err(values):
-        return [v / n - 1 if n else "" for v, n in zip(values, actual)]
+    def blocks():
+        for codes, classes, keys in _pattern_blocks(
+                axes, table.listing(BLOCK_ROWS)):
+            actual = table.array[codes].tolist()
+            c1, c2 = _pattern_constants(args.q, classes, args.truncation)
+            block = {"pattern": keys, "actual": actual,
+                     "integral_prediction": integrals[codes].tolist()
+                     if args.r == 2 else [""] * len(codes),
+                     "asymptotic_prediction": _asymptotic_terms(
+                         c1, c2, len(table.array), x)["value"].tolist()}
+            for way in ("integral", "asymptotic"):
+                block[f"rel_err_{way}"] = [
+                    v / n - 1 if n and v != "" else ""
+                    for v, n in zip(block[f"{way}_prediction"], actual)]
+            yield block
 
-    integ = rel_integ = [""] * len(patterns)
-    if args.r == 2:
-        values = [_RowDensity(args.q, a, None, args.truncation).integral(
-            x, args.rel_tol)[0] for a in Modulus(args.q).classes]
-        integ = np.ravel(values)[codes].tolist()  # code = index of (a, b)
-        rel_integ = rel_err(integ)
-    block = {
-        "pattern": _pattern_keys(patterns, args.r), "actual": actual,
-        "integral_prediction": integ, "asymptotic_prediction": asym,
-        "rel_err_integral": rel_integ, "rel_err_asymptotic": rel_err(asym),
-    }
-    return [block], meta
+    return _checked(blocks()), meta
 
 
 def _cmd_dump_characters(args):
@@ -352,7 +355,7 @@ def _cmd_dump_characters(args):
 
 
 def _cmd_dump_lvalues(args):
-    from .lfun import build_ctable, tail_bound
+    from .lfun import build_ctable
 
     t = build_ctable(args.q, truncation=args.truncation)
     group = t.group
@@ -371,11 +374,7 @@ def _cmd_dump_lvalues(args):
                 "tail": t.tail,
             }
 
-    meta = {
-        "modulus": args.q, "truncation": _truncation(args),
-        "tail_bound": tail_bound(args.truncation),
-    }
-    return blocks(), meta
+    return blocks(), _product_meta(args)
 
 
 # ------------------------------------------------------------------ plumbing
@@ -534,8 +533,6 @@ def _csv(blocks, fh) -> int:
                     cells = [_fmt(v) for v in cells]
                 pieces.append("%.15g" if floats == {True} else "%s")
                 columns.append(cells)
-        if not columns[0]:
-            continue
         if not nrows:
             fh.write(",".join(block) + "\r\n")
         template = ",".join(pieces)
@@ -557,9 +554,8 @@ def _json(blocks, fh) -> int:
         cells = [itertools.repeat(value) if (column := _column(value)) is None
                  else column for value in block.values()]
         rows = [dict(zip(block, row)) for row in zip(*cells)]
-        if rows:
-            fh.write(("[\n" if not nrows else ",\n")
-                     + json.dumps(rows, indent=2)[2:-2])
+        fh.write(("[\n" if not nrows else ",\n")
+                 + json.dumps(rows, indent=2)[2:-2])
         nrows += len(rows)
         del rows  # before the next block's rows are built
     fh.write("\n]\n" if nrows else "[]\n")

@@ -348,9 +348,8 @@ def c2_pair(
 def _pattern_constants(q: int, classes, truncation: int | None):
     """c1 and c2 of the patterns (a_1, ..., a_r), entry by entry.
 
-    classes holds r canonical reduced classes mod q, or arrays of them that
-    broadcast together: np.ix_(*[Modulus(q).classes] * r) gives every
-    pattern, in itertools.product order.  Only r >= 2 is checked.
+    classes holds r canonical reduced classes mod q, or r arrays of them
+    that broadcast together, a pattern per entry.  Only r >= 2 is checked.
 
     c2(q; a) = sum_i c2(q; (a_i, a_{i+1}))
              + (phi/2) sum_{j=1}^{r-2} (1/j) ((r-1-j)/phi - #{i : a_i = a_{i+j+1}}),

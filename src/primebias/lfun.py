@@ -214,9 +214,11 @@ def _prime_sums(m: int, truncation: int | None) -> np.ndarray:
     """
     K = SERIES_POWERS
     group = character_group(m)
+    sums = np.zeros((K + 1, group.phi), dtype=np.complex128)
     if truncation is not None:
         power_sums = _residue_power_sums(m, truncation)
-        sums = group.transform(power_sums[:, group.units])
+        for s in range(2, K + 1):  # one row at a time: no second table
+            sums[s] = group.transform(power_sums[s, group.units])
         sums.flags.writeable = False
         return sums
 
@@ -234,7 +236,6 @@ def _prime_sums(m: int, truncation: int | None) -> np.ndarray:
         log_l[i] -= _log_series(group, at, x)
 
     powers = _power_rows(group)
-    sums = np.zeros((K + 1, group.phi), dtype=np.complex128)
     for s in range(2, K + 1):
         for n in range(K // s, 0, -1):
             mu = moebius(n)

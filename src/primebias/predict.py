@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,8 +104,9 @@ def _refine(f, a: float, b: float, whole, tol, depth_left: int, open_):
 _LI_AT_2 = 1.0451637801174927848
 
 
+@lru_cache(maxsize=64)
 def li(x: float, rel_tol: float = 1e-10) -> float:
-    """Logarithmic integral li(x), principal value through t = 1."""
+    """Logarithmic integral li(x), principal value through t = 1; cached."""
     if x <= 2:
         return 0.0 if x < 2 else _LI_AT_2
     value, _ = adaptive_gauss_legendre(

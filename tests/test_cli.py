@@ -520,6 +520,66 @@ def test_count_writes_the_same_bytes_in_blocks(block_rows, flags, config,
     _check_output(["count"] + flags, rows, fmt, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("block_rows", [7, cli.BLOCK_ROWS])
+@pytest.mark.parametrize("argv", [
+    ["constants", "--q", "12"],
+    ["constants", "--q", "12", "--r", "3"],
+    ["constants", "--q", "12", "--classes", "5,7,11"],
+    ["constants", "--q", "12", "--forms"],
+    ["constants", "--q", "13", "--forms"],
+    ["predict", "--q", "12", "--x", "1e9,1e10"],
+    ["predict", "--q", "12", "--method", "asymptotic", "--x", "1e9,1e10"],
+    ["predict", "--q", "12", "--method", "skip", "--x", "1e9,1e10"],
+    ["predict", "--q", "12", "--classes", "5,7", "--x", "1e9,1e10"],
+    ["predict", "--q", "12", "--r", "3", "--method", "asymptotic",
+     "--x", "1e9,1e10"],
+    ["compare", "--q", "5", "--x", "1e4"],
+    ["compare", "--q", "5", "--r", "3", "--x", "1e4"],
+    ["compare", "--q", "5", "--r", "4", "--x", "1e4"],
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pattern_tables_write_the_same_bytes_in_blocks(block_rows, argv, fmt,
+                                                      capsys, monkeypatch):
+    argv = argv + ["--format", fmt]
+    monkeypatch.setattr(cli, "BLOCK_ROWS", MAX_PATTERNS)
+    code, whole = run_cli(argv, capsys)
+    assert code == 0
+    sizes = []
+    pattern_blocks = cli._pattern_blocks
+
+    def recorded(*args):
+        for block in pattern_blocks(*args):
+            sizes.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(cli, "_pattern_blocks", recorded)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    _forbid_decode(monkeypatch)
+    assert run_cli(argv, capsys) == (0, whole)
+    n = sum(sizes)
+    assert sizes == [min(block_rows, n - i) for i in range(0, n, block_rows)]
+    assert len(sizes) > 1 or n == 1 or block_rows > 7
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["predict", "--q", "3", "--x", "2", "--method", "asymptotic"], 2),
+    (["compare", "--q", "3", "--x", "10"], 2),  # below y_min
+    (["constants", "--q", "12"], 3),
+])
+def test_streamed_commands_fail_before_any_output(argv, code, monkeypatch,
+                                                  capsys, tmp_path):
+    if argv[0] == "constants":
+        def refuse(*args):
+            raise InternalConsistencyError("induced")
+
+        monkeypatch.setattr(constants, "_check_forms", refuse)
+        constants._c2_table.cache_clear()
+    assert run_cli(argv, capsys) == (code, "")
+    target = tmp_path / "table.csv"
+    assert run_cli(argv + ["--output", str(target)], capsys) == (code, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 # JSON cells that must stay numbers of one kind, never strings
 _JSON_FLOATS = ("c1", "c2", "value")
 _JSON_INTS = ("x", "count")
