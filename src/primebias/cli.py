@@ -13,9 +13,9 @@ to the one value its rows share, such as count's q and limit.  Blocks
 are written one at a time, so a run holds one block's text at once.
 The pattern tables make one per BLOCK_ROWS patterns (_pattern_blocks),
 with the keys, counts and constants of those patterns alone; the dumps
-one per block of characters, named from their labels.  Every
-computation that can fail ends before the first byte is written, as the
-first block is made before a command returns (_checked).
+one per block of characters, named from their labels.  Every check a
+block runs fails before the first byte is written, as the first block
+is made before a command returns (_checked).
 
 Exit codes: 0 on success, 2 on invalid arguments (an --output FILE that
 cannot be written among them, refused before any work), 3 when an
@@ -115,17 +115,14 @@ def _truncation_arg(text: str) -> int:
     return value
 
 
-def _truncation(args):
-    """The manifest's truncation: the bound P, or none for the full product."""
-    return "none" if args.truncation is None else args.truncation
-
-
 def _product_meta(args, **more):
     """The manifest of a command that reads the Euler products: modulus,
-    truncation and tail bound, then more fields, or one of those three."""
+    truncation (the bound P, or none for the full product) and tail
+    bound, then more fields, or one of those three."""
     from .lfun import tail_bound
 
-    return {"modulus": args.q, "truncation": _truncation(args),
+    return {"modulus": args.q,
+            "truncation": "none" if args.truncation is None else args.truncation,
             "tail_bound": tail_bound(args.truncation), **more}
 
 
@@ -145,23 +142,22 @@ def _pattern_axes(args):
 def _pattern_blocks(axes, listing=None):
     """Yield (codes, classes, keys) for patterns over axes in code order,
     the order of itertools.product(*axes): all, BLOCK_ROWS at a time, or
-    a CountTable listing's blocks.  classes[j] holds the j-th class of
-    each code; a key such as 1;7;11 joins a key of the first ceil(r/2)
-    classes, ending in ;, to one of the rest, from two small tables."""
+    the code blocks of a CountTable listing.  classes[j] holds the j-th
+    class of each code; a key such as 1;7;11 joins a key of the first
+    ceil(r/2) classes, ending in ;, to one of the rest, from two small
+    tables."""
+    shape = [len(axis) for axis in axes]
     half = (len(axes) + 1) // 2
     heads, tails = (np.array([";".join(map(str, c)) + end
                               for c in itertools.product(*part)], dtype=object)
                     for part, end in ((axes[:half], ";"), (axes[half:], "")))
     if listing is None:
-        shape = [len(axis) for axis in axes]
         total = len(heads) * len(tails)
-        listing = ((codes, [np.take(axis, i) for axis, i in
-                            zip(axes, np.unravel_index(codes, shape))])
-                   for start in range(0, total, BLOCK_ROWS)
-                   for codes in [np.arange(start, min(start + BLOCK_ROWS,
-                                                      total))])
-    for codes, classes in listing:
-        yield (codes, classes,
+        listing = (np.arange(start, min(start + BLOCK_ROWS, total))
+                   for start in range(0, total, BLOCK_ROWS))
+    for codes in listing:
+        yield (codes, [np.take(axis, i) for axis, i in
+                       zip(axes, np.unravel_index(codes, shape))],
                heads[codes // len(tails)] + tails[codes % len(tails)])
 
 
@@ -198,38 +194,21 @@ def _cmd_count(args):
 
 
 def _cmd_predict(args):
-    from .constants import _pattern_constants, skip_coefficient
-    from .predict import _RowDensity, _asymptotic_terms
+    from .predict import _predictor
 
-    q, xs = args.q, args.x
-    axes = _pattern_axes(args)
-    if args.method != "asymptotic" and len(axes) != 2:
-        raise ValueError(f"{args.method} predictions are defined for pairs")
-    method, patterns = args.method, Modulus(q).phi ** len(axes)
-    if method == "integral":  # values and errors by code, then by x
-        rows = (_RowDensity(q, a, axes[1], args.truncation) for a in axes[0])
-        integrals = np.transpose(
-            [[row.integral(x, args.rel_tol) for x in xs] for row in rows],
-            (2, 0, 3, 1)).reshape(2, -1, len(xs))
-    elif method == "skip":  # c1 is 0; c2 for a = b, then for a != b
-        skip_c2 = [skip_coefficient(q, args.skip, e)[1] for e in (True, False)]
-        method = f"skip{args.skip}"
+    xs, axes = args.x, _pattern_axes(args)
+    predict = _predictor(args.q, axes, xs, args.method, args.truncation,
+                         args.rel_tol, args.skip)
+    method = f"skip{args.skip}" if args.method == "skip" else args.method
 
     def blocks():
         # rows run pattern by pattern, then by x
         for codes, classes, keys in _pattern_blocks(axes):
-            errors = None
-            if args.method == "integral":
-                values, errors = integrals[:, codes].reshape(2, -1)
-            else:
-                c1, c2 = ((0.0, np.where(np.equal(*classes), *skip_c2))
-                          if args.method == "skip" else
-                          _pattern_constants(q, classes, args.truncation))
-                values = np.stack([_asymptotic_terms(c1, c2, patterns, x)
-                                   ["value"] for x in xs], axis=-1).ravel()
+            values, errors = predict(codes, classes)
             yield {"pattern": np.repeat(keys, len(xs)),
-                   "x": list(xs) * len(keys), "value": values,
-                   "method": method, "error_estimate": errors}
+                   "x": list(xs) * len(keys), "value": values.ravel(),
+                   "method": method,
+                   "error_estimate": None if errors is None else errors.ravel()}
 
     return _checked(blocks()), _product_meta(args, rel_tol=args.rel_tol)
 
@@ -290,8 +269,8 @@ def _cmd_s0(args):
 
 
 def _cmd_compare(args):
-    from .constants import _c2_table, _pattern_constants
-    from .predict import _RowDensity, _asymptotic_terms
+    from .constants import _c2_table
+    from .predict import _predictor
     from .sieve import SieveConfig, count_patterns, effective_workers
 
     cfg = SieveConfig(q=args.q, r=args.r, x=args.x, count=args.count,
@@ -303,25 +282,23 @@ def _cmd_compare(args):
     # predictions are taken at the largest prime actually seen in by_count
     # mode so both columns describe the same window of integers
     x = args.x if args.x is not None else table.largest_prime
-    meta = {
-        "modulus": args.q, "x": x, "truncation": _truncation(args),
-        "rel_tol": args.rel_tol, "threads": effective_workers(args.threads),
-    }
+    meta = _product_meta(args, x=x, rel_tol=args.rel_tol,
+                         threads=effective_workers(args.threads))
     axes = [Modulus(args.q).classes] * args.r
-    if args.r == 2:  # integral predictions by code, the index of (a, b)
-        integrals = np.ravel([_RowDensity(args.q, a, None, args.truncation)
-                              .integral(x, args.rel_tol)[0] for a in axes[0]])
+    # the integral is defined for pairs: an empty column for longer patterns
+    ways = ("integral", "asymptotic") if args.r == 2 else ("asymptotic",)
+    predictors = {way: _predictor(args.q, axes, [x], way, args.truncation,
+                                  args.rel_tol) for way in ways}
 
     def blocks():
         for codes, classes, keys in _pattern_blocks(
                 axes, table.listing(BLOCK_ROWS)):
             actual = table.array[codes].tolist()
-            c1, c2 = _pattern_constants(args.q, classes, args.truncation)
             block = {"pattern": keys, "actual": actual,
-                     "integral_prediction": integrals[codes].tolist()
-                     if args.r == 2 else [""] * len(codes),
-                     "asymptotic_prediction": _asymptotic_terms(
-                         c1, c2, len(table.array), x)["value"].tolist()}
+                     "integral_prediction": [""] * len(codes)}
+            for way, predict in predictors.items():
+                values, _ = predict(codes, classes)
+                block[f"{way}_prediction"] = values[:, 0].tolist()
             for way in ("integral", "asymptotic"):
                 block[f"rel_err_{way}"] = [
                     v / n - 1 if n and v != "" else ""
@@ -604,13 +581,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wall = time.perf_counter() - start
     # the files this run creates, removed again if writing them fails
     created = [path for path in (args.output, args.output + ".manifest")
                if not os.path.exists(path)] if args.output else []
     try:
         with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
             nrows = (_json if args.format == "json" else _csv)(blocks, fh)
+        wall = time.perf_counter() - start  # most blocks are made as written
         if args.output:
             with open(args.output + ".manifest", "w") as fh:
                 fh.write(_manifest(argv, meta, wall, nrows))

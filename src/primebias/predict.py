@@ -22,13 +22,14 @@ alone, with the same bits in any row.  All quadrature is composite
 u = log y.  On a 2-core x86 host, predict --q 210 --x 1e9 (48 rows)
 takes 0.6-0.7 s and predict --q 420 (96 rows) 1.3-1.7 s.  The truncated
 sums straight from the definitions only check this form; no prediction
-runs them.
+runs them.  _predictor is the one path from a method to the predictions
+of a block of patterns, for both predict and compare.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -223,30 +224,45 @@ class PredictionRow:
     x: float
     method: str
     value: float
-    terms: dict = field(default_factory=dict, repr=False)
     quadrature_error: float | None = None
 
 
-def _asymptotic_terms(c1, c2, patterns: int, x: float) -> dict:
-    """The terms of li(x)/patterns (1 + c1 loglog x / log x + c2 / log x),
-    assembled literally, with their sum as "value".
-
-    c1 and c2 may be arrays (see constants._pattern_constants); li(x) is
-    taken once for all of them.
-    """
+def _asymptotic(c1, c2, patterns: int, x: float):
+    """li(x)/patterns (1 + c1 loglog x / log x + c2 / log x), assembled
+    literally; c1 and c2 may be arrays, and li(x) is taken once for all."""
     if x <= math.e:
         raise ValueError(f"x must exceed e = {math.e:.6f} for loglog x, "
                          f"got {x:g}")
-    li_x = li(x)
-    main = li_x / patterns
     logx = math.log(x)
-    loglog_term = c1 * math.log(logx) / logx
-    log_term = c2 / logx
-    return {
-        "li": li_x, "main": main, "c1": c1, "c2": c2,
-        "loglog_term": loglog_term, "log_term": log_term,
-        "value": main * (1.0 + loglog_term + log_term),
-    }
+    return li(x) / patterns * (1.0 + c1 * math.log(logx) / logx + c2 / logx)
+
+
+def _predictor(q: int, axes, xs, method: str, truncation: int | None = None,
+               rel_tol: float = 1e-7, skip: int = 2):
+    """A function from a block's codes and classes (cli._pattern_blocks)
+    to method's (values, errors) of those patterns over axes at each x of
+    xs, shaped (patterns, len(xs)); errors is None but for the integral,
+    whose every code is integrated here, so that its failures come first."""
+    if method != "asymptotic" and len(axes) != 2:
+        raise ValueError(f"{method} predictions are defined for pairs")
+    if method == "integral":  # values and errors by code, then by x
+        rows = (_RowDensity(q, a, axes[1], truncation) for a in axes[0])
+        values, errors = np.transpose(
+            [[row.integral(x, rel_tol) for x in xs] for row in rows],
+            (2, 0, 3, 1)).reshape(2, -1, len(xs))
+        return lambda codes, classes: (values[codes], errors[codes])
+    if method == "skip":  # c1 is 0; c2 for a = b, then for a != b
+        skip_c2 = [skip_coefficient(q, skip, e)[1] for e in (True, False)]
+    patterns = Modulus(q).phi ** len(axes)
+
+    def predict(codes, classes):
+        c1, c2 = ((0.0, np.where(np.equal(*classes), *skip_c2))
+                  if method == "skip" else
+                  _pattern_constants(q, classes, truncation))
+        return np.stack([_asymptotic(c1, c2, patterns, x) for x in xs],
+                        axis=-1), None
+
+    return predict
 
 
 def asymptotic_prediction(
@@ -258,25 +274,20 @@ def asymptotic_prediction(
     """li(x)/phi^r (1 + c1 loglog x / log x + c2 / log x), assembled literally."""
     pat = ResiduePattern(q, tuple(classes))
     c1, c2 = _pattern_constants(q, pat.classes, truncation)
-    terms = _asymptotic_terms(float(c1), float(c2), pat.modulus.phi**pat.r, x)
-    return PredictionRow(
-        q=q, classes=pat.classes, x=x, method="asymptotic",
-        value=terms.pop("value"), terms=terms,
-    )
+    value = _asymptotic(float(c1), float(c2), pat.modulus.phi**pat.r, x)
+    return PredictionRow(q=q, classes=pat.classes, x=x, method="asymptotic",
+                         value=value)
 
 
 def integral_prediction(q: int, a: int, b: int, x: float,
                         truncation: int | None = None,
                         rel_tol: float = 1e-7) -> PredictionRow:
-    """The density integral from y_min = exp(2q/phi) to x in u = log y."""
+    """The density integral from y_min = exp(2q/phi) (integral_lower_limit)
+    to x in u = log y."""
     (a, b) = ResiduePattern(q, (a, b)).classes
-    row = _RowDensity(q, a, [b], truncation)
-    (value,), (err,) = row.integral(x, rel_tol)
-    return PredictionRow(
-        q=q, classes=(a, b), x=x, method="integral", value=float(value),
-        terms={"y_min": integral_lower_limit(q), "epsilon": float(row.eps[0])},
-        quadrature_error=float(err),
-    )
+    (value,), (err,) = _RowDensity(q, a, [b], truncation).integral(x, rel_tol)
+    return PredictionRow(q=q, classes=(a, b), x=x, method="integral",
+                         value=float(value), quadrature_error=float(err))
 
 
 def skip_prediction(
@@ -286,9 +297,6 @@ def skip_prediction(
     the two-term asymptotic with the skip constants, whose c1 is 0."""
     mod = Modulus(q)
     a, b = mod.canonical(a), mod.canonical(b)
-    terms = _asymptotic_terms(*skip_coefficient(q, k, equal=(a == b)),
-                              mod.phi**2, x)
-    return PredictionRow(
-        q=q, classes=(a, b), x=x, method=f"skip{k}",
-        value=terms.pop("value"), terms=terms,
-    )
+    value = _asymptotic(*skip_coefficient(q, k, equal=(a == b)), mod.phi**2, x)
+    return PredictionRow(q=q, classes=(a, b), x=x, method=f"skip{k}",
+                         value=value)

@@ -101,8 +101,8 @@ class CountTable:
     `array` holds the count of every pattern by code, read-only: entry
     sum_j i_j * phi**(r-1-j) counts the pattern whose j-th class is
     Modulus(q).classes[i_j], so code order is the sorted order of the
-    pattern tuples.  `listing` reads the codes a table lists and their
-    classes from it, and `counts` is derived from that on first use.
+    pattern tuples.  `listing` yields the codes a table lists, a block
+    at a time, and `counts` decodes them into classes on first use.
     """
 
     q: int
@@ -118,26 +118,26 @@ class CountTable:
         self.array.flags.writeable = False
 
     def listing(self, rows: int):
-        """Yield (codes, classes) for the codes the table lists, in code
-        order, `rows` codes at a time: every code for r <= 3, else the
-        codes counted at least once.  classes is an (r, len(codes)) array
-        whose row j holds the j-th class of each code."""
-        mod = Modulus(self.q)
-        codes = (np.arange(len(self.array)) if self.r <= 3
-                 else np.flatnonzero(self.array))
-        classes = np.array(mod.classes, dtype=np.int64)
-        for start in range(0, len(codes), rows):
-            block = codes[start:start + rows]
-            yield block, classes[np.stack(
-                np.unravel_index(block, (mod.phi,) * self.r))]
+        """Yield the codes the table lists, in code order, `rows` codes
+        at a time: every code for r <= 3, each block its own arange, else
+        the codes counted at least once."""
+        if self.r > 3:
+            codes = np.flatnonzero(self.array)
+            for start in range(0, len(codes), rows):
+                yield codes[start:start + rows]
+            return
+        for start in range(0, len(self.array), rows):
+            yield np.arange(start, min(start + rows, len(self.array)))
 
     @cached_property
     def counts(self) -> dict[tuple[int, ...], int]:
         """{classes: count} over the patterns the table lists."""
-        return {pattern: n
-                for codes, classes in self.listing(len(self.array))
-                for pattern, n in zip(zip(*classes.tolist()),
-                                      self.array[codes].tolist())}
+        classes = np.array(Modulus(self.q).classes)
+        for codes in self.listing(len(self.array)):  # one block, or none
+            patterns = classes[np.stack(
+                np.unravel_index(codes, (len(classes),) * self.r))]
+            return dict(zip(zip(*patterns.tolist()), self.array[codes].tolist()))
+        return {}
 
     def count(self, classes: tuple[int, ...]) -> int:
         mod = Modulus(self.q)

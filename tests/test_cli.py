@@ -1235,6 +1235,36 @@ def test_manifest_names_an_explicit_truncation(tmp_path, capsys):
     assert "tail_bound=%.15g" % primebias.tail_bound(200000) in manifest
 
 
+def test_compare_manifest_names_its_euler_products(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    code, _ = run_cli(["compare", "--q", "5", "--x", "1e5", "--truncation",
+                       "2e5", "--output", str(out)], capsys)
+    assert code == 0
+    manifest = (tmp_path / "c.csv.manifest").read_text().splitlines()
+    assert [line.partition("=")[0] for line in manifest[2:8]] == [
+        "modulus", "truncation", "tail_bound", "x", "rel_tol", "threads"]
+    assert "truncation=200000" in manifest
+    assert "tail_bound=%.15g" % primebias.tail_bound(200000) in manifest
+
+
+def test_wall_seconds_cover_the_rows_made_while_writing(tmp_path, capsys,
+                                                        monkeypatch):
+    # most blocks of a pattern table are made as the writer asks for them
+    write = cli._csv
+
+    def slow(blocks, fh):
+        time.sleep(0.2)
+        return write(blocks, fh)
+
+    monkeypatch.setattr(cli, "_csv", slow)
+    out = tmp_path / "p.csv"
+    code, _ = run_cli(["predict", "--q", "5", "--x", "1e6", "--method",
+                       "asymptotic", "--output", str(out)], capsys)
+    assert code == 0
+    manifest = (tmp_path / "p.csv.manifest").read_text().splitlines()
+    assert float(manifest[-1].removeprefix("wall_seconds=")) >= 0.2
+
+
 def _loads(script):
     """The modules a fresh interpreter has loaded after running script:
     numpy, numpy.ma, the process machinery and every primebias module."""

@@ -399,16 +399,32 @@ def test_listing_blocks_join_to_counts(q, r, skip):
     want = window_table(q, r, skip, x=x, prime_limit=30_000)
     want = full_table(q, r, want) if r <= 3 else want
     assert t.counts == want
+    # the codes of the listed patterns, in code order
+    mod = Modulus(q)
+    listed = [sum(mod.classes.index(c) * mod.phi**(r - 1 - j)
+                  for j, c in enumerate(pattern)) for pattern in sorted(want)]
     for rows in (1, 7, 1 << 14):
         blocks = list(t.listing(rows))
-        assert all(len(codes) == rows for codes, _ in blocks[:-1])
-        assert 0 < len(blocks[-1][0]) <= rows
-        codes = np.concatenate([codes for codes, _ in blocks])
-        classes = np.concatenate([classes for _, classes in blocks], axis=1)
-        assert classes.shape == (r, len(codes))
-        got = dict(zip(zip(*classes.tolist()), t.array[codes].tolist()))
-        assert got == want, rows
-        assert list(got) == sorted(want), rows  # code order
+        assert all(len(codes) == rows for codes in blocks[:-1])
+        assert 0 < len(blocks[-1]) <= rows
+        codes = np.concatenate(blocks)
+        assert codes.tolist() == listed, rows
+        assert t.array[codes].tolist() == list(t.counts.values()), rows
+
+
+def test_listing_allocates_a_block_at_a_time():
+    # 100**3 codes; the listing once took an arange of all 8 MB up front
+    t = CountTable(q=101, r=3, skip=1, mode="by_x", limit=2,
+                   array=np.zeros(100**3, dtype=np.int64), primes_seen=0,
+                   largest_prime=0)
+    tracemalloc.start()
+    try:
+        n = sum(len(codes) for codes in t.listing(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 100**3
+    assert peak < 1 << 20, peak
 
 
 def test_thread_determinism_small():
