@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # each public name and the submodule that defines it
 _SUBMODULE = {
     **dict.fromkeys((
-        "InternalConsistencyError", "Modulus", "ResiduePattern",
+        "InternalConsistencyError", "Modulus", "PatternGrid", "ResiduePattern",
         "canonical_residue", "epsilon_q", "prime_factors", "primes_upto",
         "totient", "von_mangoldt",
     ), "arith"),

@@ -14,15 +14,17 @@ independent routes disagree, so every module can use them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 __all__ = [
     "InternalConsistencyError",
     "Modulus",
+    "PatternGrid",
     "ResiduePattern",
     "totient",
     "prime_factors",
@@ -272,6 +274,51 @@ class ResiduePattern:
     @property
     def r(self) -> int:
         return len(self.classes)
+
+
+class PatternGrid:
+    """The patterns over axes, the classes each position runs over, in the
+    order of itertools.product(*axes): the one owner of the code by which
+    every table of patterns is indexed.  The pattern whose j-th class is
+    axes[j][i_j] has code sum_j i_j * prod_{k>j} len(axes[k])."""
+
+    def __init__(self, axes):
+        self.axes = tuple(map(tuple, axes))
+        self.shape = tuple(map(len, self.axes))
+        self.size = math.prod(self.shape)
+
+    def listing(self, rows: int):
+        """Yield every code, `rows` at a time, each block its own arange."""
+        for start in range(0, self.size, rows):
+            yield np.arange(start, min(start + rows, self.size))
+
+    def classes(self, codes) -> list[np.ndarray]:
+        """The classes of each code, one array per position."""
+        return [np.take(axis, i) for axis, i in
+                zip(self.axes, np.unravel_index(codes, self.shape))]
+
+    @cached_property
+    def _key_tables(self):
+        half = (len(self.axes) + 1) // 2
+        return [np.array([";".join(map(str, c)) + end
+                          for c in itertools.product(*part)], dtype=object)
+                for part, end in ((self.axes[:half], ";"),
+                                  (self.axes[half:], ""))]
+
+    def keys(self, codes) -> np.ndarray:
+        """The key of each code, such as 1;7;11: a head of the first
+        ceil(r/2) classes and a tail of the rest, from two small tables."""
+        heads, tails = self._key_tables
+        return heads[codes // len(tails)] + tails[codes % len(tails)]
+
+    def code(self, classes) -> int | None:
+        """One pattern's code, or None when it is not on the grid."""
+        try:
+            index = [axis.index(c)
+                     for axis, c in zip(self.axes, classes, strict=True)]
+        except ValueError:
+            return None
+        return int(np.ravel_multi_index(index, self.shape))
 
 
 def epsilon_q(q: int, a: int, b: int) -> float:

@@ -11,7 +11,7 @@ run of one or more rows: a dict, in field order, from each field to a
 column (a list or array, one cell per row; a block has at least one) or
 to the one value its rows share, such as count's q and limit.  Blocks
 are written one at a time, so a run holds one block's text at once.
-The pattern tables make one per BLOCK_ROWS patterns (_pattern_blocks),
+The pattern tables make one per BLOCK_ROWS patterns of an arith.PatternGrid,
 with the keys, counts and constants of those patterns alone; the dumps
 one per block of characters, named from their labels.  Every check a
 block runs fails before the first byte is written, as the first block
@@ -43,6 +43,7 @@ from . import __version__
 from .arith import (
     InternalConsistencyError,
     Modulus,
+    PatternGrid,
     ResiduePattern,
     check_pattern_budget,
     check_rel_tol,
@@ -57,7 +58,7 @@ BLOCK_ROWS = 1 << 14  # patterns (or dump-lvalues rows) formatted at once
 def _fmt(value):
     if isinstance(value, float):
         return "%.15g" % value
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _classes_arg(text: str) -> tuple[int, ...]:
@@ -126,39 +127,17 @@ def _product_meta(args, **more):
             "tail_bound": tail_bound(args.truncation), **more}
 
 
-def _pattern_axes(args):
-    """The classes each position runs over: --classes, which a --r must
+def _pattern_grid(args) -> PatternGrid:
+    """The patterns of a command: the one of --classes, which a --r must
     match, or every class at each of --r positions, 2 by default."""
     if args.classes is not None:
         if args.r not in (None, len(args.classes)):
             raise ValueError(f"--r {args.r} disagrees with the "
                              f"{len(args.classes)} classes of --classes")
-        return [(a,) for a in ResiduePattern(args.q, args.classes).classes]
+        return PatternGrid(zip(ResiduePattern(args.q, args.classes).classes))
     r = 2 if args.r is None else args.r
     check_pattern_budget(args.q, r)
-    return [Modulus(args.q).classes] * r
-
-
-def _pattern_blocks(axes, listing=None):
-    """Yield (codes, classes, keys) for patterns over axes in code order,
-    the order of itertools.product(*axes): all, BLOCK_ROWS at a time, or
-    the code blocks of a CountTable listing.  classes[j] holds the j-th
-    class of each code; a key such as 1;7;11 joins a key of the first
-    ceil(r/2) classes, ending in ;, to one of the rest, from two small
-    tables."""
-    shape = [len(axis) for axis in axes]
-    half = (len(axes) + 1) // 2
-    heads, tails = (np.array([";".join(map(str, c)) + end
-                              for c in itertools.product(*part)], dtype=object)
-                    for part, end in ((axes[:half], ";"), (axes[half:], "")))
-    if listing is None:
-        total = len(heads) * len(tails)
-        listing = (np.arange(start, min(start + BLOCK_ROWS, total))
-                   for start in range(0, total, BLOCK_ROWS))
-    for codes in listing:
-        yield (codes, [np.take(axis, i) for axis, i in
-                       zip(axes, np.unravel_index(codes, shape))],
-               heads[codes // len(tails)] + tails[codes % len(tails)])
+    return PatternGrid([Modulus(args.q).classes] * r)
 
 
 def _checked(blocks):
@@ -185,28 +164,28 @@ def _cmd_count(args):
         tables = count_patterns_series(cfg, list(args.checkpoints))
     else:
         tables = [count_patterns(cfg)]
-    axes = [Modulus(cfg.q).classes] * cfg.r
+    grid = tables[0].grid  # one set of key tables for every table
     blocks = ({"q": t.q, "r": t.r, "skip": t.skip, "mode": t.mode,
-               "limit": t.limit, "classes": keys, "count": t.array[codes]}
-              for t in tables
-              for codes, _, keys in _pattern_blocks(axes, t.listing(BLOCK_ROWS)))
+               "limit": t.limit, "classes": grid.keys(codes),
+               "count": t.array[codes]}
+              for t in tables for codes in t.listing(BLOCK_ROWS))
     return blocks, {"modulus": args.q, "threads": workers}
 
 
 def _cmd_predict(args):
     from .predict import _predictor
 
-    xs, axes = args.x, _pattern_axes(args)
-    predict = _predictor(args.q, axes, xs, args.method, args.truncation,
+    xs, grid = args.x, _pattern_grid(args)
+    predict = _predictor(args.q, grid, xs, args.method, args.truncation,
                          args.rel_tol, args.skip)
     method = f"skip{args.skip}" if args.method == "skip" else args.method
 
     def blocks():
         # rows run pattern by pattern, then by x
-        for codes, classes, keys in _pattern_blocks(axes):
-            values, errors = predict(codes, classes)
-            yield {"pattern": np.repeat(keys, len(xs)),
-                   "x": list(xs) * len(keys), "value": values.ravel(),
+        for codes in grid.listing(BLOCK_ROWS):
+            values, errors = predict(codes)
+            yield {"pattern": np.repeat(grid.keys(codes), len(xs)),
+                   "x": list(xs) * len(codes), "value": values.ravel(),
                    "method": method,
                    "error_estimate": None if errors is None else errors.ravel()}
 
@@ -217,12 +196,13 @@ def _cmd_constants(args):
     from .constants import FORM_AGREEMENT_TOL, _pair_forms, _pattern_constants
 
     q, truncation = args.q, args.truncation
-    axes = _pattern_axes(args)
-    if args.forms and len(axes) != 2:
+    grid = _pattern_grid(args)
+    if args.forms and len(grid.axes) != 2:
         raise ValueError("--forms lists the closed forms of pairs")
 
     def blocks():
-        for _, classes, keys in _pattern_blocks(axes):
+        for codes in grid.listing(BLOCK_ROWS):
+            classes, keys = grid.classes(codes), grid.keys(codes)
             c1, c2 = _pattern_constants(q, classes, truncation)
             if not args.forms:
                 yield {"pattern": keys, "c1": c1, "c2": c2,
@@ -284,26 +264,26 @@ def _cmd_compare(args):
     x = args.x if args.x is not None else table.largest_prime
     meta = _product_meta(args, x=x, rel_tol=args.rel_tol,
                          threads=effective_workers(args.threads))
-    axes = [Modulus(args.q).classes] * args.r
     # the integral is defined for pairs: an empty column for longer patterns
     ways = ("integral", "asymptotic") if args.r == 2 else ("asymptotic",)
-    predictors = {way: _predictor(args.q, axes, [x], way, args.truncation,
-                                  args.rel_tol) for way in ways}
+    predictors = {way: _predictor(args.q, table.grid, [x], way,
+                                  args.truncation, args.rel_tol)
+                  for way in ways}
+    empty = np.array("", dtype=object)  # beside it np.where keeps floats
 
     def blocks():
-        for codes, classes, keys in _pattern_blocks(
-                axes, table.listing(BLOCK_ROWS)):
-            actual = table.array[codes].tolist()
-            block = {"pattern": keys, "actual": actual,
-                     "integral_prediction": [""] * len(codes)}
-            for way, predict in predictors.items():
-                values, _ = predict(codes, classes)
-                block[f"{way}_prediction"] = values[:, 0].tolist()
-            for way in ("integral", "asymptotic"):
-                block[f"rel_err_{way}"] = [
-                    v / n - 1 if n and v != "" else ""
-                    for v, n in zip(block[f"{way}_prediction"], actual)]
-            yield block
+        for codes in table.listing(BLOCK_ROWS):
+            actual = table.array[codes]
+            got = {way: predict(codes)[0][:, 0]
+                   for way, predict in predictors.items()}
+            # an empty cell where the pattern was never counted
+            rel_err = {way: np.where(actual > 0, v / np.maximum(actual, 1) - 1,
+                                     empty) for way, v in got.items()}
+            yield {"pattern": table.grid.keys(codes), "actual": actual,
+                   "integral_prediction": got.get("integral", ""),
+                   "asymptotic_prediction": got["asymptotic"],
+                   "rel_err_integral": rel_err.get("integral", ""),
+                   "rel_err_asymptotic": rel_err["asymptotic"]}
 
     return _checked(blocks()), meta
 
@@ -491,10 +471,10 @@ def _column(value):
 def _csv(blocks, fh) -> int:
     """Write the header, then each block's rows through one template, and
     return the number of rows.  The bytes are those csv.DictWriter writes:
-    no field needs quoting (numbers, words, keys such as 1;7;11); rows end
-    in CRLF.  Shared fields before a block's first column are formatted
-    once, into the separator between its rows.  No block's text outlives
-    its write."""
+    no field needs quoting (numbers, words, keys such as 1;7;11), None is
+    an empty cell and rows end in CRLF.  Shared fields before a block's
+    first column are formatted once, into the separator between its rows.
+    No block's text outlives its write."""
     nrows = 0
     for block in blocks:
         lead, pieces, columns = "", [], []

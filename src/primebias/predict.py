@@ -237,28 +237,29 @@ def _asymptotic(c1, c2, patterns: int, x: float):
     return li(x) / patterns * (1.0 + c1 * math.log(logx) / logx + c2 / logx)
 
 
-def _predictor(q: int, axes, xs, method: str, truncation: int | None = None,
+def _predictor(q: int, grid, xs, method: str, truncation: int | None = None,
                rel_tol: float = 1e-7, skip: int = 2):
-    """A function from a block's codes and classes (cli._pattern_blocks)
-    to method's (values, errors) of those patterns over axes at each x of
-    xs, shaped (patterns, len(xs)); errors is None but for the integral,
-    whose every code is integrated here, so that its failures come first."""
-    if method != "asymptotic" and len(axes) != 2:
+    """A function from a block of codes on grid (arith.PatternGrid) to
+    method's (values, errors) of those patterns at each x of xs, shaped
+    (patterns, len(xs)); errors is None but for the integral, whose every
+    code is integrated here, so that its failures come first."""
+    if method != "asymptotic" and len(grid.axes) != 2:
         raise ValueError(f"{method} predictions are defined for pairs")
-    if method == "integral":  # values and errors by code, then by x
-        rows = (_RowDensity(q, a, axes[1], truncation) for a in axes[0])
+    if method == "integral":  # values and errors by grid code, then by x
+        rows = (_RowDensity(q, a, grid.axes[1], truncation)
+                for a in grid.axes[0])
         values, errors = np.transpose(
             [[row.integral(x, rel_tol) for x in xs] for row in rows],
-            (2, 0, 3, 1)).reshape(2, -1, len(xs))
-        return lambda codes, classes: (values[codes], errors[codes])
+            (2, 0, 3, 1)).reshape(2, grid.size, len(xs))
+        return lambda codes: (values[codes], errors[codes])
     if method == "skip":  # c1 is 0; c2 for a = b, then for a != b
         skip_c2 = [skip_coefficient(q, skip, e)[1] for e in (True, False)]
-    patterns = Modulus(q).phi ** len(axes)
+    patterns = Modulus(q).phi ** len(grid.axes)
 
-    def predict(codes, classes):
-        c1, c2 = ((0.0, np.where(np.equal(*classes), *skip_c2))
+    def predict(codes):
+        c1, c2 = ((0.0, np.where(np.equal(*grid.classes(codes)), *skip_c2))
                   if method == "skip" else
-                  _pattern_constants(q, classes, truncation))
+                  _pattern_constants(q, grid.classes(codes), truncation))
         return np.stack([_asymptotic(c1, c2, patterns, x) for x in xs],
                         axis=-1), None
 

@@ -48,7 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (DEFAULT_SEGMENT_SIZE, InternalConsistencyError, Modulus,
-                    _segments, check_pattern_budget, check_sieve_limit)
+                    PatternGrid, _segments, canonical_residue,
+                    check_pattern_budget, check_sieve_limit)
 
 __all__ = [
     "SieveConfig",
@@ -98,11 +99,10 @@ class SieveConfig:
 class CountTable:
     """Window counts by pattern.
 
-    `array` holds the count of every pattern by code, read-only: entry
-    sum_j i_j * phi**(r-1-j) counts the pattern whose j-th class is
-    Modulus(q).classes[i_j], so code order is the sorted order of the
-    pattern tuples.  `listing` yields the codes a table lists, a block
-    at a time, and `counts` decodes them into classes on first use.
+    `array` holds the count of every pattern by its code on `grid`, the
+    arith.PatternGrid of Modulus(q).classes at each of r positions,
+    read-only.  `listing` yields the codes a table lists, a block at a
+    time, and `counts` decodes them into classes on first use.
     """
 
     q: int
@@ -117,37 +117,31 @@ class CountTable:
     def __post_init__(self):
         self.array.flags.writeable = False
 
+    @cached_property
+    def grid(self) -> PatternGrid:
+        return PatternGrid([Modulus(self.q).classes] * self.r)
+
     def listing(self, rows: int):
         """Yield the codes the table lists, in code order, `rows` codes
-        at a time: every code for r <= 3, each block its own arange, else
-        the codes counted at least once."""
-        if self.r > 3:
-            codes = np.flatnonzero(self.array)
-            for start in range(0, len(codes), rows):
-                yield codes[start:start + rows]
-            return
-        for start in range(0, len(self.array), rows):
-            yield np.arange(start, min(start + rows, len(self.array)))
+        at a time: every code of the grid for r <= 3, else the codes
+        counted at least once."""
+        if self.r <= 3:
+            return self.grid.listing(rows)
+        codes = np.flatnonzero(self.array)
+        return (codes[i:i + rows] for i in range(0, len(codes), rows))
 
     @cached_property
     def counts(self) -> dict[tuple[int, ...], int]:
         """{classes: count} over the patterns the table lists."""
-        classes = np.array(Modulus(self.q).classes)
         for codes in self.listing(len(self.array)):  # one block, or none
-            patterns = classes[np.stack(
-                np.unravel_index(codes, (len(classes),) * self.r))]
-            return dict(zip(zip(*patterns.tolist()), self.array[codes].tolist()))
+            patterns = zip(*(c.tolist() for c in self.grid.classes(codes)))
+            return dict(zip(patterns, self.array[codes].tolist()))
         return {}
 
     def count(self, classes: tuple[int, ...]) -> int:
-        mod = Modulus(self.q)
-        try:
-            index = tuple(mod.classes.index(mod.canonical(c)) for c in classes)
-        except ValueError:  # a class not coprime to q
-            return 0
-        if len(index) != self.r:
-            return 0
-        return int(self.array.reshape((mod.phi,) * self.r)[index])
+        """One pattern's count, its classes read mod q; 0 off the grid."""
+        code = self.grid.code([canonical_residue(self.q, c) for c in classes])
+        return 0 if code is None else int(self.array[code])
 
     def total(self) -> int:
         return int(self.array.sum())
@@ -275,8 +269,8 @@ def _class_table(q: int, segment_size: int) -> np.ndarray:
 
 def _codes(cls: np.ndarray, phi: int, r: int, skip: int,
            out: np.ndarray) -> np.ndarray:
-    """Radix-phi code of each of the len(out) windows starting at cls[0],
-    cls[1], ..., by Horner's rule in out."""
+    """The code (arith.PatternGrid) of each of the len(out) windows
+    starting at cls[0], cls[1], ..., by Horner's rule in out."""
     m = len(out)
     out[:] = cls[:m]
     for i in range(1, r):

@@ -9,6 +9,7 @@ import pytest
 
 from primebias import (
     Modulus,
+    PatternGrid,
     ResiduePattern,
     canonical_residue,
     epsilon_q,
@@ -188,3 +189,29 @@ def test_modulus_classes_shared():
     assert Modulus(60).classes is Modulus(60).classes
     assert Modulus(60).classes == tuple(
         a for a in range(1, 61) if math.gcd(a, 60) == 1)
+
+
+@pytest.mark.parametrize("axes", [
+    [Modulus(3).classes] * 2,
+    [Modulus(5).classes] * 3,
+    [Modulus(7).classes] * 4,
+    [(5,), (7,), (11,)],  # the grid of one --classes pattern
+], ids=["q3-r2", "q5-r3", "q7-r4", "classes"])
+def test_pattern_grid_round_trip(axes):
+    grid = PatternGrid(axes)
+    patterns = list(itertools.product(*axes))  # code order
+    assert grid.size == len(patterns)
+    blocks = list(grid.listing(7))
+    assert all(len(codes) == 7 for codes in blocks[:-1])
+    codes = np.concatenate(blocks)
+    assert codes.tolist() == list(range(len(patterns)))
+    classes = grid.classes(codes)
+    assert len(classes) == len(axes)
+    assert list(zip(*(c.tolist() for c in classes))) == patterns
+    assert grid.keys(codes).tolist() == [";".join(map(str, p))
+                                         for p in patterns]
+    assert [grid.code(p) for p in patterns] == codes.tolist()
+    # a class off its axis, or a pattern of another length, has no code
+    assert grid.code((0,) * len(axes)) is None
+    assert grid.code(patterns[-1][:-1]) is None
+    assert grid.code(patterns[-1] + patterns[-1][:1]) is None

@@ -15,7 +15,8 @@ import pytest
 import primebias
 from primebias import characters, cli, constants, lfun, sieve
 from primebias.arith import (MAX_CHARACTER_ENTRIES, MAX_GROUP_MODULUS,
-                             MAX_PATTERNS, Modulus, ResiduePattern, totient)
+                             MAX_PATTERNS, Modulus, PatternGrid,
+                             ResiduePattern, totient)
 from primebias.characters import character_group
 from primebias.constants import (
     InternalConsistencyError,
@@ -445,7 +446,8 @@ def _lvalue_rows(q, truncation=None):
 def _dict_row_output(rows, fmt):
     """A command's output built the plain way: one dict per row, every
     cell formatted by itself, csv.DictWriter or json.dumps(indent=2) over
-    the whole list.  Returns (text, number of rows)."""
+    the whole list, which writes None as an empty cell.  Returns (text,
+    number of rows)."""
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n", len(rows)
     out = io.StringIO()
@@ -455,7 +457,7 @@ def _dict_row_output(rows, fmt):
     writer = csv.DictWriter(out, fieldnames=fields, restval="")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: "%.15g" % v if isinstance(v, float) else str(v)
+        writer.writerow({k: "%.15g" % v if isinstance(v, float) else v
                          for k, v in row.items()})
     return out.getvalue(), len(rows)
 
@@ -482,16 +484,19 @@ def test_count_output_matches_dict_rows(flags, config, fmt, tmp_path, capsys,
     tables = (sieve.count_patterns_series(cfg, xs) if xs
               else [sieve.count_patterns(cfg)])
     rows = _count_rows(tables)
-    _forbid_decode(monkeypatch)
+    _forbid_decode(monkeypatch, classes=True)
     _check_output(["count"] + flags, rows, fmt, tmp_path, capsys)
 
 
-def _forbid_decode(monkeypatch):
+def _forbid_decode(monkeypatch, classes=False):
     """Make CountTable.counts raise: the commands write their rows from
-    the tables' listings, never from a dict of every row."""
+    the tables' listings, never from a dict of every row.  With classes,
+    make the grid's classes raise too: count writes codes and keys alone."""
     def decode(*args):
         raise AssertionError("a command decoded a count table")
     monkeypatch.setattr(sieve.CountTable, "counts", property(decode))
+    if classes:
+        monkeypatch.setattr(PatternGrid, "classes", decode)
 
 
 @pytest.mark.parametrize("block_rows", [7, cli.BLOCK_ROWS])
@@ -516,7 +521,7 @@ def test_count_writes_the_same_bytes_in_blocks(block_rows, flags, config,
     rows = _count_rows(tables)
     assert len(rows) > 7 * len(tables)  # several blocks per table
     monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
-    _forbid_decode(monkeypatch)
+    _forbid_decode(monkeypatch, classes=True)
     _check_output(["count"] + flags, rows, fmt, tmp_path, capsys)
 
 
@@ -545,14 +550,13 @@ def test_pattern_tables_write_the_same_bytes_in_blocks(block_rows, argv, fmt,
     code, whole = run_cli(argv, capsys)
     assert code == 0
     sizes = []
-    pattern_blocks = cli._pattern_blocks
+    keys = PatternGrid.keys
 
-    def recorded(*args):
-        for block in pattern_blocks(*args):
-            sizes.append(len(block[0]))
-            yield block
+    def recorded(grid, codes):  # every command asks a block's keys once
+        sizes.append(len(codes))
+        return keys(grid, codes)
 
-    monkeypatch.setattr(cli, "_pattern_blocks", recorded)
+    monkeypatch.setattr(PatternGrid, "keys", recorded)
     monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
     _forbid_decode(monkeypatch)
     assert run_cli(argv, capsys) == (0, whole)

@@ -463,6 +463,7 @@ def test_counts_count_and_total_read_the_array(r, x):
         assert t.count(tuple(c + 5 for c in pat)) == n
     assert t.count((5,) * r) == 0  # not coprime to q
     assert t.count((1,) * (r + 1)) == 0  # not an r-pattern
+    assert t.count((1,) * (r - 1)) == 0
     assert t.total() == int(t.array.sum()) == sum(t.counts.values())
 
 
