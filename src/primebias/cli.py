@@ -173,12 +173,11 @@ def _cmd_count(args):
 
 
 def _cmd_predict(args):
-    from .predict import _predictor
+    from .predict import _predictor, _tag
 
     xs, grid = args.x, _pattern_grid(args)
     predict = _predictor(args.q, grid, xs, args.method, args.truncation,
                          args.rel_tol, args.skip)
-    method = f"skip{args.skip}" if args.method == "skip" else args.method
 
     def blocks():
         # rows run pattern by pattern, then by x
@@ -186,7 +185,7 @@ def _cmd_predict(args):
             values, errors = predict(codes)
             yield {"pattern": np.repeat(grid.keys(codes), len(xs)),
                    "x": list(xs) * len(codes), "value": values.ravel(),
-                   "method": method,
+                   "method": _tag(args.method, args.skip),
                    "error_estimate": None if errors is None else errors.ravel()}
 
     return _checked(blocks()), _product_meta(args, rel_tol=args.rel_tol)

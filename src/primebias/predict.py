@@ -1,10 +1,11 @@
 """Predicted pattern counts: second-order asymptotics and the density integral.
 
-Two prediction routes for the count of a pattern (a, b) mod q up to x:
+Three methods predict the count of a pattern mod q up to x:
 
 * asymptotic:  li(x)/phi^r (1 + c1 loglog x/log x + c2/log x) straight from
   the conjectured constants;
-
+* skip:        the same for a pair (a, b) of primes k apart, with c1 = 0 and
+  c2 from skip_coefficient;
 * integral:    (q/phi^2) int alpha(y)^eps / (log y)^2 (D0 + D1 + D2) dy,
   where alpha(y) = 1 - q/(phi log y) is the chance that an integer near y
   on a fixed coprime class is skipped by the prime race, H(y) =
@@ -19,11 +20,14 @@ of work is a row, the pairs (a, b) of one a and the b asked for
 (_RowDensity): one product per panel, each pair refining as it would
 alone, with the same bits in any row.  All quadrature is composite
 16-point Gauss-Legendre with deterministic interval bisection in
-u = log y.  On a 2-core x86 host, predict --q 210 --x 1e9 (48 rows)
-takes 0.6-0.7 s and predict --q 420 (96 rows) 1.3-1.7 s.  The truncated
-sums straight from the definitions only check this form; no prediction
-runs them.  _predictor is the one path from a method to the predictions
-of a block of patterns, for both predict and compare.
+u = log y.  The truncated sums straight from the definitions only check
+this form; no prediction runs them.
+
+_predictor is the one path from a method to predictions: of a block of
+patterns for predict and compare, and of one pattern for
+asymptotic_prediction, integral_prediction and skip_prediction, which
+refuse classes that are not units mod q.  Every method gives a pattern
+(a_1, ..., a_r) and its reversal (-a_r, ..., -a_1) the same value.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import numpy as np
 
 from .arith import (
     Modulus,
+    PatternGrid,
     ResiduePattern,
     canonical_residue,
     check_rel_tol,
@@ -44,13 +49,8 @@ from .arith import (
 from .constants import _pattern_constants, s0c_vector, skip_coefficient
 
 __all__ = [
-    "li",
-    "adaptive_gauss_legendre",
-    "PredictionRow",
-    "asymptotic_prediction",
-    "integral_prediction",
-    "skip_prediction",
-    "integral_lower_limit",
+    "li", "adaptive_gauss_legendre", "PredictionRow", "asymptotic_prediction",
+    "integral_prediction", "skip_prediction", "integral_lower_limit",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -266,18 +266,27 @@ def _predictor(q: int, grid, xs, method: str, truncation: int | None = None,
     return predict
 
 
-def asymptotic_prediction(
-    q: int,
-    classes: tuple[int, ...] | list[int],
-    x: float,
-    truncation: int | None = None,
-) -> PredictionRow:
+def _tag(method: str, skip: int) -> str:
+    """The method column of a prediction: skip rows name their k, as skip2."""
+    return f"skip{skip}" if method == "skip" else method
+
+
+def _prediction(q: int, classes, x: float, method: str, truncation=None,
+                rel_tol: float = 1e-7, skip: int = 2) -> PredictionRow:
+    """One pattern's row: _predictor at x over the one-pattern grid of
+    classes, which must be units mod q."""
+    classes = ResiduePattern(q, tuple(classes)).classes
+    values, errors = _predictor(q, PatternGrid(zip(classes)), [x], method,
+                                truncation, rel_tol, skip)(np.arange(1))
+    return PredictionRow(q, classes, x, _tag(method, skip), float(values[0, 0]),
+                         None if errors is None else float(errors[0, 0]))
+
+
+def asymptotic_prediction(q: int, classes: tuple[int, ...] | list[int],
+                          x: float, truncation: int | None = None
+                          ) -> PredictionRow:
     """li(x)/phi^r (1 + c1 loglog x / log x + c2 / log x), assembled literally."""
-    pat = ResiduePattern(q, tuple(classes))
-    c1, c2 = _pattern_constants(q, pat.classes, truncation)
-    value = _asymptotic(float(c1), float(c2), pat.modulus.phi**pat.r, x)
-    return PredictionRow(q=q, classes=pat.classes, x=x, method="asymptotic",
-                         value=value)
+    return _prediction(q, classes, x, "asymptotic", truncation)
 
 
 def integral_prediction(q: int, a: int, b: int, x: float,
@@ -285,19 +294,10 @@ def integral_prediction(q: int, a: int, b: int, x: float,
                         rel_tol: float = 1e-7) -> PredictionRow:
     """The density integral from y_min = exp(2q/phi) (integral_lower_limit)
     to x in u = log y."""
-    (a, b) = ResiduePattern(q, (a, b)).classes
-    (value,), (err,) = _RowDensity(q, a, [b], truncation).integral(x, rel_tol)
-    return PredictionRow(q=q, classes=(a, b), x=x, method="integral",
-                         value=float(value), quadrature_error=float(err))
+    return _prediction(q, (a, b), x, "integral", truncation, rel_tol)
 
 
-def skip_prediction(
-    q: int, a: int, b: int, k: int, x: float
-) -> PredictionRow:
+def skip_prediction(q: int, a: int, b: int, k: int, x: float) -> PredictionRow:
     """Expected count of primes k apart in the sequence landing on (a, b):
     the two-term asymptotic with the skip constants, whose c1 is 0."""
-    mod = Modulus(q)
-    a, b = mod.canonical(a), mod.canonical(b)
-    value = _asymptotic(*skip_coefficient(q, k, equal=(a == b)), mod.phi**2, x)
-    return PredictionRow(q=q, classes=(a, b), x=x, method=f"skip{k}",
-                         value=value)
+    return _prediction(q, (a, b), x, "skip", skip=k)

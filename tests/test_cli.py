@@ -318,6 +318,23 @@ def test_integral_pair_same_bits_alone_and_in_table(q, capsys):
         assert json.loads(out)[0]["value"] == want[f"{a};{b}"]
 
 
+@pytest.mark.parametrize("q", [3, 5, 10, 12])
+@pytest.mark.parametrize("method, r, skip", [
+    ("integral", 2, 2), ("asymptotic", 2, 2), ("asymptotic", 3, 2),
+    ("skip", 2, 2), ("skip", 2, 3)])
+def test_library_predictions_match_the_predict_table(q, method, r, skip,
+                                                     capsys):
+    """asymptotic_prediction, integral_prediction and skip_prediction give
+    every pattern the bits, method and error estimate of its row in the
+    full predict table."""
+    code, out = run_cli(["predict", "--q", str(q), "--r", str(r), "--method",
+                         method, "--skip", str(skip), "--x", "1e6,1e9,1e12",
+                         "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == _predict_rows(q, (10**6, 10**9, 10**12), method,
+                                            r=r, skip=skip)
+
+
 def test_dump_characters(capsys):
     code, out = run_cli(["dump-characters", "--q", "12", "--format", "json"],
                         capsys)

@@ -7,6 +7,7 @@ import pytest
 
 from primebias import (
     Modulus,
+    PatternGrid,
     SingularContext,
     adaptive_gauss_legendre,
     always_bias_difference,
@@ -23,8 +24,8 @@ from primebias import (
     skip_coefficient,
     skip_prediction,
 )
-from primebias.constants import s0c_vector
-from primebias.predict import _RowDensity
+from primebias.constants import _pattern_constants, s0c_vector
+from primebias.predict import _predictor, _RowDensity
 
 P_FAST = 200_000
 
@@ -301,6 +302,51 @@ def test_skip_and_asymptotic_predictions_refuse_x_not_above_e():
     row = skip_prediction(3, 1, 2, 2, 3.0)
     _, c2 = skip_coefficient(3, 2, equal=False)
     assert row.value == li(3.0) / 4 * (1 + c2 / math.log(3.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: asymptotic_prediction(10, (3, 4), 1e9),
+    lambda: integral_prediction(10, 2, 7, 1e9),
+    lambda: skip_prediction(10, 2, 4, 2, 1e9),
+    lambda: skip_prediction(12, 1, 3, 3, 1e9),
+], ids=["asymptotic", "integral", "skip", "skip-k3"])
+def test_single_predictions_refuse_non_unit_classes(call):
+    with pytest.raises(ValueError, match="not coprime"):
+        call()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("q", [3, 5, 7, 10, 12])
+def test_skip_coefficient_is_the_mean_over_interior_classes(q, k):
+    """A second route to the skip constants: c1 and c2 of the pairs (a, b)
+    of primes k apart are the means of the (k+1)-pattern constants
+    (a, t_1, ..., t_{k-1}, b) over every choice of the interior classes."""
+    units = Modulus(q).classes
+    phi = len(units)
+    grid = PatternGrid([units] * (k + 1))
+    c1s, c2s = (c.reshape(phi, -1, phi).mean(axis=1) for c in
+                _pattern_constants(q, grid.classes(np.arange(grid.size)), None))
+    c1_eq, c2_eq = skip_coefficient(q, k, equal=True)
+    c1_ne, c2_ne = skip_coefficient(q, k, equal=False)
+    diagonal = np.eye(phi, dtype=bool)
+    np.testing.assert_allclose(c1s, np.where(diagonal, c1_eq, c1_ne),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(c2s, np.where(diagonal, c2_eq, c2_ne),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("q", [5, 10, 12, 13])
+@pytest.mark.parametrize("method, r", [
+    ("integral", 2), ("skip", 2), ("asymptotic", 2), ("asymptotic", 3)])
+def test_every_method_predicts_a_pattern_and_its_reversal_alike(q, method, r):
+    """(a_1, ..., a_r) and (-a_r, ..., -a_1) get the same prediction: the
+    gaps of the reversed pattern are those of the pattern read backwards."""
+    grid = PatternGrid([Modulus(q).classes] * r)
+    codes = np.arange(grid.size)
+    values, _ = _predictor(q, grid, [1e9], method)(codes)
+    reversal = [grid.code([-a % q for a in reversed(pattern)])
+                for pattern in zip(*grid.classes(codes))]
+    np.testing.assert_allclose(values[reversal], values, rtol=1e-14, atol=0)
 
 
 def test_always_bias_difference():
